@@ -28,8 +28,6 @@ from .perm import (
     group_closure,
     parse_generators,
     parse_permutation,
-    power_class,
-    subgroup_generated,
 )
 from .cyclotomic import Cyclotomic, root_of_unity
 from .charops import (
@@ -51,7 +49,7 @@ from .charops import (
     stabilizer_and_orbit,
     vanishing_off,
 )
-from .chartab import CharacterTable, ClassConstants, class_constants, dixon_table, verify_orthogonality
+from .chartab import CharacterTable, class_constants, dixon_table, verify_orthogonality
 from .structure import (
     NormalLattice,
     QuotientMap,

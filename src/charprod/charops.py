@@ -220,10 +220,6 @@ def vanishing_off(f):
     return f.group.subgroup(members)
 
 
-def support_classes(f):
-    return frozenset(j for j, v in enumerate(f.values) if v)
-
-
 def linear_characters(table):
     """The degree-1 irreducibles; count is checked against |G : G'|."""
     linears = [chi for chi, d in zip(table.irreducibles, table.degrees) if d == 1]

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .charops import ClassFunction
-from .cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, root_of_unity
+from .cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
 from .errors import CharprodError, EigensplitStall, LiftInconsistent
 from .modular import (
     charpoly_mod,
@@ -25,30 +25,15 @@ from .modular import (
     nth_root_of_unity,
     nullspace_mod,
     poly_roots_mod,
-    power_table,
     solve_columns_mod,
 )
 
 DENSE_CLASS_LIMIT = 340  # keeps the class-constant tensor under ~320 MB
 
 
-class ClassConstants:
-    """Class multiplication coefficients a(i,j,k) as a dense integer tensor."""
-
-    def __init__(self, tensor):
-        self.a = tensor
-
-    def matrix(self, i):
-        """The matrix M_i with (M_i)[j,k] = a(i,j,k); central characters are
-        its right eigenvectors."""
-        return self.a[i]
-
-    def value(self, i, j, k):
-        return int(self.a[i, j, k])
-
-
 def class_constants(group):
-    """a(i,j,k) = #{(x,y) in C_i x C_j : xy = z} for a fixed z in C_k."""
+    """a[i, j, k] = #{(x,y) in C_i x C_j : xy = z} for a fixed z in C_k; the
+    class matrix M_i = a[i] has the central characters as right eigenvectors."""
     m = group.num_classes
     if m > DENSE_CLASS_LIMIT:
         raise CharprodError(
@@ -63,7 +48,7 @@ def class_constants(group):
             for x in group.classes[i].members:
                 y = group.mul(group.inverses[x], zk)
                 ai[class_of[y]] += 1
-    return ClassConstants(a)
+    return a
 
 
 class CharacterTable:
@@ -77,6 +62,7 @@ class CharacterTable:
         self.prime_p = group.p_group_prime()
         self._row_lookup = {chi.value_key(): i for i, chi in enumerate(self.irreducibles)}
         self._conj_rows = None
+        self._tensor = None
 
     @property
     def size(self):
@@ -102,16 +88,18 @@ class CharacterTable:
 
     def coefficient_tensor(self):
         """Integer coefficients of every value at the common order, shape
-        (irreducibles, classes, phi(order)).  Values are algebraic integers."""
-        order = self.irreducibles[0].values[0].order if self.irreducibles else 1
-        phi = euler_phi(order)
-        out = np.zeros((self.size, self.group.num_classes, phi), dtype=np.int64)
-        for i, chi in enumerate(self.irreducibles):
-            for j, v in enumerate(chi.values):
-                if v.den != 1:
-                    raise LiftInconsistent("table value is not an algebraic integer")
-                out[i, j, : len(v.num)] = v.num
-        return order, out
+        (irreducibles, classes, phi(order)).  Values are algebraic integers.
+        This is the one integer image of the table; it is built once."""
+        if self._tensor is None:
+            order = self.irreducibles[0].values[0].order if self.irreducibles else 1
+            out = np.zeros((self.size, self.group.num_classes, euler_phi(order)), dtype=np.int64)
+            for i, chi in enumerate(self.irreducibles):
+                for j, v in enumerate(chi.values):
+                    if v.den != 1:
+                        raise LiftInconsistent("table value is not an algebraic integer")
+                    out[i, j] = v.num
+            self._tensor = order, out
+        return self._tensor
 
     def to_text(self):
         lines = []
@@ -149,12 +137,12 @@ class CharacterTable:
 def _split_eigenspaces(constants, q):
     """Common eigenspaces of the class matrices over GF(q), split by applying
     the matrices in ascending class index until every space is 1-dimensional."""
-    m = constants.a.shape[0]
+    m = constants.shape[0]
     spaces = [np.eye(m, dtype=np.int64)]
     for i in range(1, m):
         if all(b.shape[1] == 1 for b in spaces):
             break
-        mat = constants.matrix(i) % q
+        mat = constants[i] % q
         refined = []
         for basis in spaces:
             k = basis.shape[1]
@@ -189,38 +177,34 @@ def _lift_degree(omega, group, q):
     return hits[0]
 
 
-def _lift_values(omega, degree, group, q, z, exponent):
-    """Exact values of one character via the Fourier sum over the power map."""
-    inv_sizes = [inv_mod(c.size, q) for c in group.classes]
-    values = []
-    for j, cls in enumerate(group.classes):
-        o = group.element_order(cls.representative)
-        if o == 1:
-            values.append(Cyclotomic.from_rational(degree).embed(exponent))
-            continue
-        z_o = pow(z, exponent // o, q)
-        powers = power_table(z_o, o, q)
-        chi_mod = [
-            degree * int(omega[group.power_class(j, t)]) * inv_sizes[group.power_class(j, t)] % q
-            for t in range(o)
-        ]
-        inv_o = inv_mod(o, q)
-        coeffs = []
-        total = 0
-        for k in range(o):
-            acc = 0
-            for t in range(o):
-                acc += chi_mod[t] * powers[(-k * t) % o]
-            mk = acc % q * inv_o % q
-            if mk > degree:
-                raise LiftInconsistent(f"eigenvalue multiplicity {mk} exceeds the degree {degree}")
-            coeffs.append(mk)
-            total += mk
-        if total != degree:
-            raise LiftInconsistent("eigenvalue multiplicities do not sum to the degree")
-        value = Cyclotomic(o, coeffs)
-        values.append(value.embed(exponent))
-    return values
+def _value_lift(group, q, z):
+    """Per-table arrays of the value lift, shared by every character: the power
+    map (class of r_j^t for t < exponent), the inverse class sizes mod q, the
+    inverse DFT matrix z^(-kt) / exponent mod q, and the reduction of zeta^k
+    modulo Phi_exponent."""
+    e = group.exponent
+    power_map = np.array([[group.power_class(j, t) for t in range(e)] for j in range(group.num_classes)])
+    inv_sizes = np.array([inv_mod(c.size, q) for c in group.classes], dtype=np.int64)
+    inv_powers = np.array([pow(z, -t % e, q) * inv_mod(e, q) % q for t in range(e)], dtype=np.int64)
+    t = np.arange(e)
+    dft = inv_powers[np.outer(t, t) % e]
+    return power_map, inv_sizes, dft, _reduction_matrix(e, e)
+
+
+def _lift_values(omega, degree, q, lift):
+    """Exact values of one character via the Fourier sum over the power map.
+
+    Row j of the DFT holds the eigenvalue multiplicities of r_j: multiplicity
+    k of an element of order o lands on coefficient k * exponent / o."""
+    power_map, inv_sizes, dft, reduction = lift
+    chi_mod = degree * (omega * inv_sizes % q)[power_map] % q
+    mult = chi_mod @ dft % q
+    if (mult > degree).any():
+        raise LiftInconsistent(f"eigenvalue multiplicity {int(mult.max())} exceeds the degree {degree}")
+    if (mult.sum(axis=1) != degree).any():
+        raise LiftInconsistent("eigenvalue multiplicities do not sum to the degree")
+    e = dft.shape[0]
+    return [Cyclotomic(e, tuple(row), 1, _canonical=True) for row in (mult @ reduction).tolist()]
 
 
 def _reduction_matrix(order, width):
@@ -303,8 +287,8 @@ def dixon_table(group, use_cache=True):
 
     q = find_prime(exponent, 2 * math.isqrt(group.order - 1) + 2)
     z = nth_root_of_unity(q, exponent)
-    constants = class_constants(group)
-    vectors = _split_eigenspaces(constants, q)
+    vectors = _split_eigenspaces(class_constants(group), q)
+    lift = _value_lift(group, q, z)
 
     characters = []
     for vec in vectors:
@@ -312,8 +296,7 @@ def dixon_table(group, use_cache=True):
             raise LiftInconsistent("central character vanishes on the identity class")
         omega = vec * inv_mod(int(vec[0]), q) % q
         degree = _lift_degree(omega, group, q)
-        values = _lift_values(omega, degree, group, q, z, exponent)
-        characters.append(ClassFunction(group, values))
+        characters.append(ClassFunction(group, _lift_values(omega, degree, q, lift)))
 
     principal = [chi for chi in characters if all(v == Cyclotomic.one() for v in chi.values)]
     if len(principal) != 1:

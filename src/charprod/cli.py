@@ -70,7 +70,7 @@ def _cmd_verify(args, out):
         groups = [_load_group(args.group)]
     else:
         raise CharprodError("verify needs a group source or --catalog")
-    report = verify.run_suite(groups, statements, jobs=args.jobs)
+    report = verify.run_suite(groups, statements)
     lines = []
     for group_report in report.reports:
         s = group_report.summary
@@ -146,7 +146,6 @@ def build_parser():
     p_verify.add_argument("--catalog", action="store_true", help="run over every builtin")
     p_verify.add_argument("--statements", default=",".join(STATEMENTS),
                           help="comma list from: " + ",".join(STATEMENTS))
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel group workers")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--output", help="write to this path instead of stdout")
 

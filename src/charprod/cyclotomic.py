@@ -12,8 +12,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 
 # -- elementary number theory ------------------------------------------------
 
@@ -440,31 +438,3 @@ def from_text(text):
         return Cyclotomic(order, [f.numerator * (den // f.denominator) for f in coeffs], den)
     value = Fraction(text)
     return Cyclotomic.from_rational(value)
-
-
-def is_nonnegative_real(value):
-    """Decide value >= 0 for a real cyclotomic value.
-
-    Rational values are compared exactly; irrational ones through interval
-    arithmetic with widening precision (sound: a real irrational is nonzero,
-    so some precision separates it from zero).
-    """
-    if value != value.conj():
-        return False
-    r = value.as_rational()
-    if r is not None:
-        return r >= 0
-    e = value.order
-    for prec in (80, 160, 320, 640, 1280):
-        with mpmath.workprec(prec):
-            total = mpmath.iv.mpf(0)
-            iv_pi = mpmath.iv.pi
-            for i, c in enumerate(value.num):
-                if c:
-                    total += c * mpmath.iv.cos(2 * iv_pi * i / e)
-            total /= value.den
-            if total.a > 0:
-                return True
-            if total.b < 0:
-                return False
-    raise ArithmeticError("interval precision exhausted deciding sign")

@@ -66,28 +66,6 @@ def nth_root_of_unity(q, e):
     return pow(primitive_root(q), (q - 1) // e, q)
 
 
-def image_of_cyclotomic(value, zeta_images, q):
-    """Ring-homomorphic image of an algebraic integer under zeta_e -> z mod q.
-
-    zeta_images[i] must hold z^i mod q for 0 <= i < phi(e).
-    """
-    if value.den != 1:
-        raise ValueError("imaging requires an algebraic integer (denominator 1)")
-    total = 0
-    for c, zi in zip(value.num, zeta_images):
-        if c:
-            total += c * zi
-    return total % q
-
-
-def power_table(z, e, q):
-    """[z^0, z^1, ..., z^(e-1)] mod q."""
-    out = [1] * e
-    for i in range(1, e):
-        out[i] = out[i - 1] * z % q
-    return out
-
-
 # -- dense linear algebra over GF(q) ------------------------------------------
 
 def rref_mod(matrix, q):

@@ -10,7 +10,7 @@ import math
 import os
 import threading
 
-from .errors import ClosureCapExceeded, EmptyGeneratorSet, NotASubgroup, ParseError
+from .errors import CharprodError, ClosureCapExceeded, EmptyGeneratorSet, NotASubgroup, ParseError
 
 DEFAULT_CLOSURE_CAP = 10_000
 CAP_ENV_VAR = "CHARPROD_CLOSURE_CAP"
@@ -18,10 +18,12 @@ CAP_ENV_VAR = "CHARPROD_CLOSURE_CAP"
 
 def closure_cap(explicit=None):
     """Resolve the element cap: explicit value, else env override, else default."""
-    if explicit is not None:
+    if explicit is None:
+        explicit = os.environ.get(CAP_ENV_VAR) or DEFAULT_CLOSURE_CAP
+    try:
         return int(explicit)
-    raw = os.environ.get(CAP_ENV_VAR)
-    return int(raw) if raw else DEFAULT_CLOSURE_CAP
+    except ValueError:
+        raise CharprodError(f"the element cap must be an integer, not {explicit!r}") from None
 
 
 class Permutation:
@@ -315,9 +317,6 @@ class Group:
         a, b = self.elements[i].images, self.elements[j].images
         return self._index[tuple(a[b[k]] for k in range(self.degree))]
 
-    def inv(self, i):
-        return self.inverses[i]
-
     def conjugate(self, i, g):
         """Index of g * x_i * g^{-1}."""
         return self.mul(self.mul(g, i), self.inverses[g])
@@ -498,16 +497,6 @@ def group_closure(generators, cap=None):
                 seen.add(nxt.images)
                 elements.append(nxt)
     return Group(generators, elements, degree)
-
-
-def subgroup_generated(group, seed):
-    """Module-level spelling of Group.subgroup."""
-    return group.subgroup(seed)
-
-
-def power_class(group, class_j, k):
-    """Module-level spelling of Group.power_class."""
-    return group.power_class(class_j, k)
 
 
 def direct_product(*groups, cap=None):

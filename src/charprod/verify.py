@@ -12,7 +12,6 @@ handled through class-index sets.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,7 +38,7 @@ from .errors import (
     NotAPGroup,
     SearchExhausted,
 )
-from .modular import find_prime, image_of_cyclotomic, inv_mod, nth_root_of_unity, power_table
+from .modular import find_prime, inv_mod, nth_root_of_unity
 from .structure import chief_factor_above, normal_lattice, quotient
 
 STATEMENTS = ("A", "B", "C", "lemma", "bound")
@@ -127,21 +126,19 @@ def _group_lattice(group, table):
 
 
 class _ModularTable:
-    """Image of an exact table modulo Q under zeta -> z, with batch helpers."""
+    """Image of an exact table modulo Q under zeta -> z, read off the table's
+    integer coefficient tensor."""
 
     def __init__(self, table, q, z, top_exponent):
         self.table = table
         self.q = q
         group = table.group
-        order = table.irreducibles[0].values[0].order if table.irreducibles else 1
+        order, tensor = table.coefficient_tensor()
         if top_exponent % order:
             raise CharprodError("value order does not divide the imaging order")
         z_local = pow(z, top_exponent // order, q)
-        powers = power_table(z_local, order, q)
-        rows = []
-        for chi in table.irreducibles:
-            rows.append([image_of_cyclotomic(v, powers, q) for v in chi.values])
-        self.values = np.array(rows, dtype=np.int64)
+        z_powers = np.array([pow(z_local, k, q) for k in range(tensor.shape[2])], dtype=np.int64)
+        self.values = tensor @ z_powers % q
         self.weights = np.array([c.size for c in group.classes], dtype=np.int64)
         inv = list(group.inverse_class())
         self.conj_values = self.values[:, inv]
@@ -692,6 +689,8 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None):
         raise NotAPGroup("monomial witness search runs on p-groups")
     table = table or dixon_table(group)
     if isinstance(chi, int):
+        if not 0 <= chi < table.size:
+            raise CharprodError(f"character index {chi} outside [0, {table.size})")
         chi_index = chi
         chi_cf = table.irreducibles[chi_index]
     else:
@@ -744,7 +743,7 @@ def _run_group(group_id, group, statements):
     return report
 
 
-def run_suite(groups, statements=STATEMENTS, jobs=1):
+def run_suite(groups, statements=STATEMENTS):
     """Run the requested statements over groups given as catalog ids or
     (id, Group) pairs; reports are ordered by group id."""
     unknown = [s for s in statements if s not in STATEMENTS]
@@ -757,10 +756,4 @@ def run_suite(groups, statements=STATEMENTS, jobs=1):
         else:
             resolved.append(entry)
     resolved.sort(key=lambda pair: pair[0])
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_group, gid, g, statements) for gid, g in resolved]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [_run_group(gid, g, statements) for gid, g in resolved]
-    return SuiteReport(reports=reports)
+    return SuiteReport(reports=[_run_group(gid, g, statements) for gid, g in resolved])

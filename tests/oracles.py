@@ -4,12 +4,15 @@ These deliberately avoid the engine's algorithms: closure by set-products
 instead of breadth-first search, conjugacy by full-group conjugation, normal
 subgroups as join-closures of class unions, and character tables extracted
 from the exact lattice of characters induced from cyclic subgroups (certified
-by decomposing the regular character).
+by decomposing the regular character).  Signs of real cyclotomic values are
+decided by interval arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import mpmath
 
 from charprod.cyclotomic import Cyclotomic, root_of_unity
 from charprod.perm import Permutation
@@ -557,3 +560,31 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
+
+
+def is_nonnegative_real(value):
+    """Decide value >= 0 for a real cyclotomic value.
+
+    Rational values are compared exactly; irrational ones through interval
+    arithmetic with widening precision (sound: a real irrational is nonzero,
+    so some precision separates it from zero).
+    """
+    if value != value.conj():
+        return False
+    r = value.as_rational()
+    if r is not None:
+        return r >= 0
+    e = value.order
+    for prec in (80, 160, 320, 640, 1280):
+        with mpmath.workprec(prec):
+            total = mpmath.iv.mpf(0)
+            iv_pi = mpmath.iv.pi
+            for i, c in enumerate(value.num):
+                if c:
+                    total += c * mpmath.iv.cos(2 * iv_pi * i / e)
+            total /= value.den
+            if total.a > 0:
+                return True
+            if total.b < 0:
+                return False
+    raise ArithmeticError("interval precision exhausted deciding sign")

@@ -96,7 +96,7 @@ def test_criterion_3_index_p_trivial_induction():
 
 def test_criterion_4_full_catalog_suite():
     start = time.perf_counter()
-    report = run_suite(all_ids(), ("A", "B", "C", "lemma", "bound"), jobs=1)
+    report = run_suite(all_ids(), ("A", "B", "C", "lemma", "bound"))
     elapsed = time.perf_counter() - start
     fails = report.summary["fail"]
     ok = fails == 0 and elapsed < 300.0

@@ -1,14 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from charprod.charops import ClassFunction
 from charprod.chartab import (
     CharacterTable,
+    _lift_degree,
+    _lift_values,
+    _split_eigenspaces,
+    _value_lift,
     class_constants,
     dixon_table,
     verify_orthogonality,
 )
 from charprod.cyclotomic import root_of_unity
+from charprod.errors import LiftInconsistent
+from charprod.modular import find_prime, inv_mod, nth_root_of_unity
 from charprod.perm import Permutation, group_closure, parse_generators
 
 from oracles import brute_force_table, canonical_key
@@ -23,12 +31,12 @@ SMALL_IDS = [
 
 def test_class_constants_trivial_and_c2():
     trivial = group_closure([Permutation.identity(1)])
-    assert class_constants(trivial).value(0, 0, 0) == 1
+    assert class_constants(trivial)[0, 0, 0] == 1
 
     c2 = group_closure([parse_permutation_c2()])
     cc = class_constants(c2)
-    assert cc.value(1, 1, 0) == 1
-    assert cc.value(1, 0, 1) == 1
+    assert cc[1, 1, 0] == 1
+    assert cc[1, 0, 1] == 1
 
 
 def parse_permutation_c2():
@@ -42,8 +50,8 @@ def test_class_constants_weight_identity(group_of):
     sizes = np.array([c.size for c in g.classes])
     for i in range(g.num_classes):
         for j in range(g.num_classes):
-            assert int(cc.a[i, j] @ sizes) == g.classes[i].size * g.classes[j].size
-            assert np.array_equal(cc.a[i, j], cc.a[j, i])
+            assert int(cc[i, j] @ sizes) == g.classes[i].size * g.classes[j].size
+            assert np.array_equal(cc[i, j], cc[j, i])
 
 
 def test_c3_table():
@@ -85,6 +93,24 @@ def test_verify_orthogonality_and_perturbation(table_of):
     bumped[2] = bumped[2] + 1
     rows[1] = ClassFunction(t.group, bumped)
     assert not verify_orthogonality(CharacterTable(t.group, rows))
+
+
+@pytest.mark.parametrize("gid", ["dihedral8", "cyclic9", "heisenberg3"])
+def test_corrupted_central_character_fails_the_lift(gid, group_of, table_of):
+    g = group_of(gid)
+    q = find_prime(g.exponent, 2 * math.isqrt(g.order - 1) + 2)
+    lift = _value_lift(g, q, nth_root_of_unity(q, g.exponent))
+    rows = set()
+    for vec in _split_eigenspaces(class_constants(g), q):
+        omega = vec * inv_mod(int(vec[0]), q) % q
+        degree = _lift_degree(omega, g, q)
+        rows.add(tuple(_lift_values(omega, degree, q, lift)))
+        for j in range(1, g.num_classes):
+            bad = omega.copy()
+            bad[j] = (bad[j] + 1) % q
+            with pytest.raises(LiftInconsistent):
+                _lift_values(bad, degree, q, lift)
+    assert rows == {chi.values for chi in table_of(gid).irreducibles}
 
 
 @pytest.mark.parametrize("gid", SMALL_IDS + ["heisenberg3", "wreath3", "extraspecial27_exp9"])

@@ -124,17 +124,30 @@ def test_byte_identical_runs(capsys):
     assert a == b
 
 
-def test_jobs_do_not_change_output(capsys):
-    argv = ["verify", "cyclic8", "--statements", "A,B", "--format", "json"]
-    a = run_cli(argv, capsys)
-    b = run_cli(argv + ["--jobs", "4"], capsys)
-    assert a[0] == b[0] == 0
-    assert a[1] == b[1]
-
-
 def test_closure_cap_env(tmp_path, capsys, monkeypatch):
     path = tmp_path / "s7.gens"
     path.write_text("(1 2 3 4 5 6 7)\n(1 2)\n")
     monkeypatch.setenv("CHARPROD_CLOSURE_CAP", "100")
     code, _, err = run_cli(["table", str(path)], capsys)
     assert code == 2 and "cap" in err
+
+
+def test_witness_negative_index(capsys):
+    code, out, err = run_cli(["witness", "heisenberg3", "--chi", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert "character index -1" in err
+
+
+def test_witness_index_past_the_table(capsys):
+    code, out, err = run_cli(["witness", "heisenberg3", "--chi", "99"], capsys)
+    assert code == 2 and out == ""
+    assert "character index 99" in err
+
+
+def test_closure_cap_env_not_an_integer(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c3.gens"
+    path.write_text("(1 2 3)\n")
+    monkeypatch.setenv("CHARPROD_CLOSURE_CAP", "abc")
+    code, out, err = run_cli(["table", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "must be an integer" in err and "'abc'" in err

@@ -8,9 +8,10 @@ from charprod.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     from_text,
-    is_nonnegative_real,
     root_of_unity,
 )
+
+from oracles import is_nonnegative_real
 
 
 def test_root_of_unity_examples():

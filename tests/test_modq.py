@@ -14,7 +14,7 @@ from charprod.modular import (
     poly_roots_mod,
     primitive_root,
 )
-from charprod.verify import GroupSession
+from charprod.verify import GroupSession, _ModularTable
 
 
 def test_prime_search():
@@ -93,3 +93,23 @@ def test_bound_large_enough(group_of):
         session = GroupSession(g, gid)
         assert session.q > 2 * session.bound
         assert session.q % g.exponent == 1
+
+
+def _image(value, z, top_exponent, q):
+    """sum_k c_k z_local^k mod q for the coefficients c_k of one exact value."""
+    assert value.den == 1
+    z_local = pow(z, top_exponent // value.order, q)
+    return sum(c * pow(z_local, k, q) for k, c in enumerate(value.num)) % q
+
+
+@pytest.mark.parametrize("gid", ["cyclic9", "dihedral8", "quaternion16", "modular16", "extraspecial27_exp9", "sl23"])
+def test_modular_table_images_every_value(gid, group_of):
+    g = group_of(gid)
+    session = GroupSession(g, gid)
+    q, z, e = session.q, session.z, g.exponent
+    tables = [session.table] + [data["ctx"].table for data in session.normal_data]
+    assert any(1 < t.group.exponent < e for t in tables)
+    for table in tables:
+        mod = _ModularTable(table, q, z, e)
+        expected = [[_image(v, z, e, q) for v in chi.values] for chi in table.irreducibles]
+        assert mod.values.tolist() == expected

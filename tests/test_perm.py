@@ -9,7 +9,6 @@ from charprod.perm import (
     group_closure,
     parse_generators,
     parse_permutation,
-    subgroup_generated,
 )
 
 from oracles import closure_oracle, conjugacy_oracle
@@ -110,20 +109,20 @@ def test_subgroup_generated_fixed_point(group_of):
     rng = random.Random(7)
     for _ in range(10):
         seed = rng.sample(range(g.order), rng.randint(0, 3))
-        sub = subgroup_generated(g, seed)
-        again = subgroup_generated(g, sub.element_indices)
+        sub = g.subgroup(seed)
+        again = g.subgroup(sub.element_indices)
         assert again.element_set == sub.element_set
 
 
 def test_subgroup_examples(group_of):
     g = group_of("dihedral8")
-    assert subgroup_generated(g, []).order == 1
-    assert subgroup_generated(g, range(g.order)).order == 8
+    assert g.subgroup([]).order == 1
+    assert g.subgroup(range(g.order)).order == 8
     central = next(
         i for i in range(1, g.order)
         if g.classes[g.class_of[i]].size == 1
     )
-    sub = subgroup_generated(g, [central])
+    sub = g.subgroup([central])
     assert sub.order == 2 and sub.is_normal
 
 

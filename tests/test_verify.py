@@ -272,10 +272,3 @@ def test_report_json_schema(group_of):
         assert set(check) <= {"statement", "instance", "status", "witness"}
         assert check["status"] in ("pass", "fail", "hypothesis-not-met", "skipped")
     json.dumps(payload)  # must be serializable
-
-
-def test_parallel_jobs_agree():
-    ids = ["cyclic4", "dihedral8", "quaternion8"]
-    a = run_suite(ids, ("A", "B"), jobs=1).to_json()
-    b = run_suite(ids, ("A", "B"), jobs=3).to_json()
-    assert a == b
