@@ -188,7 +188,7 @@ def _class_union_subgroup(group, class_indices, check=True):
     for j in class_indices:
         members.extend(group.classes[j].members)
     sub = Subgroup(group, members)
-    if check and len(group._closure_indices(set(members))) != len(members):
+    if check and group._closure_indices(members)[0].sum() != len(members):
         raise NotASubgroup("union of classes does not close under products")
     return sub
 
@@ -277,12 +277,10 @@ class InducedContext:
                     else:
                         from .perm import group_closure
 
-                        gens = [parent.elements[i] for i in subgroup.generators()]
-                        if not gens:
-                            gens = [parent.elements[0]]
+                        gens = [parent.element(i) for i in subgroup.generators() or (0,)]
                         group = group_closure(gens, cap=parent.order)
                 table = chartab.dixon_table(group)
-                to_parent = tuple(parent.element_index(p) for p in group.elements)
+                to_parent = tuple(parent.indices_of(group.images).tolist())
                 from_parent = {pi: si for si, pi in enumerate(to_parent)}
                 fusion = tuple(
                     parent.class_of[to_parent[c.representative]] for c in group.classes
@@ -296,11 +294,9 @@ class InducedContext:
         """Permutation of subgroup classes induced by x -> g x g^(-1)."""
         perm = self._conj_perms.get(g_index)
         if perm is None:
-            parent = self.parent
+            reps = [self.to_parent[c.representative] for c in self.group.classes]
             out = []
-            for c in self.group.classes:
-                pe = self.to_parent[c.representative]
-                conj = parent.conjugate(pe, g_index)
+            for conj in self.parent.conjugates(reps, g_index).tolist():
                 si = self.from_parent.get(conj)
                 if si is None:
                     raise NotNormal("conjugation leaves the subgroup")

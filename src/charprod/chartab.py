@@ -28,7 +28,7 @@ from .modular import (
     solve_columns_mod,
 )
 
-DENSE_CLASS_LIMIT = 340  # keeps the class-constant tensor under ~320 MB
+DENSE_CLASS_LIMIT = 340  # keeps the int32 class-constant tensor under ~160 MB
 
 
 def class_constants(group):
@@ -39,15 +39,11 @@ def class_constants(group):
         raise CharprodError(
             f"{m} conjugacy classes exceed the dense class-constant limit of {DENSE_CLASS_LIMIT}"
         )
-    a = np.zeros((m, m, m), dtype=np.int64)
-    class_of = group.class_of
-    for k in range(m):
-        zk = group.classes[k].representative
-        for i in range(m):
-            ai = a[i, :, k]
-            for x in group.classes[i].members:
-                y = group.mul(group.inverses[x], zk)
-                ai[class_of[y]] += 1
+    a = np.zeros((m, m, m), dtype=np.int32)  # counts below |G|
+    class_of = np.array(group.class_of)
+    for k, cls in enumerate(group.classes):
+        y = group.products(group.inverses, cls.representative)
+        a[:, :, k] = np.bincount(class_of * m + class_of[y], minlength=m * m).reshape(m, m)
     return a
 
 
@@ -120,7 +116,7 @@ class CharacterTable:
                     "index": j,
                     "size": c.size,
                     "representative_order": g.element_order(c.representative),
-                    "representative": g.elements[c.representative].to_text(),
+                    "representative": g.element(c.representative).to_text(),
                 }
                 for j, c in enumerate(g.classes)
             ],
@@ -183,7 +179,11 @@ def _value_lift(group, q, z):
     inverse DFT matrix z^(-kt) / exponent mod q, and the reduction of zeta^k
     modulo Phi_exponent."""
     e = group.exponent
-    power_map = np.array([[group.power_class(j, t) for t in range(e)] for j in range(group.num_classes)])
+    reps = np.array([c.representative for c in group.classes])
+    powers = [np.zeros_like(reps)]
+    for _ in range(1, e):
+        powers.append(group.products(powers[-1], reps))
+    power_map = np.array(group.class_of)[np.stack(powers, axis=1)]
     inv_sizes = np.array([inv_mod(c.size, q) for c in group.classes], dtype=np.int64)
     inv_powers = np.array([pow(z, -t % e, q) * inv_mod(e, q) % q for t in range(e)], dtype=np.int64)
     t = np.arange(e)
@@ -226,6 +226,21 @@ def _reduction_matrix(order, width):
     return np.array(rows, dtype=np.int64)
 
 
+def _coefficient_gram(x, y, red):
+    """Power-basis coefficients of sum_c x[i, c] * y[j, c] for tables x, y of
+    cyclotomic values given by their coefficients (last axis).  The product's
+    coefficient of degree s = a + b is built by integer matmuls of the degree-a
+    and degree-b slices, then reduced by ``red``; exact over Z."""
+    xs = np.ascontiguousarray(x.transpose(2, 0, 1))
+    ys = np.ascontiguousarray(y.transpose(2, 1, 0))
+    phi = len(xs)
+    prod = np.zeros((2 * phi - 1, xs.shape[1], ys.shape[2]), dtype=np.int64)
+    for a in range(phi):
+        for b in range(phi):
+            prod[a + b] += xs[a] @ ys[b]
+    return np.tensordot(prod, red, axes=(0, 0))
+
+
 def _orthogonality_defect(table):
     """Exact residuals of both orthogonality relations; empty dict if clean."""
     group = table.group
@@ -236,15 +251,8 @@ def _orthogonality_defect(table):
     conj_tensor = tensor[:, inv, :]
     red = _reduction_matrix(order, 2 * phi - 1)
 
-    weighted = tensor * weights[None, :, None]
-    gram = np.einsum("ica,jcb->ijab", weighted, conj_tensor)
+    reduced = _coefficient_gram(tensor * weights[None, :, None], conj_tensor, red)
     n_irr = tensor.shape[0]
-    prod = np.zeros((n_irr, n_irr, 2 * phi - 1), dtype=np.int64)
-    for a in range(phi):
-        for b in range(phi):
-            prod[:, :, a + b] += gram[:, :, a, b]
-    reduced = prod.reshape(n_irr * n_irr, -1) @ red
-    reduced = reduced.reshape(n_irr, n_irr, phi)
     expected = np.zeros_like(reduced)
     expected[np.arange(n_irr), np.arange(n_irr), 0] = group.order
     defects = {}
@@ -252,13 +260,7 @@ def _orthogonality_defect(table):
         defects["rows"] = int(np.abs(reduced - expected).max())
 
     m = group.num_classes
-    gram2 = np.einsum("ica,idb->cdab", tensor, conj_tensor)
-    prod2 = np.zeros((m, m, 2 * phi - 1), dtype=np.int64)
-    for a in range(phi):
-        for b in range(phi):
-            prod2[:, :, a + b] += gram2[:, :, a, b]
-    reduced2 = prod2.reshape(m * m, -1) @ red
-    reduced2 = reduced2.reshape(m, m, phi)
+    reduced2 = _coefficient_gram(tensor.transpose(1, 0, 2), conj_tensor.transpose(1, 0, 2), red)
     expected2 = np.zeros_like(reduced2)
     for c in range(m):
         expected2[c, c, 0] = group.centralizer_order(c)

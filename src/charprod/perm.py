@@ -1,7 +1,14 @@
-"""Permutation arithmetic, group closure, conjugacy classes and subgroups.
+"""Permutation text I/O, group closure, conjugacy classes and subgroups.
 
 Points are 0-based internally and 1-based in all text I/O.  Composition is
-``(p * q)(i) = p(q(i))``: the right factor acts first.
+``(pq)(i) = p(q(i))``: the right factor acts first.
+
+A group stores its elements as one integer array of images, one row per
+element in breadth-first order.  A base (points whose images tell all
+elements apart) keys every element by its base images, so a product, a
+conjugate or a power is composed at the base points only and located by
+binary search in the sorted keys; the hot loops do this for whole index
+arrays at once.  ``Permutation`` is only the text format of one element.
 """
 
 from __future__ import annotations
@@ -9,6 +16,8 @@ from __future__ import annotations
 import math
 import os
 import threading
+
+import numpy as np
 
 from .errors import CharprodError, ClosureCapExceeded, EmptyGeneratorSet, NotASubgroup, ParseError
 
@@ -58,42 +67,8 @@ class Permutation:
     def degree(self):
         return len(self.images)
 
-    def __mul__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        a, b = self.images, other.images
-        if len(a) != len(b):
-            raise ValueError("degree mismatch")
-        return Permutation(a[b[i]] for i in range(len(a)))
-
-    def __call__(self, point):
-        return self.images[point]
-
-    def inverse(self):
-        images = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            images[j] = i
-        return Permutation(images)
-
-    def __pow__(self, k):
-        n = len(self.images)
-        if k == 0:
-            return Permutation.identity(n)
-        base = self if k > 0 else self.inverse()
-        k = abs(k)
-        result = Permutation.identity(n)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def order(self):
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
-
-    def cycles(self, include_fixed=False):
-        """Disjoint cycles, each starting at its minimal point, in point order."""
+    def cycles(self):
+        """Disjoint nontrivial cycles, each starting at its minimal point, in point order."""
         seen = [False] * len(self.images)
         out = []
         for start in range(len(self.images)):
@@ -104,12 +79,9 @@ class Permutation:
                 seen[cursor] = True
                 cycle.append(cursor)
                 cursor = self.images[cursor]
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(cycle)
         return out
-
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
 
     def to_text(self):
         """Cycle notation with 1-based points; identity renders as ``()``."""
@@ -120,9 +92,6 @@ class Permutation:
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
-
-    def __lt__(self, other):
-        return self.images < other.images
 
     def __hash__(self):
         return hash(self.images)
@@ -231,16 +200,25 @@ class ConjugacyClass:
 
 
 class Subgroup:
-    """A subgroup of a parent Group as a sorted set of element indices."""
+    """A subgroup of a parent Group as a sorted set of element indices.
 
-    __slots__ = ("parent", "element_indices", "element_set", "is_normal", "_generators")
+    ``is_normal`` is computed on first read: lattice members are intersections
+    of kernels and never need the check."""
+
+    __slots__ = ("parent", "element_indices", "element_set", "_is_normal", "_generators")
 
     def __init__(self, parent, element_indices):
         self.parent = parent
         self.element_indices = tuple(sorted(element_indices))
         self.element_set = frozenset(self.element_indices)
-        self.is_normal = parent._is_conjugation_closed(self.element_set)
+        self._is_normal = None
         self._generators = None
+
+    @property
+    def is_normal(self):
+        if self._is_normal is None:
+            self._is_normal = self.parent._is_conjugation_closed(self.element_indices)
+        return self._is_normal
 
     @property
     def order(self):
@@ -253,13 +231,7 @@ class Subgroup:
     def generators(self):
         """A small deterministic generating set (ascending greedy scan)."""
         if self._generators is None:
-            g = self.parent
-            gens, span = [], {0}
-            for idx in self.element_indices:
-                if idx not in span:
-                    gens.append(idx)
-                    span = g._closure_indices(span | {idx})
-            self._generators = tuple(gens)
+            self._generators = tuple(self.parent._closure_indices(self.element_indices)[1])
         return self._generators
 
     def class_index_set(self):
@@ -292,74 +264,107 @@ class Group:
 
     Element index 0 is the identity; the enumeration is the breadth-first
     closure of the generators in the order given, so it is reproducible.
+    ``images[i]`` is the image row of element i.  Index arguments of the
+    batched methods (``products``, ``conjugates``) are integer arrays that
+    broadcast against each other.
     """
 
-    def __init__(self, generators, elements, degree):
+    def __init__(self, generators, images):
         self.generators = tuple(generators)
-        self.elements = elements
-        self.degree = degree
-        self.order = len(elements)
-        self._index = {p.images: i for i, p in enumerate(elements)}
-        self.inverses = [self._index[p.inverse().images] for p in elements]
-        self._gen_indices = [self._index[g.images] for g in self.generators]
+        self.images = images
+        self.order, self.degree = images.shape
+        self.base = _choose_base(images)
+        self._base_images = images[:, self.base]
+        self._runs, self._by_rank = _key_index(self._base_images, self.degree)
+        inverse_images = np.empty_like(images)
+        inverse_images[np.arange(self.order)[:, None], images] = np.arange(self.degree)
+        self.inverses = self.locate(inverse_images[:, self.base])
+        self._gen_indices = self.indices_of([g.images for g in self.generators]).tolist()
+        self._orders = self._element_orders()
         self._power_classes = {}
         self._inverse_class = None
-        self._element_orders = {}
         self._promotions = {}
         self._promotion_lock = threading.Lock()
         self._derived = None
         self.classes, self.class_of = self._conjugacy_classes()
-        self.exponent = math.lcm(*(self.element_order(c.representative) for c in self.classes))
+        self.exponent = math.lcm(*np.unique(self._orders).tolist())
 
-    # -- construction ---------------------------------------------------
+    # -- element arithmetic ----------------------------------------------
+
+    def locate(self, base_images):
+        """Indices of the elements with the given base images (last axis)."""
+        rank = 0
+        for start, stop, radix, weights, keys in self._runs:
+            rank = keys.searchsorted(rank * radix + base_images[..., start:stop] @ weights)
+        return self._by_rank.take(rank, mode="clip")
+
+    def products(self, a, b):
+        """Indices of x_a x_b."""
+        return self.locate(self.images[np.asarray(a)[..., None], self._base_images[b]])
+
+    def conjugates(self, x, g):
+        """Indices of g x g^(-1)."""
+        g = np.asarray(g)
+        points = self.images[np.asarray(x)[..., None], self._base_images[self.inverses[g]]]
+        return self.locate(self.images[g[..., None], points])
 
     def mul(self, i, j):
-        a, b = self.elements[i].images, self.elements[j].images
-        return self._index[tuple(a[b[k]] for k in range(self.degree))]
+        return int(self.products(i, j))
 
     def conjugate(self, i, g):
         """Index of g * x_i * g^{-1}."""
-        return self.mul(self.mul(g, i), self.inverses[g])
+        return int(self.conjugates(i, g))
 
     def power(self, i, k):
-        if k == 0:
-            return 0
-        perm = self.elements[i] ** k
-        return self._index[perm.images]
+        k %= self.element_order(i)
+        result = 0
+        while k:
+            if k & 1:
+                result = self.mul(result, i)
+            i, k = self.mul(i, i), k >> 1
+        return result
+
+    def indices_of(self, rows):
+        """Indices of the elements with the given full image rows; KeyError
+        for a row that is not an element of this group."""
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1, self.degree)
+        found = self.locate(rows[:, self.base])
+        wrong = np.flatnonzero((self.images[found] != rows).any(axis=1))
+        if wrong.size:
+            raise KeyError(f"{Permutation(rows[wrong[0]].tolist())!r} is not an element of this group")
+        return found
 
     def element_index(self, perm):
-        idx = self._index.get(tuple(perm.images))
-        if idx is None:
+        if perm.degree != self.degree:
             raise KeyError(f"{perm!r} is not an element of this group")
-        return idx
+        return int(self.indices_of(perm.images)[0])
+
+    def element(self, i):
+        """Element i as a Permutation, for text output."""
+        return Permutation(self.images[i].tolist())
 
     def element_order(self, i):
-        cached = self._element_orders.get(i)
-        if cached is None:
-            cached = self.elements[i].order()
-            self._element_orders[i] = cached
-        return cached
+        return int(self._orders[i])
+
+    def _element_orders(self):
+        """Order of every element: the first power fixing every base point."""
+        orders = np.ones(self.order, dtype=np.int64)
+        live, points = np.arange(self.order), self._base_images
+        while True:
+            moved = (points != self._base_images[0]).any(axis=1)
+            live, points = live[moved], points[moved]
+            if not live.size:
+                return orders
+            orders[live] += 1
+            points = self.images[live[:, None], points]
 
     def _conjugacy_classes(self):
-        class_of = [-1] * self.order
-        classes = []
-        for start in range(self.order):
-            if class_of[start] >= 0:
-                continue
-            label = len(classes)
-            orbit = [start]
-            class_of[start] = label
-            queue = [start]
-            while queue:
-                x = queue.pop()
-                for g in self._gen_indices:
-                    y = self.conjugate(x, g)
-                    if class_of[y] < 0:
-                        class_of[y] = label
-                        orbit.append(y)
-                        queue.append(y)
-            classes.append(ConjugacyClass(start, orbit))
-        return classes, class_of
+        steps = self.conjugates(np.arange(self.order), np.array(self._gen_indices)[:, None])
+        class_of, representatives = orbit_labels(self.order, steps.tolist())
+        members = [[] for _ in representatives]
+        for x, label in enumerate(class_of):
+            members[label].append(x)
+        return [ConjugacyClass(r, m) for r, m in zip(representatives, members)], class_of
 
     # -- class level ------------------------------------------------------
 
@@ -399,34 +404,35 @@ class Group:
 
     # -- subgroups --------------------------------------------------------
 
-    def _is_conjugation_closed(self, index_set):
-        for g in self._gen_indices:
-            for i in index_set:
-                if self.conjugate(i, g) not in index_set:
-                    return False
-        return True
+    def _is_conjugation_closed(self, indices):
+        indices = np.asarray(indices, dtype=np.intp)
+        inside = np.zeros(self.order, dtype=bool)
+        inside[indices] = True
+        return bool(inside[self.conjugates(indices, np.array(self._gen_indices)[:, None])].all())
 
     def _closure_indices(self, seed):
-        """Subgroup closure of a set of element indices (with identity)."""
-        members = set(seed)
-        members.add(0)
-        frontier = list(members)
-        gens = [i for i in seed if i != 0]
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = self.mul(x, s)
-                if y not in members:
-                    members.add(y)
-                    frontier.append(y)
-        return members
+        """Subgroup generated by a set of element indices: (membership mask,
+        the generators an ascending greedy scan of the seed keeps)."""
+        inside = np.zeros(self.order, dtype=bool)
+        inside[0] = True
+        gens = []
+        for s in sorted(set(seed)):
+            if inside[s]:
+                continue
+            gens.append(int(s))
+            frontier, step = np.flatnonzero(inside), np.array(gens)
+            while frontier.size:
+                found = self.products(frontier[:, None], step).ravel()
+                frontier = np.unique(found[~inside[found]])
+                inside[frontier] = True
+        return inside, gens
 
     def subgroup(self, seed):
         """Smallest subgroup containing the seed indices."""
         for i in seed:
             if not 0 <= i < self.order:
                 raise IndexError(f"element index {i} out of range")
-        return Subgroup(self, self._closure_indices(set(seed)))
+        return Subgroup(self, np.flatnonzero(self._closure_indices(seed)[0]).tolist())
 
     def full_subgroup(self):
         return Subgroup(self, range(self.order))
@@ -439,22 +445,84 @@ class Group:
                 ia = self.inverses[a]
                 for b in self._gen_indices:
                     comms.add(self.mul(self.mul(ia, self.inverses[b]), self.mul(a, b)))
-            members = self._closure_indices(comms)
+            inside = self._closure_indices(comms)[0]
+            gens = np.array(self._gen_indices)[:, None]
             while True:
-                extra = set()
-                for g in self._gen_indices:
-                    for i in members:
-                        j = self.conjugate(i, g)
-                        if j not in members:
-                            extra.add(j)
-                if not extra:
+                members = np.flatnonzero(inside)
+                conj = self.conjugates(members, gens)
+                extra = conj[~inside[conj]]
+                if not extra.size:
                     break
-                members = self._closure_indices(members | extra)
-            self._derived = Subgroup(self, members)
+                inside = self._closure_indices(np.concatenate([members, extra]).tolist())[0]
+            self._derived = Subgroup(self, np.flatnonzero(inside).tolist())
         return self._derived
 
     def __repr__(self):
         return f"Group(order={self.order}, degree={self.degree}, classes={self.num_classes})"
+
+
+def orbit_labels(n, perms):
+    """Orbits on range(n) of the maps given as lists: (orbit label of every
+    point, least point of every orbit), orbits numbered by their least point."""
+    label = [-1] * n
+    least = []
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        current = len(least)
+        least.append(start)
+        label[start] = current
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for p in perms:
+                y = p[x]
+                if label[y] < 0:
+                    label[y] = current
+                    stack.append(y)
+    return label, least
+
+
+def _choose_base(images):
+    """Points, in ascending order, each kept when its images split the
+    elements further, until the elements are told apart."""
+    n, degree = images.shape
+    labels, count, base = np.zeros(n, dtype=np.int64), 1, []
+    for point in range(degree):
+        if count == n:
+            break
+        keys, refined = np.unique(labels * degree + images[:, point], return_inverse=True)
+        if len(keys) > count:
+            base.append(point)
+            labels, count = refined, len(keys)
+    return base
+
+
+def _key_index(base_images, degree):
+    """Sorted keys of the elements' base images, for ``Group.locate``.
+
+    The base is cut into runs; a run's key is the rank of the element's key on
+    the runs before it, times degree^(run length), plus the run's images as
+    base-``degree`` digits.  Runs are as long as keeps every key, for members
+    and non-members alike, below 2^63, so no key wraps.  Returns the runs as
+    (start, stop, radix, digit weights, sorted distinct keys) and the element
+    index of every rank on the whole base."""
+    n, length = base_images.shape
+    runs, rank, start = [], np.zeros(n, dtype=np.int64), 0
+    while True:
+        stop = min(start + 1, length)
+        while stop < length and (n + 1) * degree ** (stop + 1 - start) <= 2**63:
+            stop += 1
+        radix = degree ** (stop - start)
+        weights = degree ** np.arange(stop - start - 1, -1, -1, dtype=np.int64)
+        keys, rank = np.unique(rank * radix + base_images[:, start:stop] @ weights, return_inverse=True)
+        runs.append((start, stop, radix, weights, keys))
+        if stop == length:
+            break
+        start = stop
+    by_rank = np.empty(n, dtype=np.intp)
+    by_rank[rank] = np.arange(n)
+    return runs, by_rank
 
 
 def _smallest_prime_factor(n):
@@ -471,6 +539,8 @@ def _smallest_prime_factor(n):
 def group_closure(generators, cap=None):
     """Enumerate the group generated by ``generators`` breadth-first.
 
+    Level by level: every element of a level, in order, times every
+    generator, in order; new products join the next level in that order.
     Raises ClosureCapExceeded when the enumeration passes the cap and
     EmptyGeneratorSet when no generators are given.
     """
@@ -482,21 +552,25 @@ def group_closure(generators, cap=None):
         if g.degree != degree:
             raise ValueError("generators must share one degree")
     cap = closure_cap(cap)
-    identity = Permutation.identity(degree)
-    elements = [identity]
-    seen = {identity.images}
-    cursor = 0
-    while cursor < len(elements):
-        current = elements[cursor]
-        cursor += 1
-        for g in generators:
-            nxt = current * g
-            if nxt.images not in seen:
-                if len(elements) >= cap:
-                    raise ClosureCapExceeded(cap)
-                seen.add(nxt.images)
-                elements.append(nxt)
-    return Group(generators, elements, degree)
+    gens = np.array([g.images for g in generators], dtype=np.intp)
+    level = np.arange(degree, dtype=np.intp)[None, :]
+    levels, seen, count = [level], {level.tobytes()}, 1
+    while len(level):
+        found = level[:, gens].reshape(-1, degree)
+        width = found.itemsize * degree
+        data = found.tobytes()
+        fresh = []
+        for r in range(len(found)):
+            key = data[r * width:(r + 1) * width]
+            if key not in seen:
+                seen.add(key)
+                fresh.append(r)
+        count += len(fresh)
+        if fresh and count > cap:
+            raise ClosureCapExceeded(cap)
+        level = found[fresh]
+        levels.append(level)
+    return Group(generators, np.concatenate(levels))
 
 
 def direct_product(*groups, cap=None):

@@ -8,9 +8,11 @@ frozen sets of class indices.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .charops import ClassFunction
 from .errors import NotAPGroup, NotNormal
-from .perm import Permutation, Subgroup, group_closure
+from .perm import Permutation, Subgroup, group_closure, orbit_labels
 
 
 class NormalLattice:
@@ -43,7 +45,7 @@ class NormalLattice:
     def to_json(self):
         out = []
         for i, member in enumerate(self.members):
-            gens = [self.group.elements[g].to_text() for g in member.generators()]
+            gens = [self.group.element(g).to_text() for g in member.generators()]
             parents = [
                 j
                 for j, cs in enumerate(self.class_sets)
@@ -137,30 +139,17 @@ def quotient(group, normal):
     """Quotient by a normal subgroup via the left-coset permutation action."""
     if not normal.is_normal:
         raise NotNormal("quotient requires a normal subgroup")
-    n = group.order
-    coset_of = [-1] * n
-    reps = []
-    for i in range(n):
-        if coset_of[i] >= 0:
-            continue
-        label = len(reps)
-        reps.append(i)
-        for x in normal.element_indices:
-            coset_of[group.mul(i, x)] = label
-    degree = len(reps)
-
-    def action(g_index):
-        return Permutation(coset_of[group.mul(g_index, reps[c])] for c in range(degree))
-
-    gen_perms = [action(group.element_index(g)) for g in group.generators]
-    quot = group_closure(gen_perms, cap=degree)
-    projection = tuple(quot.element_index(action(x)) for x in range(n))
-    section = [-1] * quot.order
-    for x in range(n):
-        q = projection[x]
-        if section[q] < 0:
-            section[q] = x
+    everything = np.arange(group.order)
+    steps = group.products(everything, np.array(normal.generators(), dtype=np.intp)[:, None])
+    coset_of, reps = orbit_labels(group.order, steps.tolist())
+    coset_of, reps = np.array(coset_of), np.array(reps)
+    # g acts on the cosets by g(x N) = gx N; coset c is reps[c] N.
+    actions = coset_of[group.products(np.array(group._gen_indices)[:, None], reps)]
+    quot = group_closure([Permutation(row) for row in actions.tolist()], cap=len(reps))
+    projection = quot.locate(coset_of[group.products(everything[:, None], reps[quot.base])])
+    _, section = np.unique(projection, return_index=True)
+    projection = tuple(projection.tolist())
     class_map = tuple(
         quot.class_of[projection[cls.representative]] for cls in group.classes
     )
-    return QuotientMap(group, quot, projection, tuple(section), class_map)
+    return QuotientMap(group, quot, projection, tuple(section.tolist()), class_map)

@@ -711,7 +711,7 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None):
         chi_index=chi_index,
         subgroup_order=sub.order,
         subgroup_index=group.order // sub.order,
-        subgroup_generators=[group.elements[g].to_text() for g in sub.generators()],
+        subgroup_generators=[group.element(g).to_text() for g in sub.generators()],
         alpha_values=[v.to_json() for v in alpha.values],
         chain=chain,
         square_induced_index=square_idx,

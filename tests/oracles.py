@@ -1,21 +1,71 @@
 """Independent brute-force oracles used by the tests.
 
-These deliberately avoid the engine's algorithms: closure by set-products
-instead of breadth-first search, conjugacy by full-group conjugation, normal
-subgroups as join-closures of class unions, and character tables extracted
-from the exact lattice of characters induced from cyclic subgroups (certified
-by decomposing the regular character).  Signs of real cyclotomic values are
-decided by interval arithmetic.
+These deliberately avoid the engine's algorithms: permutation arithmetic on
+image tuples and a full multiplication table instead of base-image keys,
+closure by set-products instead of breadth-first search (plus a one-element-
+at-a-time breadth-first closure fixing the element order), conjugacy by
+full-group conjugation, normal subgroups as join-closures of class unions,
+and character tables extracted from the exact lattice of characters induced
+from cyclic subgroups (certified by decomposing the regular character).
+Signs of real cyclotomic values are decided by interval arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
 from charprod.cyclotomic import Cyclotomic, root_of_unity
 from charprod.perm import Permutation
+
+
+def compose(p, q):
+    """The product pq: q acts first."""
+    return Permutation(p.images[i] for i in q.images)
+
+
+def inverse(p):
+    images = [0] * p.degree
+    for i, j in enumerate(p.images):
+        images[j] = i
+    return Permutation(images)
+
+
+def power(p, k):
+    result = Permutation.identity(p.degree)
+    step = p if k >= 0 else inverse(p)
+    for _ in range(abs(k)):
+        result = compose(result, step)
+    return result
+
+
+def order(p):
+    """Least k >= 1 with p^k the identity, by repeated composition."""
+    identity = Permutation.identity(p.degree)
+    k, current = 1, p
+    while current != identity:
+        k, current = k + 1, compose(current, p)
+    return k
+
+
+def closure_reference(gens):
+    """Breadth-first closure on image tuples: every element in order times
+    every generator in order, new products appended.  The element order the
+    engine's level-by-level closure must reproduce."""
+    identity = Permutation.identity(gens[0].degree)
+    elements, seen = [identity], {identity}
+    cursor = 0
+    while cursor < len(elements):
+        current = elements[cursor]
+        cursor += 1
+        for g in gens:
+            nxt = compose(current, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                elements.append(nxt)
+    return elements
 
 
 def closure_oracle(gens):
@@ -26,10 +76,33 @@ def closure_oracle(gens):
         nxt = set(current)
         for a in current:
             for b in gens:
-                nxt.add(a * b)
+                nxt.add(compose(a, b))
         if len(nxt) == len(current):
             return current
         current = nxt
+
+
+@lru_cache(maxsize=4)
+def cayley_table(group):
+    """mul[a][b] = index of x_a x_b, by composing the elements' image tuples
+    and looking the product up by its full image tuple."""
+    elements = [group.element(i).images for i in range(group.order)]
+    index = {p: i for i, p in enumerate(elements)}
+    return [[index[tuple([a[i] for i in b])] for b in elements] for a in elements]
+
+
+def class_constants_oracle(group):
+    """a[i][j][k] = #{(x, y) in C_i x C_j : xy = z_k}, counting all pairs."""
+    mul = cayley_table(group)
+    m = group.num_classes
+    class_of_rep = {c.representative: k for k, c in enumerate(group.classes)}
+    out = [[[0] * m for _ in range(m)] for _ in range(m)]
+    for x, row in enumerate(mul):
+        for y, z in enumerate(row):
+            k = class_of_rep.get(z)
+            if k is not None:
+                out[group.class_of[x]][group.class_of[y]][k] += 1
+    return out
 
 
 def conjugacy_oracle(group):
@@ -51,6 +124,7 @@ def class_closure(group, class_indices, _memo=None):
     key = frozenset(class_indices)
     if _memo is not None and key in _memo:
         return _memo[key]
+    mul = cayley_table(group)
     members = {0}
     for j in key:
         members.update(group.classes[j].members)
@@ -59,7 +133,7 @@ def class_closure(group, class_indices, _memo=None):
         x = frontier.pop()
         snapshot = list(members)
         for b in snapshot:
-            for c in (group.mul(x, b), group.mul(b, x)):
+            for c in (mul[x][b], mul[b][x]):
                 if c not in members:
                     members.add(c)
                     frontier.append(c)
@@ -95,6 +169,7 @@ def normal_powerset_oracle(group):
     """Literal scan of every union of classes; only for tiny class counts."""
     m = group.num_classes
     assert m <= 14, "powerset oracle is for small groups"
+    mul = cayley_table(group)
     out = set()
     for mask in range(1 << m):
         if not mask & 1:
@@ -103,7 +178,7 @@ def normal_powerset_oracle(group):
         members = set()
         for j in classes:
             members.update(group.classes[j].members)
-        if all(group.mul(a, b) in members for a in members for b in members):
+        if all(mul[a][b] in members for a in members for b in members):
             out.add(frozenset(classes))
     return out
 
@@ -124,12 +199,14 @@ def _inner(group, a, b):
 
 def _induce_from(group, sub_elements, values_by_element):
     """Frobenius induction by raw summation over the whole group."""
+    mul = cayley_table(group)
+    inv = [row.index(0) for row in mul]
     out = []
     for cls in group.classes:
         rep = cls.representative
         total = Cyclotomic.zero()
-        for x in range(group.order):
-            y = group.conjugate(rep, x)
+        for x, row in enumerate(mul):
+            y = mul[row[rep]][inv[x]]
             if y in values_by_element:
                 total = total + values_by_element[y]
         out.append(total * Fraction(1, len(sub_elements)))
@@ -148,12 +225,13 @@ def _cyclic_induced_pool(group):
 
     add(tuple(Cyclotomic.one() for _ in group.classes))
     seen_subgroups = set()
+    mul = cayley_table(group)
     for x in range(1, group.order):
         powers = [0]
         current = x
         while current != 0:
             powers.append(current)
-            current = group.mul(current, x)
+            current = mul[current][x]
         sub = frozenset(powers)
         if sub in seen_subgroups:
             continue
@@ -216,17 +294,19 @@ def _abelian_dual(mul, identity, elements):
 
 
 def _abelian_linear_characters(group, elements):
-    return _abelian_dual(group.mul, 0, elements)
+    mul = cayley_table(group)
+    return _abelian_dual(lambda a, b: mul[a][b], 0, elements)
 
 
 def _linear_character_pool(group):
     """All linear characters of the group: the dual of the abelianization,
     computed from scratch (all-pairs commutators, coset multiplication)."""
+    mul = cayley_table(group)
+    inv = [row.index(0) for row in mul]
     commutators = set()
     for a in range(group.order):
-        ia = group.inverses[a]
         for b in range(group.order):
-            commutators.add(group.mul(group.mul(ia, group.inverses[b]), group.mul(a, b)))
+            commutators.add(mul[mul[inv[a]][inv[b]]][mul[a][b]])
     derived = {0}
     frontier = list(commutators)
     while frontier:
@@ -235,7 +315,7 @@ def _linear_character_pool(group):
             continue
         derived.add(x)
         for y in list(derived):
-            for z in (group.mul(x, y), group.mul(y, x)):
+            for z in (mul[x][y], mul[y][x]):
                 if z not in derived:
                     frontier.append(z)
     coset_of = {}
@@ -246,10 +326,10 @@ def _linear_character_pool(group):
         rep = len(reps)
         reps.append(i)
         for d in derived:
-            coset_of[group.mul(i, d)] = rep
+            coset_of[mul[i][d]] = rep
 
     def coset_mul(a, b):
-        return coset_of[group.mul(reps[a], reps[b])]
+        return coset_of[mul[reps[a]][reps[b]]]
 
     exponent, chars = _abelian_dual(coset_mul, 0, range(len(reps)))
     out = []
@@ -268,21 +348,22 @@ def _abelian_subgroup_pool(group, limit_triples):
     out = []
     candidates = []
     n = group.order
+    mul = cayley_table(group)
     for a in range(1, n):
         for b in range(a + 1, n):
-            if group.mul(a, b) == group.mul(b, a):
+            if mul[a][b] == mul[b][a]:
                 candidates.append((a, b))
     if limit_triples:
         for a in range(1, n):
             for b in range(a + 1, n):
-                if group.mul(a, b) != group.mul(b, a):
+                if mul[a][b] != mul[b][a]:
                     continue
                 for c in range(b + 1, n):
-                    if (group.mul(a, c) == group.mul(c, a)
-                            and group.mul(b, c) == group.mul(c, b)):
+                    if (mul[a][c] == mul[c][a]
+                            and mul[b][c] == mul[c][b]):
                         candidates.append((a, b, c))
     for gens in candidates:
-        members = frozenset(group._closure_indices(set(gens)))
+        members = group.subgroup(gens).element_set
         if members in seen:
             continue
         seen.add(members)

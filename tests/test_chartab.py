@@ -8,6 +8,7 @@ from charprod.chartab import (
     CharacterTable,
     _lift_degree,
     _lift_values,
+    _orthogonality_defect,
     _split_eigenspaces,
     _value_lift,
     class_constants,
@@ -93,6 +94,7 @@ def test_verify_orthogonality_and_perturbation(table_of):
     bumped[2] = bumped[2] + 1
     rows[1] = ClassFunction(t.group, bumped)
     assert not verify_orthogonality(CharacterTable(t.group, rows))
+    assert set(_orthogonality_defect(CharacterTable(t.group, rows))) == {"rows", "columns"}
 
 
 @pytest.mark.parametrize("gid", ["dihedral8", "cyclic9", "heisenberg3"])
@@ -148,10 +150,10 @@ def test_determinism_generator_order():
     # class indices differ with the generator order; realign columns by the
     # underlying element sets before comparing the row multisets
     by_members = {
-        frozenset(ga.elements[i].images for i in c.members): j
+        frozenset(tuple(ga.images[i].tolist()) for i in c.members): j
         for j, c in enumerate(ga.classes)
     }
-    realign = [by_members[frozenset(gb.elements[i].images for i in c.members)]
+    realign = [by_members[frozenset(tuple(gb.images[i].tolist()) for i in c.members)]
                for c in gb.classes]
     rows_a = sorted(canonical_key(tuple(c.values)) for c in ta.irreducibles)
     rows_b = sorted(

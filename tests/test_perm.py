@@ -1,7 +1,11 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from charprod.chartab import class_constants
 from charprod.errors import ClosureCapExceeded, EmptyGeneratorSet, ParseError
 from charprod.perm import (
     Permutation,
@@ -11,23 +15,32 @@ from charprod.perm import (
     parse_permutation,
 )
 
-from oracles import closure_oracle, conjugacy_oracle
+from oracles import (
+    class_constants_oracle,
+    closure_oracle,
+    closure_reference,
+    compose,
+    conjugacy_oracle,
+    inverse,
+    order,
+    power,
+)
 
 
 def test_permutation_basics():
     p = parse_permutation("(1 2 3)(4 5)")
     assert p.images == (1, 2, 0, 4, 3)
-    assert p.order() == 6
-    assert (p * p.inverse()).is_identity()
-    assert p ** 0 == Permutation.identity(5)
-    assert p ** -1 == p.inverse()
-    assert p ** 7 == p
+    assert order(p) == 6
+    assert compose(p, inverse(p)) == Permutation.identity(5)
+    assert power(p, 0) == Permutation.identity(5)
+    assert power(p, -1) == inverse(p)
+    assert power(p, 7) == p
     assert p.to_text() == "(1 2 3)(4 5)"
 
 
 def test_identity_parse():
     p = parse_permutation("()")
-    assert p.degree == 1 and p.is_identity()
+    assert p == Permutation.identity(1)
     assert p.to_text() == "()"
 
 
@@ -51,7 +64,7 @@ def test_parse_generators_header_and_comments():
     with pytest.raises(EmptyGeneratorSet):
         parse_generators("# nothing here\n")
     gens, degree = parse_generators("degree=3\n")
-    assert degree == 3 and gens[0].is_identity()
+    assert degree == 3 and gens[0] == Permutation.identity(3)
 
 
 def test_trivial_and_cyclic_closure():
@@ -66,7 +79,7 @@ def test_d8_closure_matches_oracle():
     gens, _ = parse_generators("(1 2 3 4)\n(1 3)")
     g = group_closure(gens)
     assert g.order == 8 and g.num_classes == 5
-    assert {p.images for p in g.elements} == {p.images for p in closure_oracle(gens)}
+    assert set(map(tuple, g.images.tolist())) == {p.images for p in closure_oracle(gens)}
     assert [tuple(c.members) for c in g.classes] == conjugacy_oracle(g)
 
 
@@ -89,8 +102,8 @@ def test_no_generators():
 def test_closure_idempotence():
     gens, _ = parse_generators("(1 2 3 4)\n(1 3)")
     g = group_closure(gens)
-    again = group_closure(g.elements)
-    assert {p.images for p in again.elements} == {p.images for p in g.elements}
+    again = group_closure([g.element(i) for i in range(g.order)])
+    assert set(map(tuple, again.images.tolist())) == set(map(tuple, g.images.tolist()))
 
 
 def test_class_equation_and_conjugation_closure(group_of):
@@ -131,7 +144,7 @@ def test_power_class(group_of):
     j = c4.class_of[c4.element_index(parse_permutation("(1 2 3 4)"))]
     doubled = c4.power_class(j, 2)
     rep = c4.classes[doubled].representative
-    assert c4.elements[rep] == parse_permutation("(1 3)(2 4)")
+    assert c4.element(rep) == parse_permutation("(1 3)(2 4)")
     for g in (c4, group_of("dihedral8")):
         for cls_idx in range(g.num_classes):
             assert g.power_class(cls_idx, 0) == 0
@@ -158,7 +171,7 @@ def test_bfs_determinism():
     gens, _ = parse_generators("(1 2 3 4)\n(1 3)")
     a = group_closure(gens)
     b = group_closure(gens)
-    assert [p.images for p in a.elements] == [p.images for p in b.elements]
+    assert (a.images == b.images).all()
 
 
 def test_direct_product(group_of):
@@ -175,3 +188,65 @@ def test_closure_cap_env(monkeypatch):
         group_closure(gens)
     monkeypatch.setenv("CHARPROD_CLOSURE_CAP", "6000")
     assert group_closure(gens).order == 5040
+
+
+def _assert_arithmetic_matches(g, elements, pairs, exponents):
+    """mul, conjugate, power and their batched forms against Permutation
+    arithmetic on the reference element list."""
+    index = {p: i for i, p in enumerate(elements)}
+    a, b = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    assert g.products(a, b).tolist() == [index[compose(elements[i], elements[j])] for i, j in pairs]
+    assert g.conjugates(a, b).tolist() == [
+        index[compose(compose(elements[j], elements[i]), inverse(elements[j]))] for i, j in pairs
+    ]
+    for (i, j), k in zip(pairs, exponents):
+        assert g.mul(i, j) == index[compose(elements[i], elements[j])]
+        assert g.conjugate(i, j) == index[compose(compose(elements[j], elements[i]), inverse(elements[j]))]
+        assert g.power(i, k) == index[power(elements[i], k)]
+        assert g.element_order(i) == order(elements[i])
+
+
+@pytest.mark.parametrize("degree, transpositions", [
+    (60, [(2 * t + 1, 2 * t + 2) for t in range(11)]),
+    (64, [(t + 1, t + 17) for t in range(11)]),
+])
+def test_keys_do_not_wrap_on_a_long_base(degree, transpositions):
+    """11 disjoint transpositions: base length 11 and degree^11 > 2^63.  At
+    degree 64 a key wrapped modulo 2^64 would confuse elements that differ
+    only in the first transposition, (1 17)."""
+    text = f"degree={degree}\n" + "".join(f"({a} {b})\n" for a, b in transpositions)
+    gens, _ = parse_generators(text)
+    g = group_closure(gens)
+    assert g.order == 2048 and len(g.base) == 11 and degree ** 11 > 2 ** 63
+    elements = closure_reference(gens)
+    assert [tuple(row) for row in g.images.tolist()] == [p.images for p in elements]
+    assert [g.element_index(p) for p in elements] == list(range(g.order))
+    rng = random.Random(11)
+    pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(200)]
+    _assert_arithmetic_matches(g, elements, pairs, [rng.randint(-3, 3) for _ in pairs])
+    with pytest.raises(KeyError):
+        g.element_index(parse_permutation("(1 3)", degree))
+
+
+@st.composite
+def _generator_sets(draw):
+    n = draw(st.integers(1, 6))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return [Permutation(p) for p in perms]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=_generator_sets(), data=st.data())
+def test_group_core_matches_permutation_arithmetic(gens, data):
+    g = group_closure(gens)
+    elements = closure_reference(gens)
+    assert [tuple(row) for row in g.images.tolist()] == [p.images for p in elements]
+    assert [g.element_index(p) for p in elements] == list(range(g.order))
+    identity = Permutation.identity(g.degree)
+    assert all(compose(p, elements[int(j)]) == identity for p, j in zip(elements, g.inverses))
+    index = st.integers(0, g.order - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=25))
+    exponents = data.draw(st.lists(st.integers(-8, 8), min_size=len(pairs), max_size=len(pairs)))
+    _assert_arithmetic_matches(g, elements, pairs, exponents)
+    assert [c.members for c in g.classes] == conjugacy_oracle(g)
+    assert class_constants(g).tolist() == class_constants_oracle(g)
