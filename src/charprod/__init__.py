@@ -29,7 +29,7 @@ from .perm import (
     parse_generators,
     parse_permutation,
 )
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic
 from .charops import (
     ClassFunction,
     Decomposition,

@@ -11,7 +11,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic
+import numpy as np
+
+from .cyclotomic import (
+    Cyclotomic,
+    max_abs,
+    conjugate,
+    embed,
+    fits,
+    int64_array,
+    matmul_exact,
+    multiply,
+    reduce_outer,
+)
 from .errors import (
     CharprodError,
     GroupMismatch,
@@ -26,70 +38,127 @@ from .perm import Group, Subgroup
 
 
 class ClassFunction:
-    """A function on conjugacy classes with exact cyclotomic values."""
+    """A function on conjugacy classes with exact cyclotomic values.
 
-    __slots__ = ("group", "values")
+    Stored as its group, its cyclotomic ``order`` (the lcm of the group's
+    exponent and the orders of the values it was made from) and one int64
+    coefficient array ``num`` of shape (classes, phi(order)) over one positive
+    denominator ``den``, in canonical form: reduced modulo Phi_order, with no
+    common factor of ``den`` and all numerators.  ``values`` writes the values
+    out as Cyclotomic objects, for text."""
+
+    __slots__ = ("group", "order", "num", "den")
 
     def __init__(self, group, values):
-        values = [v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v) for v in values]
         if len(values) != group.num_classes:
             raise ValueError("one value per conjugacy class required")
-        order = math.lcm(group.exponent, *(v.order for v in values))
-        self.group = group
-        self.values = tuple(v.embed(order) for v in values)
+        parts = []
+        for v in values:
+            if not isinstance(v, Cyclotomic):
+                v = Fraction(v)
+                v = Cyclotomic(1, (v.numerator,), v.denominator)
+            parts.append(v)
+        order = math.lcm(*(v.order for v in parts))
+        den = math.lcm(*(v.den for v in parts))
+        rows = [embed(int64_array([c * (den // v.den) for c in v.num]), v.order, order) for v in parts]
+        self._assign(group, order, np.stack(rows), den)
+
+    @classmethod
+    def from_coefficients(cls, group, order, num, den=1):
+        """The class function with coefficients ``num`` (one row per class) at
+        ``order`` over ``den``, embedded at lcm(group exponent, order)."""
+        f = cls.__new__(cls)
+        f._assign(group, order, num, den)
+        return f
+
+    def _assign(self, group, order, num, den):
+        target = math.lcm(group.exponent, order)
+        num = embed(num, order, target)
+        g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+        if g > 1:
+            num, den = num // g, den // g
+        num.flags.writeable = False
+        self.group, self.order, self.num, self.den = group, target, num, den
+
+    def _value(self, j):
+        row = self.num[j].tolist()
+        g = math.gcd(self.den, *row)
+        return Cyclotomic(self.order, [c // g for c in row], self.den // g)
+
+    @property
+    def values(self):
+        """The values as Cyclotomic objects, one per class, built on demand."""
+        return tuple(self._value(j) for j in range(len(self.num)))
 
     def degree(self):
-        return self.values[0]
+        return self._value(0)
+
+    def _at_common_order(self, other):
+        """(order, self's coefficients, other's coefficients) at the lcm of
+        the two orders."""
+        if other.group is not self.group:
+            raise GroupMismatch("class functions live on different groups")
+        order = math.lcm(self.order, other.order)
+        return order, embed(self.num, self.order, order), embed(other.num, other.order, order)
 
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
-            if other.group is not self.group:
-                raise GroupMismatch("class functions live on different groups")
-            return ClassFunction(self.group, [a * b for a, b in zip(self.values, other.values)])
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return ClassFunction(self.group, [a * other for a in self.values])
+            order, x, y = self._at_common_order(other)
+            return ClassFunction.from_coefficients(self.group, order, multiply(x, y, order), self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+            factor = other.numerator if self.num.any() else 0
+            fits(max_abs(self.num) * abs(factor))
+            return ClassFunction.from_coefficients(
+                self.group, self.order, self.num * factor, self.den * other.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        if other.group is not self.group:
-            raise GroupMismatch("class functions live on different groups")
-        return ClassFunction(self.group, [a + b for a, b in zip(self.values, other.values)])
+        order, x, y = self._at_common_order(other)
+        den = math.lcm(self.den, other.den)
+        fx, fy = den // self.den, den // other.den
+        fits(max(fx, fy) * (max_abs(x) + max_abs(y) + 1))
+        return ClassFunction.from_coefficients(self.group, order, x * fx + sign * y * fy, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        if other.group is not self.group:
-            raise GroupMismatch("class functions live on different groups")
-        return ClassFunction(self.group, [a - b for a, b in zip(self.values, other.values)])
+        return self._combine(other, -1)
 
     def conj(self):
-        return ClassFunction(self.group, [v.conj() for v in self.values])
+        return ClassFunction.from_coefficients(self.group, self.order, conjugate(self.num, self.order), self.den)
 
     def is_zero(self):
-        return all(v.is_zero() for v in self.values)
+        return not self.num.any()
 
     def value_key(self):
-        """Hashable canonical key (values at a common order)."""
-        return tuple((v.order, v.num, v.den) for v in self.values)
+        """Hashable canonical key: order, denominator and coefficients."""
+        return (self.order, self.den, self.num.tobytes())
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        return self.group is other.group and all(a == b for a, b in zip(self.values, other.values))
+        if self.group is not other.group:
+            return False
+        _, x, y = self._at_common_order(other)
+        return self.den == other.den and np.array_equal(x, y)
 
     def __hash__(self):
-        return hash((id(self.group), tuple(self.values)))
+        # the classes where a value is nonzero do not depend on the order
+        return hash((id(self.group), self.num.any(axis=1).tobytes()))
 
     def to_json(self):
         return [v.to_json() for v in self.values]
 
     def __repr__(self):
-        shown = ", ".join(v.to_text() for v in self.values[:6])
-        more = ", ..." if len(self.values) > 6 else ""
+        shown = ", ".join(self._value(j).to_text() for j in range(min(6, len(self.num))))
+        more = ", ..." if len(self.num) > 6 else ""
         return f"ClassFunction([{shown}{more}])"
 
 
@@ -104,6 +173,10 @@ def product(a, b):
     return a * b
 
 
+def _class_sizes(group):
+    return np.array([c.size for c in group.classes], dtype=np.int64)
+
+
 def inner_product(a, b, characters=False):
     """[a, b] = (1/|G|) sum over classes of |C| a(g) conj(b(g)), exactly.
 
@@ -112,15 +185,14 @@ def inner_product(a, b, characters=False):
     if a.group is not b.group:
         raise GroupMismatch("class functions live on different groups")
     g = a.group
-    total = Cyclotomic.zero()
-    for cls, av, bv in zip(g.classes, a.values, b.values):
-        term = av * bv.conj()
-        if term:
-            total = total + cls.size * term
-    total = total * Fraction(1, g.order)
-    rational = total.as_rational()
-    if rational is None:
+    order, x, y = a._at_common_order(b)
+    fits(max_abs(x) * g.order)
+    # sum over classes of |C| times the outer product of a and conj(b), reduced once
+    outer = matmul_exact((x * _class_sizes(g)[:, None]).T, conjugate(y, order))
+    total = reduce_outer(outer, order)
+    if total[1:].any():
         raise IntegralityViolation("inner product is not rational")
+    rational = Fraction(int(total[0]), g.order * a.den * b.den)
     if characters and (rational.denominator != 1 or rational < 0):
         raise IntegralityViolation(f"character inner product {rational} is not a nonnegative integer")
     return rational
@@ -197,16 +269,18 @@ def center_of(f):
     """Z(f): the classes where |f(g)| equals f(1), as a subgroup."""
     if f.is_zero():
         raise ValueError("center of the zero class function is undefined")
-    bound = f.degree() * f.degree().conj()
-    classes = [j for j, v in enumerate(f.values) if v * v.conj() == bound]
-    return _class_union_subgroup(f.group, classes)
+    norms = multiply(f.num, conjugate(f.num, f.order), f.order)
+    return _class_union_subgroup(f.group, np.flatnonzero((norms == norms[0]).all(axis=1)).tolist())
+
+
+def kernel_classes(f):
+    """The classes where f(g) = f(1)."""
+    return np.flatnonzero((f.num == f.num[0]).all(axis=1)).tolist()
 
 
 def kernel_of(f):
     """Ker(f): the classes where f(g) = f(1), as a (normal) subgroup."""
-    top = f.degree()
-    classes = [j for j, v in enumerate(f.values) if v == top]
-    return _class_union_subgroup(f.group, classes)
+    return _class_union_subgroup(f.group, kernel_classes(f))
 
 
 def vanishing_off(f):
@@ -214,9 +288,8 @@ def vanishing_off(f):
     if f.is_zero():
         raise ValueError("the zero class function vanishes everywhere")
     members = []
-    for j, v in enumerate(f.values):
-        if v:
-            members.extend(f.group.classes[j].members)
+    for j in np.flatnonzero(f.num.any(axis=1)).tolist():
+        members.extend(f.group.classes[j].members)
     return f.group.subgroup(members)
 
 
@@ -279,6 +352,8 @@ class InducedContext:
 
                         gens = [parent.element(i) for i in subgroup.generators() or (0,)]
                         group = group_closure(gens, cap=parent.order)
+                if group.order != len(key):
+                    raise NotASubgroup("the elements do not form a subgroup")
                 table = chartab.dixon_table(group)
                 to_parent = tuple(parent.indices_of(group.images).tolist())
                 from_parent = {pi: si for si, pi in enumerate(to_parent)}
@@ -313,46 +388,25 @@ def restrict(f, ctx):
     """Pull a class function of the parent back along the class fusion."""
     if f.group is not ctx.parent:
         raise GroupMismatch("class function does not live on the context's parent")
-    return ClassFunction(ctx.group, [f.values[j] for j in ctx.fusion])
+    return ClassFunction.from_coefficients(ctx.group, f.order, f.num[list(ctx.fusion)], f.den)
 
 
 def induce(f, ctx):
-    """Frobenius induction, computed classwise through the fusion map."""
+    """Frobenius induction, computed classwise through the fusion map: the
+    value on the parent class j is |C_G(g_j)| / |H| times the sum of |C| f(C)
+    over the subgroup classes C fusing into j."""
     if f.group is not ctx.group:
         raise GroupMismatch("class function does not live on the context's subgroup")
     parent = ctx.parent
     sub = ctx.group
-    sums = [Cyclotomic.zero() for _ in range(parent.num_classes)]
-    for c, cls in enumerate(sub.classes):
-        v = f.values[c]
-        if v:
-            j = ctx.fusion[c]
-            sums[j] = sums[j] + cls.size * v
-    scale = Fraction(parent.order, sub.order)
-    values = []
-    for j, s in enumerate(sums):
-        weight = scale / parent.classes[j].size
-        values.append(s * weight)
-    return ClassFunction(parent, values)
-
-
-def induce_by_summation(f, ctx):
-    """Induction by the raw Frobenius sum over the whole parent group.
-
-    Slow; kept as an independent cross-check of the classwise form.
-    """
-    parent = ctx.parent
-    values = []
-    for cls in parent.classes:
-        rep = cls.representative
-        total = Cyclotomic.zero()
-        for x in range(parent.order):
-            y = parent.conjugate(rep, x)
-            si = ctx.from_parent.get(y)
-            if si is not None:
-                total = total + f.values[ctx.group.class_of[si]]
-        values.append(total * Fraction(1, ctx.group.order))
-    return ClassFunction(parent, values)
+    if f.is_zero():
+        return ClassFunction.from_coefficients(parent, 1, np.zeros((parent.num_classes, 1), dtype=np.int64))
+    fits(max_abs(f.num) * sub.order)
+    sums = np.zeros((parent.num_classes, f.num.shape[1]), dtype=np.int64)
+    np.add.at(sums, list(ctx.fusion), f.num * _class_sizes(sub)[:, None])
+    centralizers = np.array([parent.centralizer_order(j) for j in range(parent.num_classes)], dtype=np.int64)
+    fits(max_abs(sums) * parent.order)
+    return ClassFunction.from_coefficients(parent, f.order, sums * centralizers[:, None], sub.order * f.den)
 
 
 def conjugate_character(f, ctx, g_index):
@@ -360,7 +414,7 @@ def conjugate_character(f, ctx, g_index):
     if not ctx.subgroup.is_normal:
         raise NotNormal("conjugate_character requires a normal subgroup")
     perm = ctx.conjugation_class_map(g_index)
-    return ClassFunction(ctx.group, [f.values[perm[c]] for c in range(ctx.group.num_classes)])
+    return ClassFunction.from_coefficients(ctx.group, f.order, f.num[list(perm)], f.den)
 
 
 def stabilizer_and_orbit(f, ctx):
@@ -368,19 +422,17 @@ def stabilizer_and_orbit(f, ctx):
     if not ctx.subgroup.is_normal:
         raise NotNormal("stabilizer_and_orbit requires a normal subgroup")
     parent = ctx.parent
-    base = tuple(f.values)
     stabilizer = []
     orbit = []
-    seen = {}
+    seen = set()
     for g in range(parent.order):
-        perm = ctx.conjugation_class_map(g)
-        imaged = tuple(base[perm[c]] for c in range(len(base)))
-        if imaged == base:
+        imaged = f.num[list(ctx.conjugation_class_map(g))]
+        if np.array_equal(imaged, f.num):
             stabilizer.append(g)
-        key = tuple((v.order, v.num, v.den) for v in imaged)
+        key = imaged.tobytes()
         if key not in seen:
-            seen[key] = True
-            orbit.append(ClassFunction(ctx.group, imaged))
+            seen.add(key)
+            orbit.append(ClassFunction.from_coefficients(ctx.group, f.order, imaged, f.den))
     stab = Subgroup(parent, stabilizer)
     if len(orbit) * stab.order != parent.order:
         raise CharprodError("orbit-stabilizer mismatch (engine bug)")

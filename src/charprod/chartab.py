@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .charops import ClassFunction
-from .cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
+from .cyclotomic import _reduction_matrix, fits, matmul_exact, max_abs
 from .errors import CharprodError, EigensplitStall, LiftInconsistent
 from .modular import (
     charpoly_mod,
@@ -54,7 +54,7 @@ class CharacterTable:
     def __init__(self, group, irreducibles):
         self.group = group
         self.irreducibles = tuple(irreducibles)
-        self.degrees = tuple(int(chi.values[0].as_integer()) for chi in self.irreducibles)
+        self.degrees = tuple(chi.degree().as_integer() for chi in self.irreducibles)
         self.prime_p = group.p_group_prime()
         self._row_lookup = {chi.value_key(): i for i, chi in enumerate(self.irreducibles)}
         self._conj_rows = None
@@ -71,12 +71,11 @@ class CharacterTable:
     def conjugate_index(self, i):
         """Index of the complex conjugate of irreducible i."""
         if self._conj_rows is None:
-            inv = self.group.inverse_class()
-            rows = []
-            for chi in self.irreducibles:
-                key = ClassFunction(self.group, [chi.values[inv[j]] for j in range(len(inv))]).value_key()
-                rows.append(self._row_lookup[key])
-            self._conj_rows = tuple(rows)
+            inv = list(self.group.inverse_class())
+            self._conj_rows = tuple(
+                self._row_lookup[ClassFunction.from_coefficients(self.group, chi.order, chi.num[inv], chi.den).value_key()]
+                for chi in self.irreducibles
+            )
         return self._conj_rows[i]
 
     def linear_indices(self):
@@ -84,17 +83,14 @@ class CharacterTable:
 
     def coefficient_tensor(self):
         """Integer coefficients of every value at the common order, shape
-        (irreducibles, classes, phi(order)).  Values are algebraic integers.
-        This is the one integer image of the table; it is built once."""
+        (irreducibles, classes, phi(order)): the stacked rows of the
+        irreducibles.  Values are algebraic integers.  This is the one integer
+        image of the table; it is built once."""
         if self._tensor is None:
-            order = self.irreducibles[0].values[0].order if self.irreducibles else 1
-            out = np.zeros((self.size, self.group.num_classes, euler_phi(order)), dtype=np.int64)
-            for i, chi in enumerate(self.irreducibles):
-                for j, v in enumerate(chi.values):
-                    if v.den != 1:
-                        raise LiftInconsistent("table value is not an algebraic integer")
-                    out[i, j] = v.num
-            self._tensor = order, out
+            order = self.irreducibles[0].order
+            if any(chi.den != 1 or chi.order != order for chi in self.irreducibles):
+                raise LiftInconsistent("table rows are not algebraic integers at one order")
+            self._tensor = order, np.stack([chi.num for chi in self.irreducibles])
         return self._tensor
 
     def to_text(self):
@@ -192,7 +188,8 @@ def _value_lift(group, q, z):
 
 
 def _lift_values(omega, degree, q, lift):
-    """Exact values of one character via the Fourier sum over the power map.
+    """Power-basis coefficients (classes x phi(exponent)) of the values of one
+    character, via the Fourier sum over the power map.
 
     Row j of the DFT holds the eigenvalue multiplicities of r_j: multiplicity
     k of an element of order o lands on coefficient k * exponent / o."""
@@ -203,37 +200,19 @@ def _lift_values(omega, degree, q, lift):
         raise LiftInconsistent(f"eigenvalue multiplicity {int(mult.max())} exceeds the degree {degree}")
     if (mult.sum(axis=1) != degree).any():
         raise LiftInconsistent("eigenvalue multiplicities do not sum to the degree")
-    e = dft.shape[0]
-    return [Cyclotomic(e, tuple(row), 1, _canonical=True) for row in (mult @ reduction).tolist()]
-
-
-def _reduction_matrix(order, width):
-    """Rows are x^k mod Phi_order for k < width, ascending k."""
-    phi = euler_phi(order)
-    poly = cyclotomic_polynomial(order)
-    rows = []
-    current = [0] * phi
-    current[0] = 1
-    for k in range(width):
-        if k > 0:
-            shifted = [0] + current[:-1]
-            lead = current[-1]
-            if lead:
-                for j in range(phi):
-                    shifted[j] -= lead * poly[j]
-            current = shifted
-        rows.append(list(current))
-    return np.array(rows, dtype=np.int64)
+    return matmul_exact(mult, reduction)
 
 
 def _coefficient_gram(x, y, red):
     """Power-basis coefficients of sum_c x[i, c] * y[j, c] for tables x, y of
     cyclotomic values given by their coefficients (last axis).  The product's
     coefficient of degree s = a + b is built by integer matmuls of the degree-a
-    and degree-b slices, then reduced by ``red``; exact over Z."""
+    and degree-b slices, then reduced by ``red``; exact over Z, by the checked
+    bound on every entry and partial sum."""
     xs = np.ascontiguousarray(x.transpose(2, 0, 1))
     ys = np.ascontiguousarray(y.transpose(2, 1, 0))
     phi = len(xs)
+    fits(len(red) * phi * xs.shape[2] * max_abs(x) * max_abs(y) * max_abs(red))
     prod = np.zeros((2 * phi - 1, xs.shape[1], ys.shape[2]), dtype=np.int64)
     for a in range(phi):
         for b in range(phi):
@@ -298,9 +277,11 @@ def dixon_table(group, use_cache=True):
             raise LiftInconsistent("central character vanishes on the identity class")
         omega = vec * inv_mod(int(vec[0]), q) % q
         degree = _lift_degree(omega, group, q)
-        characters.append(ClassFunction(group, _lift_values(omega, degree, q, lift)))
+        characters.append(ClassFunction.from_coefficients(group, exponent, _lift_values(omega, degree, q, lift)))
 
-    principal = [chi for chi in characters if all(v == Cyclotomic.one() for v in chi.values)]
+    one = np.zeros_like(characters[0].num)
+    one[:, 0] = 1
+    principal = [chi for chi in characters if chi.den == 1 and np.array_equal(chi.num, one)]
     if len(principal) != 1:
         raise LiftInconsistent("principal character missing from the lifted table")
     rest = [chi for chi in characters if chi is not principal[0]]
@@ -317,5 +298,5 @@ def dixon_table(group, use_cache=True):
 
 
 def _row_sort_key(chi):
-    degree = chi.values[0].as_integer()
-    return (degree, tuple((v.num, v.den) for v in chi.values))
+    # rows of a table have denominator 1, so this orders them as the values do
+    return (chi.degree().as_integer(), tuple(chi.num.ravel().tolist()))

@@ -1,9 +1,13 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e).
+"""Power-basis coefficient arithmetic in cyclotomic fields Q(zeta_e), and the
+text format of one value.
 
-A value of order e is stored as the canonical residue modulo the e-th
-cyclotomic polynomial in the power basis 1, x, ..., x^(phi(e)-1), with integer
-numerators over one positive denominator.  Canonical form is unique, so
-equality is coefficient-wise once orders agree.
+A value of order e is written in the power basis 1, x, ..., x^(phi(e)-1) of
+Q(zeta_e), reduced modulo the e-th cyclotomic polynomial.  The engine keeps
+values as int64 coefficient arrays over a denominator (last axis: the basis)
+and computes with the constant matrices below: products, complex conjugation
+and embeddings into a multiple order are integer matrix products.  Every
+product is checked against 2^63 before it runs (``matmul_exact``), so no
+coefficient wraps silently.  ``Cyclotomic`` is the text format of one value.
 """
 
 from __future__ import annotations
@@ -11,6 +15,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
+
+from .errors import CharprodError
 
 
 # -- elementary number theory ------------------------------------------------
@@ -47,16 +55,6 @@ def divisors(n):
     for p, m in factorize(n):
         out = [d * p**k for d in out for k in range(m + 1)]
     return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def moebius(n):
-    result = 1
-    for _, m in factorize(n):
-        if m > 1:
-            return 0
-        result = -result
-    return result
 
 
 def _poly_mul(a, b):
@@ -100,136 +98,129 @@ def cyclotomic_polynomial(e):
     return tuple(_poly_div_exact(num, den))
 
 
+# -- coefficient arrays ----------------------------------------------------------
+
+def max_abs(x):
+    return int(np.abs(x).max()) if x.size else 0
+
+
+def int64_array(values):
+    """Python integers as an int64 array; CharprodError when one reaches 2^63."""
+    values = np.asarray(values, dtype=object)
+    fits(max((abs(int(v)) for v in values.flat), default=0))
+    return values.astype(np.int64)
+
+
+def fits(bound):
+    """Raise CharprodError unless ``bound``, a bound on every int64 entry and
+    partial sum of the next step, is below 2^63."""
+    if bound >= 2**63:
+        raise CharprodError("coefficient arithmetic could exceed 64 bits")
+
+
+def matmul_exact(x, y):
+    """x @ y over int64, after checking the bound inner dimension times
+    max|x| times max|y| on every entry and partial sum."""
+    fits(x.shape[-1] * max_abs(x) * max_abs(y))
+    return x @ y
+
+
 @lru_cache(maxsize=None)
-def _trace_table(e):
-    """Normalized traces of the power basis: Tr(zeta_e^i) / phi(e)."""
-    out = []
-    for i in range(euler_phi(e)):
-        g = math.gcd(i, e)
-        f = e // g
-        out.append(Fraction(moebius(f), euler_phi(f)))
-    return tuple(out)
+def _reduction_matrix(order, width):
+    """Rows are x^k mod Phi_order for k < width, ascending k."""
+    phi = euler_phi(order)
+    poly = cyclotomic_polynomial(order)
+    rows = []
+    current = [0] * phi
+    current[0] = 1
+    for k in range(width):
+        if k > 0:
+            shifted = [0] + current[:-1]
+            lead = current[-1]
+            if lead:
+                for j in range(phi):
+                    shifted[j] -= lead * poly[j]
+            current = shifted
+        rows.append(list(current))
+    out = np.array(rows, dtype=np.int64).reshape(width, phi)
+    out.flags.writeable = False
+    return out
 
 
-# -- the field element ---------------------------------------------------------
+@lru_cache(maxsize=None)
+def _product_matrix(order):
+    """Row a * phi + b is x^(a+b) mod Phi_order: the flattened outer product of
+    two coefficient vectors times this matrix is their product."""
+    t = np.arange(euler_phi(order))
+    out = _reduction_matrix(order, 2 * len(t) - 1)[np.add.outer(t, t).ravel()]
+    out.flags.writeable = False
+    return out
+
+
+def reduce_outer(outer, order):
+    """Coefficients of sum over a, b of outer[..., a, b] x^(a+b), reduced
+    modulo Phi_order: the product of two values from their outer product."""
+    phi = outer.shape[-1]
+    return matmul_exact(outer.reshape(outer.shape[:-2] + (phi * phi,)), _product_matrix(order))
+
+
+def multiply(x, y, order):
+    """Coefficients of the products of the values x and y at ``order``, taken
+    elementwise over the leading axes (last axis: the power basis)."""
+    x, y = np.broadcast_arrays(x, y)
+    fits(max_abs(x) * max_abs(y))
+    return reduce_outer(x[..., :, None] * y[..., None, :], order)
+
+
+@lru_cache(maxsize=None)
+def _conjugation_matrix(order):
+    """Row i is zeta^(-i) in the power basis: complex conjugation."""
+    powers = _reduction_matrix(order, order)
+    out = powers[[-i % order for i in range(euler_phi(order))]]
+    out.flags.writeable = False
+    return out
+
+
+def conjugate(x, order):
+    """Coefficients of the complex conjugates of the values x at ``order``."""
+    return matmul_exact(x, _conjugation_matrix(order))
+
+
+@lru_cache(maxsize=None)
+def _embedding_matrix(order, target):
+    """Row i is zeta_order^i = zeta_target^(i * target / order) at ``target``."""
+    if target % order:
+        raise ValueError(f"{order} does not divide {target}")
+    step = target // order
+    out = _reduction_matrix(target, target)[[i * step for i in range(euler_phi(order))]]
+    out.flags.writeable = False
+    return out
+
+
+def embed(x, order, target):
+    """Coefficients of the values x (at ``order``) at a multiple ``target``."""
+    if target == order:
+        return x
+    return matmul_exact(x, _embedding_matrix(order, target))
+
+
+# -- the text format of one value ------------------------------------------------
 
 class Cyclotomic:
-    """Immutable element of Q(zeta_e) in canonical form."""
+    """One value of Q(zeta_order), given by canonical coefficients: numerators
+    in the power basis reduced modulo Phi_order, over a positive denominator
+    sharing no factor with all of them.  Used to write values as text."""
 
-    __slots__ = ("order", "num", "den", "_hash")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order, num, den=1, _canonical=False):
-        if _canonical:
-            self.order = order
-            self.num = num
-            self.den = den
-        else:
-            order = int(order)
-            if order < 1:
-                raise ValueError("order must be positive")
-            reduced = _reduce(list(num), int(den), order)
-            self.order, self.num, self.den = reduced
-        self._hash = None
-
-    # construction helpers
-
-    @classmethod
-    def from_rational(cls, value):
-        value = Fraction(value)
-        return cls(1, (value.numerator,), value.denominator)
-
-    @classmethod
-    def zero(cls, order=1):
-        return cls(order, (0,) * euler_phi(order), 1)
-
-    @classmethod
-    def one(cls, order=1):
-        num = [0] * euler_phi(order)
-        num[0] = 1
-        return cls(order, num, 1)
-
-    @property
-    def coeffs(self):
-        """Canonical coefficients as exact rationals."""
-        return tuple(Fraction(c, self.den) for c in self.num)
-
-    # ring structure
-
-    def _coerced(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
-        elif not isinstance(other, Cyclotomic):
-            return None, None
-        if self.order == other.order:
-            return self, other
-        e = math.lcm(self.order, other.order)
-        return self.embed(e), other.embed(e)
-
-    def __add__(self, other):
-        a, b = self._coerced(other)
-        if a is None:
-            return NotImplemented
-        den = math.lcm(a.den, b.den)
-        fa, fb = den // a.den, den // b.den
-        num = [fa * x + fb * y for x, y in zip(a.num, b.num)]
-        return Cyclotomic(a.order, num, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.order, tuple(-c for c in self.num), self.den, _canonical=True)
-
-    def __sub__(self, other):
-        a, b = self._coerced(other)
-        if a is None:
-            return NotImplemented
-        return a + (-b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        a, b = self._coerced(other)
-        if a is None:
-            return NotImplemented
-        return Cyclotomic(a.order, _poly_mul(a.num, b.num), a.den * b.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers not supported; use conj for roots of unity")
-        result = Cyclotomic.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def conj(self):
-        """Complex conjugation: the Galois map zeta_e -> zeta_e^(-1)."""
-        e = self.order
-        num = [0] * e
-        for i, c in enumerate(self.num):
-            num[(e - i) % e] += c
-        return Cyclotomic(e, num, self.den)
-
-    # predicates and coercions
-
-    def is_zero(self):
-        return not any(self.num)
-
-    def __bool__(self):
-        return any(self.num)
-
-    def is_rational(self):
-        return not any(self.num[1:])
+    def __init__(self, order, num, den=1):
+        self.order = order
+        self.num = tuple(num)
+        self.den = den
 
     def as_rational(self):
         """The value as a Fraction when rational, else None."""
-        if self.is_rational():
+        if not any(self.num[1:]):
             return Fraction(self.num[0], self.den)
         return None
 
@@ -243,76 +234,22 @@ class Cyclotomic:
             return int(r)
         return None
 
-    def norm_squared(self):
-        """z * conj(z); a totally nonnegative real value."""
-        return self * self.conj()
-
-    # order changes
-
-    def embed(self, order):
-        """The same value viewed in Q(zeta_order); requires self.order | order."""
-        if order == self.order:
-            return self
-        if order % self.order:
-            raise ValueError(f"{self.order} does not divide {order}")
-        step = order // self.order
-        num = [0] * (len(self.num) * step)
-        for i, c in enumerate(self.num):
-            num[i * step] = c
-        return Cyclotomic(order, num, self.den)
-
-    def reduce_to(self, order):
-        """Express the value in Q(zeta_order) (order | self.order), else None."""
-        if order == self.order:
-            return self
-        if self.order % order:
-            raise ValueError(f"{order} does not divide {self.order}")
-        basis = [root_of_unity(order, k).embed(self.order) for k in range(euler_phi(order))]
-        target = self.coeffs
-        rows = len(self.num)
-        matrix = [[b.coeffs[r] for b in basis] for r in range(rows)]
-        solution = _solve_exact(matrix, target)
-        if solution is None:
-            return None
-        den = _lcm_den(solution)
-        return Cyclotomic(order, [f.numerator * (den // f.denominator) for f in solution], den)
-
-    def minimal(self):
-        """The equal value at the smallest possible cyclotomic order."""
-        for d in divisors(self.order):
-            reduced = self.reduce_to(d)
-            if reduced is not None:
-                return reduced
-        return self
-
-    # comparisons
-
     def __eq__(self, other):
-        a, b = self._coerced(other)
-        if a is None:
+        """Equality with a rational, or with a value of the same order."""
+        if isinstance(other, (int, Fraction)):
+            return self.as_rational() == other
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return a.num == b.num and a.den == b.den
+        if self.order != other.order:
+            mine, theirs = self.as_rational(), other.as_rational()
+            if mine is None or theirs is None:
+                raise ValueError("values of different orders are compared at a common order")
+            return mine == theirs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # Embedding-invariant: rationals hash as Fractions, everything else by
-        # normalized traces of z and |z|^2 (equal values in different orders agree).
-        if self._hash is None:
-            r = self.as_rational()
-            if r is not None:
-                self._hash = hash(r)
-            else:
-                self._hash = hash((self._normalized_trace(), self.norm_squared()._normalized_trace()))
-        return self._hash
-
-    def _normalized_trace(self):
-        table = _trace_table(self.order)
-        total = Fraction(0)
-        for c, t in zip(self.num, table):
-            if c:
-                total += c * t
-        return total / self.den
-
-    # rendering
+        r = self.as_rational()
+        return hash(r) if r is not None else hash((self.order, self.num, self.den))
 
     def to_text(self):
         r = self.as_rational()
@@ -327,15 +264,6 @@ class Cyclotomic:
             return int(r)
         return self.to_text()
 
-    def approx(self):
-        """Complex float approximation, display only (never used in decisions)."""
-        total = 0j
-        for i, c in enumerate(self.num):
-            if c:
-                angle = 2.0 * math.pi * i / self.order
-                total += c * complex(math.cos(angle), math.sin(angle))
-        return total / self.den
-
     def __repr__(self):
         return f"Cyclotomic({self.to_text()})"
 
@@ -344,97 +272,3 @@ def _frac_text(num, den):
     g = math.gcd(num, den)
     num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
-
-
-def _lcm_den(fractions):
-    return math.lcm(*(f.denominator for f in fractions)) if fractions else 1
-
-
-def _reduce(num, den, e):
-    """Canonicalize a polynomial in zeta_e with integer coefficients over den."""
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        den = -den
-        num = [-c for c in num]
-    # fold exponents modulo e, then reduce modulo Phi_e
-    if len(num) > e:
-        folded = [0] * e
-        for i, c in enumerate(num):
-            folded[i % e] += c
-        num = folded
-    phi = euler_phi(e)
-    poly = cyclotomic_polynomial(e)
-    for i in range(len(num) - 1, phi - 1, -1):
-        c = num[i]
-        if c:
-            num[i] = 0
-            for j in range(phi):
-                num[i - phi + j] -= c * poly[j]
-    num = num[:phi]
-    num.extend([0] * (phi - len(num)))
-    g = den
-    for c in num:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        num = [c // g for c in num]
-    return e, tuple(num), den
-
-
-def _solve_exact(matrix, target):
-    """Solve matrix @ x = target over Q; None when inconsistent.
-
-    matrix is rows x cols with cols <= rows and full column rank.
-    """
-    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
-    aug = [[Fraction(matrix[r][c]) for c in range(cols)] + [Fraction(target[r])] for r in range(rows)]
-    pivot_row = 0
-    pivots = []
-    for col in range(cols):
-        sel = next((r for r in range(pivot_row, rows) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-        inv = 1 / aug[pivot_row][col]
-        aug[pivot_row] = [v * inv for v in aug[pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    if pivot_row < cols:
-        raise ArithmeticError("basis matrix not of full column rank")
-    for r in range(pivot_row, rows):
-        if aug[r][cols] != 0:
-            return None
-    solution = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][cols]
-    return solution
-
-
-def root_of_unity(e, k):
-    """zeta_e^k in canonical form."""
-    if e < 1:
-        raise ValueError("order must be positive")
-    k %= e
-    num = [0] * (k + 1)
-    num[k] = 1
-    return Cyclotomic(e, num, 1)
-
-
-def from_text(text):
-    """Parse the to_text rendering back into a value."""
-    text = text.strip()
-    if text.startswith("z(") and text.endswith(")"):
-        head, _, body = text[2:-1].partition(";")
-        order = int(head)
-        coeffs = [Fraction(part) for part in body.split(",")] if body else []
-        den = _lcm_den(coeffs)
-        return Cyclotomic(order, [f.numerator * (den // f.denominator) for f in coeffs], den)
-    value = Fraction(text)
-    return Cyclotomic.from_rational(value)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charops import ClassFunction
+from .charops import ClassFunction, kernel_classes
 from .errors import NotAPGroup, NotNormal
 from .perm import Permutation, Subgroup, group_closure, orbit_labels
 
@@ -64,11 +64,7 @@ class NormalLattice:
 
 def normal_lattice(group, table):
     """Kernels of the irreducibles, closed under pairwise intersection, plus G."""
-    kernels = set()
-    for chi in table.irreducibles:
-        top = chi.values[0]
-        kernels.add(frozenset(j for j, v in enumerate(chi.values) if v == top))
-    found = set(kernels)
+    found = {frozenset(kernel_classes(chi)) for chi in table.irreducibles}
     found.add(frozenset(range(group.num_classes)))
     frontier = list(found)
     while frontier:
@@ -124,7 +120,7 @@ class QuotientMap:
         """Pull a class function of the quotient back to the source."""
         if f.group is not self.quotient:
             raise ValueError("class function does not live on the quotient")
-        return ClassFunction(self.source, [f.values[self.class_map[j]] for j in range(self.source.num_classes)])
+        return ClassFunction.from_coefficients(self.source, f.order, f.num[list(self.class_map)], f.den)
 
     def preimage_indices(self, quotient_indices):
         """Source elements mapping into a set of quotient element indices."""

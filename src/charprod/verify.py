@@ -31,7 +31,7 @@ from .charops import (
     stabilizer_and_orbit,
 )
 from .chartab import dixon_table
-from .cyclotomic import Cyclotomic
+from .cyclotomic import conjugate, multiply
 from .errors import (
     CharprodError,
     HypothesisNotMet,
@@ -202,20 +202,16 @@ class GroupSession:
     # class-set data ----------------------------------------------------
 
     def _value_sets(self):
+        """Per irreducible: the classes where |chi|^2 = chi(1)^2, and the
+        classes where chi does not vanish."""
         if self._zsets is None:
-            zsets, supports = [], []
-            for chi, d in zip(self.table.irreducibles, self.table.degrees):
-                dsq = Cyclotomic.from_rational(d * d)
-                zset, supp = [], []
-                for j, v in enumerate(chi.values):
-                    if v:
-                        supp.append(j)
-                        if v * v.conj() == dsq:
-                            zset.append(j)
-                zsets.append(frozenset(zset))
-                supports.append(frozenset(supp))
-            self._zsets = zsets
-            self._supports = supports
+            order, tensor = self.table.coefficient_tensor()
+            norms = multiply(tensor, conjugate(tensor, order), order)
+            dsq = self.mod.degrees ** 2
+            on_center = (norms[:, :, 0] == dsq[:, None]) & ~norms[:, :, 1:].any(axis=2)
+            supported = tensor.any(axis=2)
+            self._zsets = [frozenset(np.flatnonzero(row).tolist()) for row in on_center]
+            self._supports = [frozenset(np.flatnonzero(row).tolist()) for row in supported]
         return self._zsets, self._supports
 
     @property
@@ -367,21 +363,28 @@ def check_theorem_B(group, group_id="group", session=None):
     n = len(session.table.irreducibles)
     normals = session.normal_data
 
-    pairs = [(i, j) for i in range(n) for j in range(i, n) if eta[i, j] < p]
-    flat = np.array([a[i, j] for i, j in pairs], dtype=np.int64) if pairs else np.zeros((0, n), dtype=np.int64)
+    pi, pj = np.triu_indices(n)
+    keep = eta[pi, pj] < p
+    pi, pj = pi[keep], pj[keep]
+    pairs = list(zip(pi.tolist(), pj.tolist()))
+    # which irreducibles occur in each product chi psi
+    occurs = (a[pi, pj] > 0).astype(np.float64)
     verdicts = {pair: None for pair in pairs}
     for data in normals:
         if not pairs:
             continue
         r = data["R"]
-        relevant = np.array(
-            [data["inducer_exists"][i] or data["inducer_exists"][j] for i, j in pairs]
-        )
+        over = r > 0
+        relevant = data["inducer_exists"][pi] | data["inducer_exists"][pj]
+        # under[k, gamma]: how many constituents of pair k lie over gamma.  The
+        # entries are counts of at most n irreducibles, far below 2^24, so the
+        # floating-point product is exact.
+        under = occurs @ over.astype(np.float64)
         bad_cols = data["col_support"] != 1
         if data["normal_index"] == p:
             bad_cols = bad_cols | (data["single_mult"] != 1)
         if bad_cols.any():
-            touches = (flat @ r[:, bad_cols]) > 0
+            touches = under[:, bad_cols] > 0
             for row in np.nonzero(touches.any(axis=1) & relevant)[0]:
                 i, j = pairs[row]
                 if verdicts[(i, j)] is None:
@@ -395,13 +398,13 @@ def check_theorem_B(group, group_id="group", session=None):
                     }
         # proof-level consistency: each gamma under (chi psi)_N induces inside
         # the constituents of chi psi itself
-        under = flat @ r > 0
-        outside = (flat == 0) @ (r > 0).astype(np.int64) > 0
-        broken = (under & outside).any(axis=1) & relevant
+        outside = over.sum(axis=0) - under > 0
+        lies_under = under > 0
+        broken = (lies_under & outside).any(axis=1) & relevant
         for row in np.nonzero(broken)[0]:
             i, j = pairs[row]
             if verdicts[(i, j)] is None:
-                gamma = int(np.nonzero(under[row] & outside[row])[0][0])
+                gamma = int(np.nonzero(lies_under[row] & outside[row])[0][0])
                 verdicts[(i, j)] = {
                     "normal": data["index"],
                     "normal_order": data["member"].order,
@@ -578,7 +581,7 @@ def _find_irreducible_index(table, f):
     return idx
 
 
-def _verify_witness(group, table, chi_cf, h_ctx, alpha):
+def _verify_witness(table, chi_cf, h_ctx, alpha):
     """alpha^G = chi exactly and (alpha^2)^G irreducible; returns the index of
     the induced square or None when the branch is dead."""
     if induce(alpha, h_ctx) != chi_cf:
@@ -586,19 +589,16 @@ def _verify_witness(group, table, chi_cf, h_ctx, alpha):
     square = induce(alpha * alpha, h_ctx)
     if inner_product(square, square, characters=True) != 1:
         return None
-    idx = table.index_of(ClassFunction(group, square.values))
-    if idx is None:
-        return None
-    return idx
+    return table.index_of(square)
 
 
 def _descend(group, table, chi_cf, trail):
     """Return (h_ctx, alpha, chain) with alpha linear on h_ctx.group,
     alpha^group = chi_cf and (alpha^2)^group irreducible."""
-    deg = chi_cf.values[0].as_integer()
+    deg = chi_cf.degree().as_integer()
     if deg == 1:
         ctx = InducedContext.build(group, group.full_subgroup())
-        return ctx, ClassFunction(ctx.group, chi_cf.values), []
+        return ctx, chi_cf, []
 
     kernel = kernel_of(chi_cf)
     if kernel.order > 1:
@@ -615,23 +615,20 @@ def _descend(group, table, chi_cf, trail):
         h_quotient_elements = {sub_ctx.to_parent[i] for i in range(sub_ctx.group.order)}
         h_indices = qm.preimage_indices(h_quotient_elements)
         h_ctx = InducedContext.build(group, h_indices)
-        values = []
-        for cls in h_ctx.group.classes:
-            pe = h_ctx.to_parent[cls.representative]
-            qe = qm.projection[pe]
-            si = sub_ctx.from_parent[qe]
-            values.append(sub_alpha.values[sub_ctx.group.class_of[si]])
-        alpha = ClassFunction(h_ctx.group, values)
+        classes = [
+            sub_ctx.group.class_of[sub_ctx.from_parent[qm.projection[h_ctx.to_parent[cls.representative]]]]
+            for cls in h_ctx.group.classes
+        ]
+        alpha = ClassFunction.from_coefficients(h_ctx.group, sub_alpha.order, sub_alpha.num[classes], sub_alpha.den)
         step = {"step": "quotient", "kernel_order": kernel.order,
                 "quotient_order": qm.quotient.order}
-        if _verify_witness(group, table, chi_cf, h_ctx, alpha) is None:
+        if _verify_witness(table, chi_cf, h_ctx, alpha) is None:
             raise SearchExhausted("pullback through the quotient failed verification", trail)
         return h_ctx, alpha, [step] + sub_chain
 
     z_sub = center_of(chi_cf)
     ctx_z = InducedContext.build(group, z_sub)
-    inv_deg = Fraction(1, deg)
-    zeta = ClassFunction(ctx_z.group, [v * inv_deg for v in restrict(chi_cf, ctx_z).values])
+    zeta = restrict(chi_cf, ctx_z) * Fraction(1, deg)
     lattice = _group_lattice(group, table)
     for y_member in chief_factor_above(lattice, z_sub):
         ctx_y = InducedContext.build(group, y_member)
@@ -663,7 +660,7 @@ def _descend(group, table, chi_cf, trail):
             h_indices = [ctx_stab.to_parent[sub_ctx.to_parent[i]]
                          for i in range(sub_ctx.group.order)]
             h_ctx = InducedContext.build(group, h_indices, subgroup_group=sub_ctx.group)
-            if _verify_witness(group, table, chi_cf, h_ctx, alpha) is None:
+            if _verify_witness(table, chi_cf, h_ctx, alpha) is None:
                 trail.append({"step": "dead-branch", "y_order": y_member.order,
                               "iota": iota_idx, "stabilizer_order": stab.order})
                 continue
@@ -675,7 +672,7 @@ def _descend(group, table, chi_cf, trail):
                 "stabilizer_order": stab.order,
                 "orbit_size": len(orbit),
                 "degree": deg,
-                "correspondent_degree": int(correspondent.values[0].as_integer()),
+                "correspondent_degree": correspondent.degree().as_integer(),
             }
             return h_ctx, alpha, [step] + sub_chain
     raise SearchExhausted("every descent branch died", trail)
@@ -703,7 +700,7 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None):
 
     trail = []
     h_ctx, alpha, chain = _descend(group, table, chi_cf, trail)
-    square_idx = _verify_witness(group, table, chi_cf, h_ctx, alpha)
+    square_idx = _verify_witness(table, chi_cf, h_ctx, alpha)
     if square_idx is None:
         raise SearchExhausted("final witness failed verification", trail)
     sub = h_ctx.subgroup
@@ -712,7 +709,7 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None):
         subgroup_order=sub.order,
         subgroup_index=group.order // sub.order,
         subgroup_generators=[group.element(g).to_text() for g in sub.generators()],
-        alpha_values=[v.to_json() for v in alpha.values],
+        alpha_values=alpha.to_json(),
         chain=chain,
         square_induced_index=square_idx,
     )

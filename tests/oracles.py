@@ -7,18 +7,348 @@ at-a-time breadth-first closure fixing the element order), conjugacy by
 full-group conjugation, normal subgroups as join-closures of class unions,
 and character tables extracted from the exact lattice of characters induced
 from cyclic subgroups (certified by decomposing the regular character).
+Cyclotomic values are computed one at a time on Python integers
+(``ExactCyclotomic``) instead of the engine's int64 coefficient arrays.
 Signs of real cyclotomic values are decided by interval arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 
-from charprod.cyclotomic import Cyclotomic, root_of_unity
+from charprod.charops import ClassFunction
+from charprod.cyclotomic import (
+    Cyclotomic,
+    _poly_mul,
+    cyclotomic_polynomial,
+    divisors,
+    euler_phi,
+    factorize,
+)
 from charprod.perm import Permutation
+
+
+# -- exact cyclotomic arithmetic, one value at a time -----------------------------
+
+
+@lru_cache(maxsize=None)
+def moebius(n):
+    result = 1
+    for _, m in factorize(n):
+        if m > 1:
+            return 0
+        result = -result
+    return result
+
+
+@lru_cache(maxsize=None)
+def _trace_table(e):
+    """Normalized traces of the power basis: Tr(zeta_e^i) / phi(e)."""
+    out = []
+    for i in range(euler_phi(e)):
+        f = e // math.gcd(i, e)
+        out.append(Fraction(moebius(f), euler_phi(f)))
+    return tuple(out)
+
+
+class ExactCyclotomic(Cyclotomic):
+    """An element of Q(zeta_e) with the field operations, computed one value at
+    a time on Python integers: the exact reference for the engine's
+    coefficient arrays.  The constructor reduces any integer polynomial in
+    zeta_e over a denominator to canonical form."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, order, num, den=1):
+        order = int(order)
+        if order < 1:
+            raise ValueError("order must be positive")
+        super().__init__(*_reduce(list(num), int(den), order))
+        self._hash = None
+
+    @classmethod
+    def of(cls, value):
+        """The exact value of an int, a Fraction or a Cyclotomic."""
+        if isinstance(value, Cyclotomic):
+            return value if isinstance(value, cls) else cls(value.order, value.num, value.den)
+        value = Fraction(value)
+        return cls(1, (value.numerator,), value.denominator)
+
+    @classmethod
+    def zero(cls, order=1):
+        return cls(order, (0,) * euler_phi(order), 1)
+
+    @classmethod
+    def one(cls, order=1):
+        num = [0] * euler_phi(order)
+        num[0] = 1
+        return cls(order, num, 1)
+
+    @property
+    def coeffs(self):
+        """Canonical coefficients as exact rationals."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    # ring structure
+
+    def _coerced(self, other):
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            other = ExactCyclotomic.of(other)
+        else:
+            return None, None
+        if self.order == other.order:
+            return self, other
+        e = math.lcm(self.order, other.order)
+        return self.embed(e), other.embed(e)
+
+    def __add__(self, other):
+        a, b = self._coerced(other)
+        if a is None:
+            return NotImplemented
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return ExactCyclotomic(a.order, [fa * x + fb * y for x, y in zip(a.num, b.num)], den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ExactCyclotomic(self.order, [-c for c in self.num], self.den)
+
+    def __sub__(self, other):
+        a, b = self._coerced(other)
+        if a is None:
+            return NotImplemented
+        return a + (-b)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        a, b = self._coerced(other)
+        if a is None:
+            return NotImplemented
+        return ExactCyclotomic(a.order, _poly_mul(a.num, b.num), a.den * b.den)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative powers not supported; use conj for roots of unity")
+        result = ExactCyclotomic.one(self.order)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def conj(self):
+        """Complex conjugation: the Galois map zeta_e -> zeta_e^(-1)."""
+        e = self.order
+        num = [0] * e
+        for i, c in enumerate(self.num):
+            num[(e - i) % e] += c
+        return ExactCyclotomic(e, num, self.den)
+
+    def is_zero(self):
+        return not any(self.num)
+
+    def __bool__(self):
+        return any(self.num)
+
+    def norm_squared(self):
+        """z * conj(z); a totally nonnegative real value."""
+        return self * self.conj()
+
+    # order changes
+
+    def embed(self, order):
+        """The same value viewed in Q(zeta_order); requires self.order | order."""
+        if order == self.order:
+            return self
+        if order % self.order:
+            raise ValueError(f"{self.order} does not divide {order}")
+        step = order // self.order
+        num = [0] * (len(self.num) * step)
+        for i, c in enumerate(self.num):
+            num[i * step] = c
+        return ExactCyclotomic(order, num, self.den)
+
+    def reduce_to(self, order):
+        """Express the value in Q(zeta_order) (order | self.order), else None."""
+        if order == self.order:
+            return self
+        if self.order % order:
+            raise ValueError(f"{order} does not divide {self.order}")
+        basis = [root_of_unity(order, k).embed(self.order) for k in range(euler_phi(order))]
+        matrix = [[b.coeffs[r] for b in basis] for r in range(len(self.num))]
+        solution = _solve_exact(matrix, self.coeffs)
+        if solution is None:
+            return None
+        den = _lcm_den(solution)
+        return ExactCyclotomic(order, [f.numerator * (den // f.denominator) for f in solution], den)
+
+    def minimal(self):
+        """The equal value at the smallest possible cyclotomic order."""
+        for d in divisors(self.order):
+            reduced = self.reduce_to(d)
+            if reduced is not None:
+                return reduced
+        return self
+
+    # comparisons
+
+    def __eq__(self, other):
+        a, b = self._coerced(other)
+        if a is None:
+            return NotImplemented
+        return a.num == b.num and a.den == b.den
+
+    def __hash__(self):
+        # Embedding-invariant: rationals hash as Fractions, everything else by
+        # normalized traces of z and |z|^2 (equal values in different orders agree).
+        if self._hash is None:
+            r = self.as_rational()
+            if r is not None:
+                self._hash = hash(r)
+            else:
+                self._hash = hash((self._normalized_trace(), self.norm_squared()._normalized_trace()))
+        return self._hash
+
+    def _normalized_trace(self):
+        total = Fraction(0)
+        for c, t in zip(self.num, _trace_table(self.order)):
+            if c:
+                total += c * t
+        return total / self.den
+
+    def approx(self):
+        """Complex float approximation, display only."""
+        total = 0j
+        for i, c in enumerate(self.num):
+            if c:
+                angle = 2.0 * math.pi * i / self.order
+                total += c * complex(math.cos(angle), math.sin(angle))
+        return total / self.den
+
+
+def exact(value):
+    """Shorthand for ExactCyclotomic.of."""
+    return ExactCyclotomic.of(value)
+
+
+def exact_values(f):
+    """The values of a ClassFunction as ExactCyclotomic objects."""
+    return tuple(exact(v) for v in f.values)
+
+
+def _lcm_den(fractions):
+    return math.lcm(*(f.denominator for f in fractions)) if fractions else 1
+
+
+def _reduce(num, den, e):
+    """Canonicalize a polynomial in zeta_e with integer coefficients over den."""
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    if den < 0:
+        den = -den
+        num = [-c for c in num]
+    # fold exponents modulo e, then reduce modulo Phi_e
+    if len(num) > e:
+        folded = [0] * e
+        for i, c in enumerate(num):
+            folded[i % e] += c
+        num = folded
+    phi = euler_phi(e)
+    poly = cyclotomic_polynomial(e)
+    for i in range(len(num) - 1, phi - 1, -1):
+        c = num[i]
+        if c:
+            num[i] = 0
+            for j in range(phi):
+                num[i - phi + j] -= c * poly[j]
+    num = num[:phi]
+    num.extend([0] * (phi - len(num)))
+    g = math.gcd(den, *num)
+    if g > 1:
+        den //= g
+        num = [c // g for c in num]
+    return e, tuple(num), den
+
+
+def _solve_exact(matrix, target):
+    """Solve matrix @ x = target over Q; None when inconsistent.
+
+    matrix is rows x cols with cols <= rows and full column rank.
+    """
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    aug = [[Fraction(matrix[r][c]) for c in range(cols)] + [Fraction(target[r])] for r in range(rows)]
+    pivot_row = 0
+    pivots = []
+    for col in range(cols):
+        sel = next((r for r in range(pivot_row, rows) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
+        inv = 1 / aug[pivot_row][col]
+        aug[pivot_row] = [v * inv for v in aug[pivot_row]]
+        for r in range(rows):
+            if r != pivot_row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[pivot_row])]
+        pivots.append(col)
+        pivot_row += 1
+    if pivot_row < cols:
+        raise ArithmeticError("basis matrix not of full column rank")
+    for r in range(pivot_row, rows):
+        if aug[r][cols] != 0:
+            return None
+    solution = [Fraction(0)] * cols
+    for r, col in enumerate(pivots):
+        solution[col] = aug[r][cols]
+    return solution
+
+
+def root_of_unity(e, k):
+    """zeta_e^k in canonical form."""
+    if e < 1:
+        raise ValueError("order must be positive")
+    k %= e
+    num = [0] * (k + 1)
+    num[k] = 1
+    return ExactCyclotomic(e, num, 1)
+
+
+def from_text(text):
+    """Parse the to_text rendering back into a value."""
+    text = text.strip()
+    if text.startswith("z(") and text.endswith(")"):
+        head, _, body = text[2:-1].partition(";")
+        coeffs = [Fraction(part) for part in body.split(",")] if body else []
+        den = _lcm_den(coeffs)
+        return ExactCyclotomic(int(head), [f.numerator * (den // f.denominator) for f in coeffs], den)
+    return ExactCyclotomic.of(Fraction(text))
+
+
+def induce_by_summation(f, ctx):
+    """Induction by the raw Frobenius sum over the whole parent group, on
+    exact values: an independent cross-check of the engine's classwise form."""
+    parent = ctx.parent
+    values = exact_values(f)
+    out = []
+    for cls in parent.classes:
+        total = ExactCyclotomic.zero()
+        for x in range(parent.order):
+            si = ctx.from_parent.get(parent.conjugate(cls.representative, x))
+            if si is not None:
+                total = total + values[ctx.group.class_of[si]]
+        out.append(total * Fraction(1, ctx.group.order))
+    return ClassFunction(parent, out)
 
 
 def compose(p, q):
@@ -187,7 +517,7 @@ def normal_powerset_oracle(group):
 
 
 def _inner(group, a, b):
-    total = Cyclotomic.zero()
+    total = ExactCyclotomic.zero()
     for cls, av, bv in zip(group.classes, a, b):
         term = av * bv.conj()
         if term:
@@ -204,7 +534,7 @@ def _induce_from(group, sub_elements, values_by_element):
     out = []
     for cls in group.classes:
         rep = cls.representative
-        total = Cyclotomic.zero()
+        total = ExactCyclotomic.zero()
         for x, row in enumerate(mul):
             y = mul[row[rep]][inv[x]]
             if y in values_by_element:
@@ -223,7 +553,7 @@ def _cyclic_induced_pool(group):
         if key not in pool:
             pool[key] = tuple(values)
 
-    add(tuple(Cyclotomic.one() for _ in group.classes))
+    add(tuple(ExactCyclotomic.one() for _ in group.classes))
     seen_subgroups = set()
     mul = cayley_table(group)
     for x in range(1, group.order):
@@ -468,7 +798,7 @@ def canonical_key(values):
     """Order-independent comparison key for a tuple of cyclotomic values."""
     out = []
     for v in values:
-        m = v.minimal()
+        m = exact(v).minimal()
         out.append((m.order, m.num, m.den))
     return tuple(out)
 
@@ -584,8 +914,8 @@ def _extract_irreducibles(group, pool):
     for i in range(m):
         for j in range(i, m):
             assert _inner(group, found[i], found[j]) == (1 if i == j else 0)
-    regular = [Cyclotomic.from_rational(group.order)] + [Cyclotomic.zero()] * (m - 1)
-    total = [Cyclotomic.zero()] * m
+    regular = [ExactCyclotomic.of(group.order)] + [ExactCyclotomic.zero()] * (m - 1)
+    total = [ExactCyclotomic.zero()] * m
     for values in found:
         d = values[0]
         for c in range(m):
@@ -650,6 +980,7 @@ def is_nonnegative_real(value):
     arithmetic with widening precision (sound: a real irrational is nonzero,
     so some precision separates it from zero).
     """
+    value = exact(value)
     if value != value.conj():
         return False
     r = value.as_rational()

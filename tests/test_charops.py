@@ -3,16 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from charprod import catalog
 from charprod import charops as co
 from charprod.charops import (
-    ClassFunction,
     InducedContext,
     center_of,
     clifford_correspondent,
     conjugate_character,
     decompose,
     induce,
-    induce_by_summation,
     inner_product,
     irr_lying_over,
     kernel_of,
@@ -27,8 +26,11 @@ from charprod.errors import (
     GroupMismatch,
     IntegralityViolation,
     NotACharacter,
+    NotASubgroup,
     NotNormal,
 )
+
+from oracles import induce_by_summation
 
 
 def degree2(table):
@@ -79,7 +81,7 @@ def test_inner_product_examples(table_of):
 def test_inner_product_integrality_violation(table_of):
     t = table_of("dihedral8")
     chi = degree2(t)
-    half = ClassFunction(t.group, [v * Fraction(1, 2) for v in chi.values])
+    half = chi * Fraction(1, 2)
     with pytest.raises(IntegralityViolation):
         inner_product(half, chi, characters=True)
 
@@ -371,3 +373,11 @@ def test_promotion_memo_is_shared_across_threads(group_of):
     for t in threads:
         t.join()
     assert len(set(seen)) == 1  # one computation per element set
+
+
+def test_context_rejects_a_set_that_is_not_a_subgroup():
+    g = catalog.parse_group(catalog.spec_for("dihedral8").generators)
+    x = next(i for i in range(g.order) if g.element_order(i) == 4)
+    with pytest.raises(NotASubgroup):
+        InducedContext.build(g, [0, x])
+    assert g._promotions == {}

@@ -15,12 +15,11 @@ from charprod.chartab import (
     dixon_table,
     verify_orthogonality,
 )
-from charprod.cyclotomic import root_of_unity
 from charprod.errors import LiftInconsistent
 from charprod.modular import find_prime, inv_mod, nth_root_of_unity
 from charprod.perm import Permutation, group_closure, parse_generators
 
-from oracles import brute_force_table, canonical_key
+from oracles import brute_force_table, canonical_key, exact, root_of_unity
 
 SMALL_IDS = [
     "cyclic2", "cyclic3", "cyclic4", "cyclic8", "cyclic9", "cyclic16",
@@ -79,7 +78,7 @@ def test_d8_table(table_of, group_of):
         elif j == central:
             assert v.as_integer() == -2
         else:
-            assert v.is_zero()
+            assert v == 0
 
 
 def test_sl23_table(table_of):
@@ -91,7 +90,7 @@ def test_verify_orthogonality_and_perturbation(table_of):
     assert verify_orthogonality(t)
     rows = [ClassFunction(t.group, list(chi.values)) for chi in t.irreducibles]
     bumped = list(rows[1].values)
-    bumped[2] = bumped[2] + 1
+    bumped[2] = exact(bumped[2]) + 1
     rows[1] = ClassFunction(t.group, bumped)
     assert not verify_orthogonality(CharacterTable(t.group, rows))
     assert set(_orthogonality_defect(CharacterTable(t.group, rows))) == {"rows", "columns"}
@@ -106,13 +105,13 @@ def test_corrupted_central_character_fails_the_lift(gid, group_of, table_of):
     for vec in _split_eigenspaces(class_constants(g), q):
         omega = vec * inv_mod(int(vec[0]), q) % q
         degree = _lift_degree(omega, g, q)
-        rows.add(tuple(_lift_values(omega, degree, q, lift)))
+        rows.add(_lift_values(omega, degree, q, lift).tobytes())
         for j in range(1, g.num_classes):
             bad = omega.copy()
             bad[j] = (bad[j] + 1) % q
             with pytest.raises(LiftInconsistent):
                 _lift_values(bad, degree, q, lift)
-    assert rows == {chi.values for chi in table_of(gid).irreducibles}
+    assert rows == {chi.num.tobytes() for chi in table_of(gid).irreducibles}
 
 
 @pytest.mark.parametrize("gid", SMALL_IDS + ["heisenberg3", "wreath3", "extraspecial27_exp9"])

@@ -1,21 +1,42 @@
-from fractions import Fraction
+"""Cyclotomic values: the exact per-value reference in oracles.py, the text
+format, and the engine's coefficient-array arithmetic checked against the
+reference."""
 
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charprod import catalog
+from charprod.charops import ClassFunction, inner_product
+from charprod.chartab import dixon_table
 from charprod.cyclotomic import (
     Cyclotomic,
+    conjugate,
     cyclotomic_polynomial,
+    divisors,
+    embed,
     euler_phi,
+    multiply,
+)
+from charprod.errors import CharprodError
+
+from oracles import (
+    ExactCyclotomic,
+    _inner,
+    exact,
+    exact_values,
     from_text,
+    is_nonnegative_real,
     root_of_unity,
 )
 
-from oracles import is_nonnegative_real
-
 
 def test_root_of_unity_examples():
-    assert root_of_unity(1, 0) == Cyclotomic.one()
+    assert root_of_unity(1, 0) == ExactCyclotomic.one()
     assert root_of_unity(4, 2).as_integer() == -1
     assert (root_of_unity(3, 1) + root_of_unity(3, 2)).as_integer() == -1
     assert root_of_unity(5, 1).conj() == root_of_unity(5, 4)
@@ -30,11 +51,11 @@ def test_hand_expanded_product():
 
 
 def test_as_integer_signal():
-    assert Cyclotomic.zero().as_integer() == 0
-    assert root_of_unity(3, 1).as_integer() is None
+    assert Cyclotomic(1, (0,)).as_integer() == 0
+    assert Cyclotomic(3, (0, 1)).as_integer() is None
     total = 1 + root_of_unity(3, 1) + root_of_unity(3, 2) + 1
     assert total.as_integer() == 1
-    half = Cyclotomic.from_rational(Fraction(1, 2))
+    half = Cyclotomic(1, (1,), 2)
     assert half.as_integer() is None and half.as_rational() == Fraction(1, 2)
 
 
@@ -48,9 +69,9 @@ def test_cyclotomic_polynomial_values():
 @pytest.mark.parametrize("e", [1, 2, 3, 4, 6, 8, 9, 12, 15, 24])
 def test_canonicalization(e):
     zeta = root_of_unity(e, 1)
-    assert zeta ** e == Cyclotomic.one()
+    assert zeta ** e == ExactCyclotomic.one()
     poly = cyclotomic_polynomial(e)
-    total = Cyclotomic.zero(e)
+    total = ExactCyclotomic.zero(e)
     for k, c in enumerate(poly):
         if c:
             total = total + c * zeta ** k
@@ -66,7 +87,7 @@ def cyclotomics(draw):
     phi = euler_phi(e)
     num = draw(st.lists(st.integers(-6, 6), min_size=phi, max_size=phi))
     den = draw(st.integers(1, 4))
-    return Cyclotomic(e, num, den)
+    return ExactCyclotomic(e, num, den)
 
 
 @given(cyclotomics(), cyclotomics(), cyclotomics())
@@ -109,21 +130,126 @@ def test_embedding_coherence(d, e):
 def test_minimal_descends():
     z = root_of_unity(3, 1).embed(24)
     assert z.minimal().order == 3
-    assert Cyclotomic.from_rational(7).embed(24).minimal().order == 1
+    assert exact(7).embed(24).minimal().order == 1
 
 
 def test_text_round_trip():
     samples = [
-        Cyclotomic.from_rational(5),
-        Cyclotomic.from_rational(Fraction(-3, 2)),
+        exact(5),
+        exact(Fraction(-3, 2)),
         root_of_unity(8, 3),
         (1 + root_of_unity(8, 1)) * (1 + root_of_unity(8, 7)),
-        Cyclotomic(12, [1, -2, 0, 5], 3),
+        ExactCyclotomic(12, [1, -2, 0, 5], 3),
     ]
     for z in samples:
         assert from_text(z.to_text()) == z
+        assert from_text(Cyclotomic(z.order, z.num, z.den).to_text()) == z
 
 
 def test_approx_is_display_only():
     z = root_of_unity(4, 1)
     assert abs(z.approx() - 1j) < 1e-9
+
+
+def test_text_format_reduces_each_coefficient():
+    assert Cyclotomic(12, (2, 0, -3, 4), 6).to_text() == "z(12;1/3,0,-1/2,2/3)"
+    assert Cyclotomic(3, (0, 1)).to_json() == "z(3;0,1)"
+    assert Cyclotomic(1, (-4,)).to_json() == -4
+    assert Cyclotomic(1, (3,), 2).to_json() == "3/2"
+    assert Cyclotomic(6, (3, 0), 2) == Fraction(3, 2)
+
+
+# -- coefficient arrays against the per-value reference ------------------------------
+
+# orders up to 30, always including the non-prime-power orders 12, 15 and 24
+_array_orders = st.one_of(st.sampled_from([12, 15, 24]), st.integers(1, 30))
+
+
+@st.composite
+def coefficient_rows(draw, order, rows):
+    phi = euler_phi(order)
+    cells = st.lists(st.integers(-9, 9), min_size=phi, max_size=phi)
+    return np.array(draw(st.lists(cells, min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, phi)
+
+
+def _exact_rows(num, order, den=1):
+    return [ExactCyclotomic(order, row, den) for row in num.tolist()]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_array_helpers_match_the_reference(data):
+    e = data.draw(_array_orders)
+    x = data.draw(coefficient_rows(e, 3))
+    y = data.draw(coefficient_rows(e, 3))
+    target = e * data.draw(st.integers(1, 3))
+    for got, a, b in zip(_exact_rows(multiply(x, y, e), e), _exact_rows(x, e), _exact_rows(y, e)):
+        assert got == a * b
+    for got, a in zip(_exact_rows(conjugate(x, e), e), _exact_rows(x, e)):
+        assert got == a.conj()
+    for got, a in zip(_exact_rows(embed(x, e, target), target), _exact_rows(x, e)):
+        assert got.order == target and got.num == a.embed(target).num
+
+
+# elementary abelian of order 4: exponent 2, four classes of size 1
+_GROUP = catalog.parse_group(catalog.spec_for("elemab_2_2").generators)
+
+
+@st.composite
+def class_functions(draw, order):
+    den = draw(st.integers(1, 12))
+    num = draw(coefficient_rows(order, _GROUP.num_classes))
+    return ClassFunction(_GROUP, _exact_rows(num, order, den))
+
+
+@given(st.data(), st.fractions(max_denominator=7).filter(lambda r: abs(r) < 50))
+@settings(max_examples=60, deadline=None)
+def test_class_function_arithmetic_matches_the_reference(data, r):
+    """Two class functions, the second at a divisor of the first one's order."""
+    e = data.draw(_array_orders)
+    a = data.draw(class_functions(e))
+    b = data.draw(class_functions(data.draw(st.sampled_from(divisors(e)))))
+    xa, xb = exact_values(a), exact_values(b)
+    assert (a * b).order == math.lcm(a.order, b.order)
+    assert exact_values(a * b) == tuple(u * v for u, v in zip(xa, xb))
+    assert exact_values(a + b) == tuple(u + v for u, v in zip(xa, xb))
+    assert exact_values(a - b) == tuple(u - v for u, v in zip(xa, xb))
+    assert exact_values(a.conj()) == tuple(u.conj() for u in xa)
+    assert exact_values(a * r) == tuple(u * r for u in xa)
+    # the same values written at a multiple order are equal, with equal hashes
+    lifted = ClassFunction(_GROUP, [u.embed(2 * a.order) for u in xa])
+    assert lifted.order == 2 * a.order
+    assert lifted == a and hash(lifted) == hash(a)
+    assert (a + b == a) == b.is_zero()
+
+
+@lru_cache(maxsize=None)
+def _cyclic_table(e):
+    return dixon_table(catalog.parse_group("(" + " ".join(map(str, range(1, e + 1))) + ")"))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_inner_product_matches_the_reference(data):
+    """Rational combinations of the characters of a cyclic group of order e
+    have rational inner products; those agree with the reference."""
+    e = data.draw(_array_orders.filter(lambda e: e > 1))
+    table = _cyclic_table(e)
+    weights = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=e, max_size=e)
+    a, b = (sum((chi * w for chi, w in zip(table.irreducibles, data.draw(weights))), table.irreducibles[0] * 0)
+            for _ in range(2))
+    assert inner_product(a, b) == _inner(table.group, exact_values(a), exact_values(b))
+
+
+def test_coefficients_never_wrap(table_of):
+    chi = table_of("heisenberg3").irreducibles[9]
+    big = chi * 2**40
+    assert exact_values(big) == tuple(v * 2**40 for v in exact_values(chi))
+    with pytest.raises(CharprodError):
+        big * big
+    with pytest.raises(CharprodError):
+        inner_product(big, big)
+    with pytest.raises(CharprodError):
+        chi * 2**70
+    with pytest.raises(CharprodError):
+        ClassFunction(chi.group, [2**63] * chi.group.num_classes)
