@@ -1,11 +1,11 @@
 """Exact character tables via the Dixon-Schneider method.
 
-Class-sum matrices are split into common eigenspaces over GF(q) with
-q = 1 (mod exponent) and q > 2 ceil(sqrt(|G|)); degrees and eigenvalue
-multiplicities are lifted to integers (they lie below sqrt(|G|) < q/2) and the
-values re-assembled as exact cyclotomics through the discrete Fourier sum over
-the power map.  The finished table must pass exact row and column
-orthogonality, otherwise the build fails.
+Class-sum matrices, each formed only when the split reaches it, are split
+into common eigenspaces over GF(q) with q = 1 (mod exponent) and
+q > 2 ceil(sqrt(|G|)); degrees and eigenvalue multiplicities are lifted to
+integers (they lie below sqrt(|G|) < q/2) and the values re-assembled as exact
+cyclotomics through the discrete Fourier sum over the power map.  The finished
+table must pass exact row and column orthogonality, otherwise the build fails.
 """
 
 from __future__ import annotations
@@ -16,35 +16,28 @@ import numpy as np
 
 from .charops import ClassFunction
 from .cyclotomic import _reduction_matrix, fits, matmul_exact, max_abs
-from .errors import CharprodError, EigensplitStall, LiftInconsistent
+from .errors import EigensplitStall, LiftInconsistent
 from .modular import (
     charpoly_mod,
     find_prime,
     inv_mod,
-    matmul_mod,
     nth_root_of_unity,
     nullspace_mod,
     poly_roots_mod,
     solve_columns_mod,
 )
 
-DENSE_CLASS_LIMIT = 340  # keeps the int32 class-constant tensor under ~160 MB
 
-
-def class_constants(group):
-    """a[i, j, k] = #{(x,y) in C_i x C_j : xy = z} for a fixed z in C_k; the
-    class matrix M_i = a[i] has the central characters as right eigenvectors."""
+def class_constants(group, i):
+    """The class matrix M_i[j, k] = #{x in C_i : x^(-1) z_k in C_j} for a fixed
+    z_k in C_k, that is #{(x, y) in C_i x C_j : xy = z_k}; its right
+    eigenvectors are the central characters."""
     m = group.num_classes
-    if m > DENSE_CLASS_LIMIT:
-        raise CharprodError(
-            f"{m} conjugacy classes exceed the dense class-constant limit of {DENSE_CLASS_LIMIT}"
-        )
-    a = np.zeros((m, m, m), dtype=np.int32)  # counts below |G|
-    class_of = np.array(group.class_of)
-    for k, cls in enumerate(group.classes):
-        y = group.products(group.inverses, cls.representative)
-        a[:, :, k] = np.bincount(class_of * m + class_of[y], minlength=m * m).reshape(m, m)
-    return a
+    reps = np.array([c.representative for c in group.classes])
+    members = np.array(group.classes[i].members)
+    y = group.products(group.inverses[members][:, None], reps[None, :])
+    cells = np.asarray(group.class_of)[y] * m + np.arange(m)
+    return np.bincount(cells.ravel(), minlength=m * m).reshape(m, m)
 
 
 class CharacterTable:
@@ -126,41 +119,41 @@ class CharacterTable:
         return f"CharacterTable(order={self.group.order}, irreducibles={self.size})"
 
 
-def _split_eigenspaces(constants, q):
+def _split_eigenspaces(group, q):
     """Common eigenspaces of the class matrices over GF(q), split by applying
-    the matrices in ascending class index until every space is 1-dimensional."""
-    m = constants.shape[0]
-    spaces = [np.eye(m, dtype=np.int64)]
+    the matrices in ascending class index until every space is 1-dimensional.
+    A space is an echelon basis (columns) with the rows at its pivots forming
+    the identity, so a class matrix acts on it by the image's pivot rows."""
+    m = group.num_classes
+    fits(m * (q - 1) ** 2)
+    spaces = [(np.eye(m, dtype=np.int64), np.arange(m))]
     for i in range(1, m):
-        if all(b.shape[1] == 1 for b in spaces):
+        if all(len(pivots) == 1 for _, pivots in spaces):
             break
-        mat = constants[i] % q
+        mat = class_constants(group, i) % q
         refined = []
-        for basis in spaces:
-            k = basis.shape[1]
+        for basis, pivots in spaces:
+            k = len(pivots)
             if k == 1:
-                refined.append(basis)
+                refined.append((basis, pivots))
                 continue
-            action = solve_columns_mod(basis, matmul_mod(mat, basis, q), q)
-            poly = charpoly_mod(action, q)
-            for lam in poly_roots_mod(poly, q):
-                shifted = (action - lam * np.eye(k, dtype=np.int64)) % q
-                kernel = nullspace_mod(shifted, q)
-                if kernel.shape[1]:
-                    refined.append(matmul_mod(basis, kernel, q))
+            action = solve_columns_mod(basis, pivots, mat @ basis % q, q)
+            for lam in poly_roots_mod(charpoly_mod(action, q), q):
+                kernel, free = nullspace_mod(action - lam * np.eye(k, dtype=np.int64), q)
+                if free.size:
+                    refined.append((basis @ kernel % q, pivots[free]))
         spaces = refined
-    if any(b.shape[1] != 1 for b in spaces):
+    if any(len(pivots) != 1 for _, pivots in spaces):
         raise EigensplitStall("class matrices left a joint eigenspace unsplit")
-    return [b[:, 0] for b in spaces]
+    return [basis[:, 0] for basis, _ in spaces]
 
 
-def _lift_degree(omega, group, q):
+def _lift_degree(omega, group, q, lift):
     """chi(1) from the orthogonality normalization; unique below sqrt(|G|)."""
-    inv_class = group.inverse_class()
-    s = 0
-    for j, cls in enumerate(group.classes):
-        s += int(omega[j]) * int(omega[inv_class[j]]) * inv_mod(cls.size, q)
-    s %= q
+    inv_sizes = lift[1]
+    fits(len(omega) * (q - 1) ** 2)
+    inv_class = np.asarray(group.inverse_class())
+    s = int((omega * omega[inv_class] % q) @ inv_sizes % q)
     dsq = group.order * inv_mod(s, q) % q
     limit = math.isqrt(group.order)
     hits = [d for d in range(1, limit + 1) if d * d % q == dsq]
@@ -194,6 +187,7 @@ def _lift_values(omega, degree, q, lift):
     Row j of the DFT holds the eigenvalue multiplicities of r_j: multiplicity
     k of an element of order o lands on coefficient k * exponent / o."""
     power_map, inv_sizes, dft, reduction = lift
+    fits(len(dft) * (q - 1) ** 2)
     chi_mod = degree * (omega * inv_sizes % q)[power_map] % q
     mult = chi_mod @ dft % q
     if (mult > degree).any():
@@ -268,7 +262,7 @@ def dixon_table(group, use_cache=True):
 
     q = find_prime(exponent, 2 * math.isqrt(group.order - 1) + 2)
     z = nth_root_of_unity(q, exponent)
-    vectors = _split_eigenspaces(class_constants(group), q)
+    vectors = _split_eigenspaces(group, q)
     lift = _value_lift(group, q, z)
 
     characters = []
@@ -276,7 +270,7 @@ def dixon_table(group, use_cache=True):
         if vec[0] == 0:
             raise LiftInconsistent("central character vanishes on the identity class")
         omega = vec * inv_mod(int(vec[0]), q) % q
-        degree = _lift_degree(omega, group, q)
+        degree = _lift_degree(omega, group, q, lift)
         characters.append(ClassFunction.from_coefficients(group, exponent, _lift_values(omega, degree, q, lift)))
 
     one = np.zeros_like(characters[0].num)

@@ -69,52 +69,52 @@ def nth_root_of_unity(q, e):
 # -- dense linear algebra over GF(q) ------------------------------------------
 
 def rref_mod(matrix, q):
-    """Row-reduced echelon form; returns (rref, pivot column list)."""
+    """Row-reduced echelon form; returns (rref, pivot column list).  Each pivot
+    clears its column with one outer-product update of the rows it touches."""
     m = np.array(matrix, dtype=np.int64) % q
     rows, cols = m.shape
     pivots = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = np.flatnonzero(m[r:, c])
         if nz.size == 0:
             continue
         sel = r + int(nz[0])
         if sel != r:
             m[[r, sel]] = m[[sel, r]]
         m[r] = m[r] * inv_mod(m[r, c], q) % q
-        for other in range(rows):
-            if other != r and m[other, c]:
-                m[other] = (m[other] - m[other, c] * m[r]) % q
+        col = m[:, c].copy()
+        col[r] = 0
+        others = np.flatnonzero(col)
+        m[others] = (m[others] - np.outer(col[others], m[r])) % q
         pivots.append(c)
-        r += 1
     return m, pivots
 
 
 def nullspace_mod(matrix, q):
-    """Canonical basis of the right null space, as columns of a matrix."""
+    """Canonical basis of the right null space, as the columns of a matrix,
+    and its free columns: the basis rows at the free columns form the
+    identity."""
     m, pivots = rref_mod(matrix, q)
-    cols = m.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, k] = (-m[r, fc]) % q
-    return basis
+    is_free = np.ones(m.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((m.shape[1], free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -m[: len(pivots), free] % q
+    return basis, free
 
 
-def solve_columns_mod(b, target, q):
-    """Solve b @ x = target (columns) over GF(q); b has full column rank."""
-    rows, k = b.shape
-    aug = np.concatenate([b % q, target % q], axis=1)
-    m, pivots = rref_mod(aug, q)
-    if pivots[:k] != list(range(k)):
-        raise ArithmeticError("basis matrix lost column rank")
-    if len(pivots) > k:
+def solve_columns_mod(b, pivots, target, q):
+    """Solve b @ x = target (columns) over GF(q) for an echelon basis b, whose
+    rows at ``pivots`` form the identity: x is target at those rows.
+    ArithmeticError when a target column lies outside the span."""
+    x = target[pivots] % q
+    if not np.array_equal(b @ x % q, target % q):
         raise ArithmeticError("inconsistent system: target outside the span")
-    return m[:k, k:].copy()
+    return x
 
 
 def hessenberg_mod(matrix, q):
@@ -167,7 +167,3 @@ def poly_roots_mod(poly, q):
     for c in reversed(poly):
         vals = (vals * xs + int(c)) % q
     return [int(r) for r in np.nonzero(vals == 0)[0]]
-
-
-def matmul_mod(a, b, q):
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % q

@@ -31,7 +31,7 @@ from .charops import (
     stabilizer_and_orbit,
 )
 from .chartab import dixon_table
-from .cyclotomic import conjugate, multiply
+from .cyclotomic import conjugate, fits, max_abs, multiply
 from .errors import (
     CharprodError,
     HypothesisNotMet,
@@ -138,6 +138,7 @@ class _ModularTable:
             raise CharprodError("value order does not divide the imaging order")
         z_local = pow(z, top_exponent // order, q)
         z_powers = np.array([pow(z_local, k, q) for k in range(tensor.shape[2])], dtype=np.int64)
+        fits(tensor.shape[2] * max_abs(tensor) * (q - 1))
         self.values = tensor @ z_powers % q
         self.weights = np.array([c.size for c in group.classes], dtype=np.int64)
         inv = list(group.inverse_class())
@@ -178,6 +179,7 @@ class GroupSession:
             q = self.q
             w = self.mod.weights
             n_irr, m = v.shape
+            fits(m * (q - 1) ** 2)
             pv = v[:, None, :] * v[None, :, :] % q * w[None, None, :] % q
             flat = pv.reshape(n_irr * n_irr, m)
             a = flat @ self.mod.conj_values.T % q * inv_mod(self.group.order, q) % q
@@ -256,6 +258,7 @@ class GroupSession:
             q = self.q
             for idx, member in enumerate(self.lattice.members):
                 ctx = InducedContext.build(self.group, member)
+                fits(ctx.group.num_classes * (q - 1) ** 2)
                 mod_sub = _ModularTable(ctx.table, q, self.z, self.group.exponent)
                 fused = self.mod.values[:, list(ctx.fusion)]
                 weighted = fused * mod_sub.weights[None, :] % q

@@ -967,6 +967,27 @@ def _invert(matrix):
     return [row[n:] for row in aug]
 
 
+def rref_reference(matrix, q):
+    """Reduced row echelon form over GF(q) on Python integers, one row
+    operation at a time; returns (rows, pivot columns)."""
+    m = [[int(v) % q for v in row] for row in matrix]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = pow(m[r][c], q - 2, q)
+        m[r] = [v * inv % q for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
 def _gcd(a, b):
     while b:
         a, b = b, a % b

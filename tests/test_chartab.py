@@ -15,7 +15,7 @@ from charprod.chartab import (
     dixon_table,
     verify_orthogonality,
 )
-from charprod.errors import LiftInconsistent
+from charprod.errors import CharprodError, LiftInconsistent
 from charprod.modular import find_prime, inv_mod, nth_root_of_unity
 from charprod.perm import Permutation, group_closure, parse_generators
 
@@ -31,12 +31,11 @@ SMALL_IDS = [
 
 def test_class_constants_trivial_and_c2():
     trivial = group_closure([Permutation.identity(1)])
-    assert class_constants(trivial)[0, 0, 0] == 1
+    assert class_constants(trivial, 0).tolist() == [[1]]
 
     c2 = group_closure([parse_permutation_c2()])
-    cc = class_constants(c2)
-    assert cc[1, 1, 0] == 1
-    assert cc[1, 0, 1] == 1
+    assert class_constants(c2, 0).tolist() == [[1, 0], [0, 1]]
+    assert class_constants(c2, 1).tolist() == [[0, 1], [1, 0]]
 
 
 def parse_permutation_c2():
@@ -46,12 +45,35 @@ def parse_permutation_c2():
 
 def test_class_constants_weight_identity(group_of):
     g = group_of("dihedral8")
-    cc = class_constants(g)
+    cc = np.stack([class_constants(g, i) for i in range(g.num_classes)])
     sizes = np.array([c.size for c in g.classes])
     for i in range(g.num_classes):
         for j in range(g.num_classes):
             assert int(cc[i, j] @ sizes) == g.classes[i].size * g.classes[j].size
             assert np.array_equal(cc[i, j], cc[j, i])
+
+
+def test_table_beyond_340_classes():
+    # elementary abelian 7^3, one 7-cycle per generator line
+    gens = "".join("(" + " ".join(str(7 * i + j) for j in range(1, 8)) + ")\n" for i in range(3))
+    t = dixon_table(group_closure(parse_generators(gens)[0]))
+    assert t.size == 343 and t.degrees == (1,) * 343
+    assert verify_orthogonality(t)
+
+
+def test_forced_large_prime_raises_before_any_product(group_of):
+    g = group_of("heisenberg3")
+    q = find_prime(g.exponent, 2 * math.isqrt(g.order - 1) + 2)
+    lift = _value_lift(g, q, nth_root_of_unity(q, g.exponent))
+    omega = np.ones(g.num_classes, dtype=np.int64)
+    big = 2**61 - 1
+    for call in (
+        lambda: _split_eigenspaces(g, big),
+        lambda: _lift_degree(omega, g, big, lift),
+        lambda: _lift_values(omega, 1, big, lift),
+    ):
+        with pytest.raises(CharprodError, match="64 bits"):
+            call()
 
 
 def test_c3_table():
@@ -102,9 +124,9 @@ def test_corrupted_central_character_fails_the_lift(gid, group_of, table_of):
     q = find_prime(g.exponent, 2 * math.isqrt(g.order - 1) + 2)
     lift = _value_lift(g, q, nth_root_of_unity(q, g.exponent))
     rows = set()
-    for vec in _split_eigenspaces(class_constants(g), q):
+    for vec in _split_eigenspaces(g, q):
         omega = vec * inv_mod(int(vec[0]), q) % q
-        degree = _lift_degree(omega, g, q)
+        degree = _lift_degree(omega, g, q, lift)
         rows.add(_lift_values(omega, degree, q, lift).tobytes())
         for j in range(1, g.num_classes):
             bad = omega.copy()

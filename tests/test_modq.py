@@ -3,8 +3,12 @@ a-priori bound; these tests pin that fast path to the exact cyclotomic one."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from charprod import verify
 from charprod.charops import decompose, inner_product, restrict
+from charprod.errors import CharprodError
 from charprod.modular import (
     charpoly_mod,
     find_prime,
@@ -13,8 +17,12 @@ from charprod.modular import (
     nullspace_mod,
     poly_roots_mod,
     primitive_root,
+    rref_mod,
+    solve_columns_mod,
 )
 from charprod.verify import GroupSession, _ModularTable
+
+from oracles import rref_reference
 
 
 def test_prime_search():
@@ -44,7 +52,37 @@ def test_charpoly_and_roots():
     poly = charpoly_mod(m, q)
     assert poly_roots_mod(poly, q) == [2, 3]
     shifted = (m - 3 * np.eye(3, dtype=np.int64)) % q
-    assert nullspace_mod(shifted, q).shape[1] == 2
+    kernel, free = nullspace_mod(shifted, q)
+    assert free.tolist() == [1, 2]
+    assert kernel[free].tolist() == [[1, 0], [0, 1]]
+    assert not (shifted @ kernel % q).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 5, 13]), data=st.data())
+def test_rref_and_nullspace_match_row_by_row_reduction(q, data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols)
+    a = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)), dtype=np.int64)
+    r, pivots = rref_mod(a, q)
+    expected, expected_pivots = rref_reference(a.tolist(), q)
+    assert (r.tolist(), pivots) == (expected, expected_pivots)
+    kernel, free = nullspace_mod(a, q)
+    assert free.tolist() == sorted(set(range(cols)) - set(pivots))
+    assert kernel[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
+    assert not (a @ kernel % q).any()
+
+
+def test_solve_columns_on_an_echelon_basis():
+    q = 11
+    b = np.array([[1, 0], [4, 7], [0, 1]], dtype=np.int64)
+    pivots = np.array([0, 2])
+    x = np.array([[3, 1], [5, 10]], dtype=np.int64)
+    assert solve_columns_mod(b, pivots, b @ x % q, q).tolist() == x.tolist()
+    outside = b @ x % q
+    outside[1, 0] = (outside[1, 0] + 1) % q
+    with pytest.raises(ArithmeticError):
+        solve_columns_mod(b, pivots, outside, q)
 
 
 @pytest.mark.parametrize("gid", ["cyclic9", "dihedral8", "quaternion16", "sl23", "heisenberg3", "elemab_3_2"])
@@ -113,3 +151,16 @@ def test_modular_table_images_every_value(gid, group_of):
         mod = _ModularTable(table, q, z, e)
         expected = [[_image(v, z, e, q) for v in chi.values] for chi in table.irreducibles]
         assert mod.values.tolist() == expected
+
+
+def test_forced_large_prime_raises_instead_of_wrapping(group_of, monkeypatch):
+    monkeypatch.setattr(verify, "find_prime", lambda multiple_of, floor: 2**61 - 1)
+    # linear characters only: the value image fits, the sums over classes do not
+    session = GroupSession(group_of("elemab_3_2"), "elemab_3_2")
+    with pytest.raises(CharprodError, match="64 bits"):
+        session.products
+    with pytest.raises(CharprodError, match="64 bits"):
+        session.normal_data
+    # values up to 3 times Q - 1 already overflow the value image
+    with pytest.raises(CharprodError, match="64 bits"):
+        GroupSession(group_of("heisenberg3"), "heisenberg3")
