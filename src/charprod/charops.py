@@ -173,10 +173,6 @@ def product(a, b):
     return a * b
 
 
-def _class_sizes(group):
-    return np.array([c.size for c in group.classes], dtype=np.int64)
-
-
 def inner_product(a, b, characters=False):
     """[a, b] = (1/|G|) sum over classes of |C| a(g) conj(b(g)), exactly.
 
@@ -188,7 +184,7 @@ def inner_product(a, b, characters=False):
     order, x, y = a._at_common_order(b)
     fits(max_abs(x) * g.order)
     # sum over classes of |C| times the outer product of a and conj(b), reduced once
-    outer = matmul_exact((x * _class_sizes(g)[:, None]).T, conjugate(y, order))
+    outer = matmul_exact((x * g.class_sizes[:, None]).T, conjugate(y, order))
     total = reduce_outer(outer, order)
     if total[1:].any():
         raise IntegralityViolation("inner product is not rational")
@@ -308,32 +304,30 @@ def linear_characters(table):
 
 
 class InducedContext:
-    """A subgroup realized as its own Group, with table and class fusion."""
+    """A subgroup realized as its own Group and embedded in the parent by
+    index arrays: ``to_parent[i]`` is the parent index of subgroup element i,
+    ``from_parent[x]`` the subgroup index of parent element x (-1 off the
+    subgroup), and ``fusion[c]`` the parent class of subgroup class c.  The
+    subgroup's table is built when first read."""
 
-    __slots__ = (
-        "parent", "subgroup", "group", "table", "fusion",
-        "to_parent", "from_parent", "_conj_perms",
-    )
+    __slots__ = ("parent", "subgroup", "group", "fusion", "to_parent", "from_parent")
 
-    def __init__(self, parent, subgroup, group, table, fusion, to_parent, from_parent):
+    def __init__(self, parent, subgroup, group, fusion, to_parent, from_parent):
         self.parent = parent
         self.subgroup = subgroup
         self.group = group
-        self.table = table
         self.fusion = fusion
         self.to_parent = to_parent
         self.from_parent = from_parent
-        self._conj_perms = {}
 
     @classmethod
     def build(cls, parent, subgroup, subgroup_group=None):
-        """Build the context for a subgroup of ``parent``.
+        """Build the context for a subgroup of ``parent``, given as a Subgroup
+        or as element indices.
 
         Promoted groups are cached on the parent; the cache is a thread-safe
         memo (one computation per element set, concurrent readers).
         """
-        from . import chartab  # deferred: chartab uses ClassFunction
-
         if isinstance(subgroup, Subgroup):
             if subgroup.parent is not parent:
                 raise GroupMismatch("subgroup belongs to a different parent")
@@ -354,31 +348,21 @@ class InducedContext:
                         group = group_closure(gens, cap=parent.order)
                 if group.order != len(key):
                     raise NotASubgroup("the elements do not form a subgroup")
-                table = chartab.dixon_table(group)
-                to_parent = tuple(parent.indices_of(group.images).tolist())
-                from_parent = {pi: si for si, pi in enumerate(to_parent)}
-                fusion = tuple(
-                    parent.class_of[to_parent[c.representative]] for c in group.classes
-                )
-                cached = (group, table, fusion, to_parent, from_parent)
+                to_parent = parent.indices_of(group.images)
+                from_parent = np.full(parent.order, -1, dtype=np.intp)
+                from_parent[to_parent] = np.arange(group.order)
+                fusion = parent.class_of[to_parent[group.class_reps]]
+                for array in (fusion, to_parent, from_parent):
+                    array.flags.writeable = False
+                cached = (group, fusion, to_parent, from_parent)
                 parent._promotions[key] = cached
-        group, table, fusion, to_parent, from_parent = cached
-        return cls(parent, subgroup, group, table, fusion, to_parent, from_parent)
+        return cls(parent, subgroup, *cached)
 
-    def conjugation_class_map(self, g_index):
-        """Permutation of subgroup classes induced by x -> g x g^(-1)."""
-        perm = self._conj_perms.get(g_index)
-        if perm is None:
-            reps = [self.to_parent[c.representative] for c in self.group.classes]
-            out = []
-            for conj in self.parent.conjugates(reps, g_index).tolist():
-                si = self.from_parent.get(conj)
-                if si is None:
-                    raise NotNormal("conjugation leaves the subgroup")
-                out.append(self.group.class_of[si])
-            perm = tuple(out)
-            self._conj_perms[g_index] = perm
-        return perm
+    @property
+    def table(self):
+        from . import chartab  # deferred: chartab uses ClassFunction
+
+        return chartab.dixon_table(self.group)
 
     def __repr__(self):
         return f"InducedContext(|H|={self.group.order}, |G|={self.parent.order})"
@@ -388,7 +372,7 @@ def restrict(f, ctx):
     """Pull a class function of the parent back along the class fusion."""
     if f.group is not ctx.parent:
         raise GroupMismatch("class function does not live on the context's parent")
-    return ClassFunction.from_coefficients(ctx.group, f.order, f.num[list(ctx.fusion)], f.den)
+    return ClassFunction.from_coefficients(ctx.group, f.order, f.num[ctx.fusion], f.den)
 
 
 def induce(f, ctx):
@@ -403,37 +387,45 @@ def induce(f, ctx):
         return ClassFunction.from_coefficients(parent, 1, np.zeros((parent.num_classes, 1), dtype=np.int64))
     fits(max_abs(f.num) * sub.order)
     sums = np.zeros((parent.num_classes, f.num.shape[1]), dtype=np.int64)
-    np.add.at(sums, list(ctx.fusion), f.num * _class_sizes(sub)[:, None])
-    centralizers = np.array([parent.centralizer_order(j) for j in range(parent.num_classes)], dtype=np.int64)
+    np.add.at(sums, ctx.fusion, f.num * sub.class_sizes[:, None])
+    centralizers = parent.order // parent.class_sizes
     fits(max_abs(sums) * parent.order)
     return ClassFunction.from_coefficients(parent, f.order, sums * centralizers[:, None], sub.order * f.den)
+
+
+def _conjugated_classes(ctx, g):
+    """Row r: the subgroup class of g_r x g_r^(-1) for a representative x of
+    each subgroup class, for the parent index array g; the subgroup must be
+    normal."""
+    reps = ctx.to_parent[ctx.group.class_reps]
+    return ctx.group.class_of[ctx.from_parent[ctx.parent.conjugates(reps, g[:, None])]]
 
 
 def conjugate_character(f, ctx, g_index):
     """f^g with f on a normal subgroup: f^g(x) = f(g x g^(-1))."""
     if not ctx.subgroup.is_normal:
         raise NotNormal("conjugate_character requires a normal subgroup")
-    perm = ctx.conjugation_class_map(g_index)
-    return ClassFunction.from_coefficients(ctx.group, f.order, f.num[list(perm)], f.den)
+    row = _conjugated_classes(ctx, np.array([g_index]))[0]
+    return ClassFunction.from_coefficients(ctx.group, f.order, f.num[row], f.den)
 
 
 def stabilizer_and_orbit(f, ctx):
-    """The stabilizer of f under parent conjugation, with the full orbit."""
+    """The stabilizer of f under parent conjugation, with the full orbit in
+    the order of the first parent element giving each conjugate."""
     if not ctx.subgroup.is_normal:
         raise NotNormal("stabilizer_and_orbit requires a normal subgroup")
     parent = ctx.parent
-    stabilizer = []
-    orbit = []
-    seen = set()
-    for g in range(parent.order):
-        imaged = f.num[list(ctx.conjugation_class_map(g))]
-        if np.array_equal(imaged, f.num):
-            stabilizer.append(g)
-        key = imaged.tobytes()
-        if key not in seen:
-            seen.add(key)
-            orbit.append(ClassFunction.from_coefficients(ctx.group, f.order, imaged, f.den))
-    stab = Subgroup(parent, stabilizer)
+    conjugated = _conjugated_classes(ctx, np.arange(parent.order))
+    # equal labels on two classes mean equal values there
+    _, labels = np.unique(f.num, axis=0, return_inverse=True)
+    labels = labels.reshape(-1)
+    images = labels[conjugated]
+    stab = Subgroup(parent, np.flatnonzero((images == labels).all(axis=1)))
+    _, first = np.unique(images, axis=0, return_index=True)
+    orbit = [
+        ClassFunction.from_coefficients(ctx.group, f.order, f.num[conjugated[g]], f.den)
+        for g in np.sort(first).tolist()
+    ]
     if len(orbit) * stab.order != parent.order:
         raise CharprodError("orbit-stabilizer mismatch (engine bug)")
     return stab, orbit
@@ -457,11 +449,8 @@ def clifford_correspondent(chi, iota, ctx_y, ctx_stab):
     parent = ctx_stab.parent
     if chi.group is not parent:
         raise GroupMismatch("chi must live on the stabilizer context's parent")
-    stab_group = ctx_stab.group
     y_in_stab = InducedContext.build(
-        stab_group,
-        [ctx_stab.from_parent[p] for p in (ctx_y.to_parent[i] for i in range(ctx_y.group.order))],
-        subgroup_group=ctx_y.group,
+        ctx_stab.group, ctx_stab.from_parent[ctx_y.to_parent], subgroup_group=ctx_y.group
     )
     found = []
     for xi in ctx_stab.table.irreducibles:

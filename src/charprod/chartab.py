@@ -33,10 +33,9 @@ def class_constants(group, i):
     z_k in C_k, that is #{(x, y) in C_i x C_j : xy = z_k}; its right
     eigenvectors are the central characters."""
     m = group.num_classes
-    reps = np.array([c.representative for c in group.classes])
     members = np.array(group.classes[i].members)
-    y = group.products(group.inverses[members][:, None], reps[None, :])
-    cells = np.asarray(group.class_of)[y] * m + np.arange(m)
+    y = group.products(group.inverses[members][:, None], group.class_reps[None, :])
+    cells = group.class_of[y] * m + np.arange(m)
     return np.bincount(cells.ravel(), minlength=m * m).reshape(m, m)
 
 
@@ -168,12 +167,12 @@ def _value_lift(group, q, z):
     inverse DFT matrix z^(-kt) / exponent mod q, and the reduction of zeta^k
     modulo Phi_exponent."""
     e = group.exponent
-    reps = np.array([c.representative for c in group.classes])
+    reps = group.class_reps
     powers = [np.zeros_like(reps)]
     for _ in range(1, e):
         powers.append(group.products(powers[-1], reps))
-    power_map = np.array(group.class_of)[np.stack(powers, axis=1)]
-    inv_sizes = np.array([inv_mod(c.size, q) for c in group.classes], dtype=np.int64)
+    power_map = group.class_of[np.stack(powers, axis=1)]
+    inv_sizes = np.array([inv_mod(size, q) for size in group.class_sizes.tolist()], dtype=np.int64)
     inv_powers = np.array([pow(z, -t % e, q) * inv_mod(e, q) % q for t in range(e)], dtype=np.int64)
     t = np.arange(e)
     dft = inv_powers[np.outer(t, t) % e]
@@ -220,11 +219,10 @@ def _orthogonality_defect(table):
     order, tensor = table.coefficient_tensor()
     phi = tensor.shape[2]
     inv = list(group.inverse_class())
-    weights = np.array([c.size for c in group.classes], dtype=np.int64)
     conj_tensor = tensor[:, inv, :]
     red = _reduction_matrix(order, 2 * phi - 1)
 
-    reduced = _coefficient_gram(tensor * weights[None, :, None], conj_tensor, red)
+    reduced = _coefficient_gram(tensor * group.class_sizes[None, :, None], conj_tensor, red)
     n_irr = tensor.shape[0]
     expected = np.zeros_like(reduced)
     expected[np.arange(n_irr), np.arange(n_irr), 0] = group.order
@@ -232,11 +230,10 @@ def _orthogonality_defect(table):
     if not np.array_equal(reduced, expected):
         defects["rows"] = int(np.abs(reduced - expected).max())
 
-    m = group.num_classes
+    classes = np.arange(group.num_classes)
     reduced2 = _coefficient_gram(tensor.transpose(1, 0, 2), conj_tensor.transpose(1, 0, 2), red)
     expected2 = np.zeros_like(reduced2)
-    for c in range(m):
-        expected2[c, c, 0] = group.centralizer_order(c)
+    expected2[classes, classes, 0] = group.order // group.class_sizes
     if not np.array_equal(reduced2, expected2):
         defects["columns"] = int(np.abs(reduced2 - expected2).max())
     return defects
@@ -248,17 +245,22 @@ def verify_orthogonality(table):
 
 
 def dixon_table(group, use_cache=True):
-    """The exact table of irreducible characters of ``group``."""
-    cached = getattr(group, "_character_table", None)
+    """The exact table of irreducible characters of ``group``, built once per
+    group under the group's lock; ``use_cache=False`` rebuilds it."""
+    cached = group._character_table
     if use_cache and cached is not None:
         return cached
+    with group._promotion_lock:
+        if not use_cache or group._character_table is None:
+            group._character_table = _build_table(group)
+        return group._character_table
 
+
+def _build_table(group):
     m = group.num_classes
     exponent = group.exponent
     if m == 1:
-        table = CharacterTable(group, [ClassFunction(group, [1])])
-        group._character_table = table
-        return table
+        return CharacterTable(group, [ClassFunction(group, [1])])
 
     q = find_prime(exponent, 2 * math.isqrt(group.order - 1) + 2)
     z = nth_root_of_unity(q, exponent)
@@ -287,7 +289,6 @@ def dixon_table(group, use_cache=True):
     defect = _orthogonality_defect(table)
     if defect:
         raise LiftInconsistent(f"orthogonality failed exactly: {defect}")
-    group._character_table = table
     return table
 
 

@@ -15,14 +15,18 @@ import sys
 from . import catalog, verify
 from .charops import decompose
 from .chartab import dixon_table
-from .errors import CharprodError
+from .errors import CharprodError, ParseError
 from .verify import STATEMENTS, monomial_witness_search
 
 
 def _load_group(source):
     if os.path.exists(source):
-        with open(source) as fh:
-            return os.path.basename(source), catalog.parse_group(fh.read())
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source} is not UTF-8 text (byte {exc.start})") from None
+        return os.path.basename(source), catalog.parse_group(text)
     return source, catalog.builtin(source)
 
 

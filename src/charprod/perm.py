@@ -200,7 +200,8 @@ class ConjugacyClass:
 
 
 class Subgroup:
-    """A subgroup of a parent Group as a sorted set of element indices.
+    """A subgroup of a parent Group as a sorted set of element indices, given
+    as any iterable of indices or as an index array.
 
     ``is_normal`` is computed on first read: lattice members are intersections
     of kernels and never need the check."""
@@ -209,6 +210,8 @@ class Subgroup:
 
     def __init__(self, parent, element_indices):
         self.parent = parent
+        if isinstance(element_indices, np.ndarray):
+            element_indices = element_indices.tolist()
         self.element_indices = tuple(sorted(element_indices))
         self.element_set = frozenset(self.element_indices)
         self._is_normal = None
@@ -237,8 +240,8 @@ class Subgroup:
     def class_index_set(self):
         """Covered conjugacy classes of the parent; requires a class-closed set."""
         g = self.parent
-        covered = frozenset(g.class_of[i] for i in self.element_indices)
-        if sum(g.classes[c].size for c in covered) != self.order:
+        covered = frozenset(g.class_of[list(self.element_indices)].tolist())
+        if int(g.class_sizes[list(covered)].sum()) != self.order:
             raise NotASubgroup("element set is not a union of conjugacy classes")
         return covered
 
@@ -264,9 +267,10 @@ class Group:
 
     Element index 0 is the identity; the enumeration is the breadth-first
     closure of the generators in the order given, so it is reproducible.
-    ``images[i]`` is the image row of element i.  Index arguments of the
-    batched methods (``products``, ``conjugates``) are integer arrays that
-    broadcast against each other.
+    ``images[i]`` is the image row of element i; ``class_of`` (per element),
+    ``class_sizes`` and ``class_reps`` (per class) are arrays too.  Index
+    arguments of the batched methods (``products``, ``conjugates``) are integer
+    arrays that broadcast against each other.
     """
 
     def __init__(self, generators, images):
@@ -283,10 +287,17 @@ class Group:
         self._orders = self._element_orders()
         self._power_classes = {}
         self._inverse_class = None
+        # one lock makes the table, the lattice and every context compute-once
+        self._promotion_lock = threading.RLock()
         self._promotions = {}
-        self._promotion_lock = threading.Lock()
+        self._character_table = None
+        self._normal_lattice = None
         self._derived = None
         self.classes, self.class_of = self._conjugacy_classes()
+        self.class_sizes = np.array([c.size for c in self.classes], dtype=np.int64)
+        self.class_reps = np.array([c.representative for c in self.classes], dtype=np.intp)
+        for shared in (self.class_of, self.class_sizes, self.class_reps):
+            shared.flags.writeable = False
         self.exponent = math.lcm(*np.unique(self._orders).tolist())
 
     # -- element arithmetic ----------------------------------------------
@@ -364,7 +375,7 @@ class Group:
         members = [[] for _ in representatives]
         for x, label in enumerate(class_of):
             members[label].append(x)
-        return [ConjugacyClass(r, m) for r, m in zip(representatives, members)], class_of
+        return [ConjugacyClass(r, m) for r, m in zip(representatives, members)], np.array(class_of, dtype=np.intp)
 
     # -- class level ------------------------------------------------------
 
@@ -379,7 +390,7 @@ class Group:
         key = (class_j, k % o)
         cached = self._power_classes.get(key)
         if cached is None:
-            cached = self.class_of[self.power(rep, k % o)]
+            cached = int(self.class_of[self.power(rep, k % o)])
             self._power_classes[key] = cached
         return cached
 
@@ -388,9 +399,6 @@ class Group:
         if self._inverse_class is None:
             self._inverse_class = tuple(self.power_class(j, -1) for j in range(self.num_classes))
         return self._inverse_class
-
-    def centralizer_order(self, class_j):
-        return self.order // self.classes[class_j].size
 
     def p_group_prime(self):
         """The prime p when |G| = p^k with k >= 1, else None."""

@@ -107,7 +107,9 @@ def chief_factor_above(lattice, z):
 
 
 class QuotientMap:
-    """G -> G/N realized as the permutation action on the cosets of N."""
+    """G -> G/N realized as the permutation action on the cosets of N;
+    ``projection`` (per element of G) and ``class_map`` (per class of G) are
+    index arrays into the quotient."""
 
     def __init__(self, source, quotient, projection, section, class_map):
         self.source = source
@@ -120,12 +122,7 @@ class QuotientMap:
         """Pull a class function of the quotient back to the source."""
         if f.group is not self.quotient:
             raise ValueError("class function does not live on the quotient")
-        return ClassFunction.from_coefficients(self.source, f.order, f.num[list(self.class_map)], f.den)
-
-    def preimage_indices(self, quotient_indices):
-        """Source elements mapping into a set of quotient element indices."""
-        wanted = set(quotient_indices)
-        return [i for i, q in enumerate(self.projection) if q in wanted]
+        return ClassFunction.from_coefficients(self.source, f.order, f.num[self.class_map], f.den)
 
     def __repr__(self):
         return f"QuotientMap(|G|={self.source.order} -> |G/N|={self.quotient.order})"
@@ -144,8 +141,5 @@ def quotient(group, normal):
     quot = group_closure([Permutation(row) for row in actions.tolist()], cap=len(reps))
     projection = quot.locate(coset_of[group.products(everything[:, None], reps[quot.base])])
     _, section = np.unique(projection, return_index=True)
-    projection = tuple(projection.tolist())
-    class_map = tuple(
-        quot.class_of[projection[cls.representative]] for cls in group.classes
-    )
+    class_map = quot.class_of[projection[group.class_reps]]
     return QuotientMap(group, quot, projection, tuple(section.tolist()), class_map)

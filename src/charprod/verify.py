@@ -118,11 +118,10 @@ class SuiteReport:
 
 
 def _group_lattice(group, table):
-    lat = getattr(group, "_normal_lattice", None)
-    if lat is None:
-        lat = normal_lattice(group, table)
-        group._normal_lattice = lat
-    return lat
+    with group._promotion_lock:
+        if group._normal_lattice is None:
+            group._normal_lattice = normal_lattice(group, table)
+        return group._normal_lattice
 
 
 class _ModularTable:
@@ -140,7 +139,7 @@ class _ModularTable:
         z_powers = np.array([pow(z_local, k, q) for k in range(tensor.shape[2])], dtype=np.int64)
         fits(tensor.shape[2] * max_abs(tensor) * (q - 1))
         self.values = tensor @ z_powers % q
-        self.weights = np.array([c.size for c in group.classes], dtype=np.int64)
+        self.weights = group.class_sizes
         inv = list(group.inverse_class())
         self.conj_values = self.values[:, inv]
         self.degrees = np.array(table.degrees, dtype=np.int64)
@@ -260,7 +259,7 @@ class GroupSession:
                 ctx = InducedContext.build(self.group, member)
                 fits(ctx.group.num_classes * (q - 1) ** 2)
                 mod_sub = _ModularTable(ctx.table, q, self.z, self.group.exponent)
-                fused = self.mod.values[:, list(ctx.fusion)]
+                fused = self.mod.values[:, ctx.fusion]
                 weighted = fused * mod_sub.weights[None, :] % q
                 r = weighted @ mod_sub.conj_values.T % q * inv_mod(ctx.group.order, q) % q
                 if int(r.max()) > self.bound:
@@ -615,13 +614,9 @@ def _descend(group, table, chi_cf, trail):
         if reduced is None:
             raise CharprodError("character does not descend to the quotient (engine bug)")
         sub_ctx, sub_alpha, sub_chain = _descend(qm.quotient, qtable, reduced, trail)
-        h_quotient_elements = {sub_ctx.to_parent[i] for i in range(sub_ctx.group.order)}
-        h_indices = qm.preimage_indices(h_quotient_elements)
-        h_ctx = InducedContext.build(group, h_indices)
-        classes = [
-            sub_ctx.group.class_of[sub_ctx.from_parent[qm.projection[h_ctx.to_parent[cls.representative]]]]
-            for cls in h_ctx.group.classes
-        ]
+        h_ctx = InducedContext.build(group, np.flatnonzero(sub_ctx.from_parent[qm.projection] >= 0))
+        reps = h_ctx.to_parent[h_ctx.group.class_reps]
+        classes = sub_ctx.group.class_of[sub_ctx.from_parent[qm.projection[reps]]]
         alpha = ClassFunction.from_coefficients(h_ctx.group, sub_alpha.order, sub_alpha.num[classes], sub_alpha.den)
         step = {"step": "quotient", "kernel_order": kernel.order,
                 "quotient_order": qm.quotient.order}
@@ -636,13 +631,12 @@ def _descend(group, table, chi_cf, trail):
     for y_member in chief_factor_above(lattice, z_sub):
         ctx_y = InducedContext.build(group, y_member)
         z_in_y = InducedContext.build(
-            ctx_y.group,
-            [ctx_y.from_parent[p] for p in ctx_z.to_parent],
-            subgroup_group=ctx_z.group,
+            ctx_y.group, ctx_y.from_parent[ctx_z.to_parent], subgroup_group=ctx_z.group
         )
         chi_y = restrict(chi_cf, ctx_y)
-        for iota_idx in ctx_y.table.linear_indices():
-            iota = ctx_y.table.irreducibles[iota_idx]
+        table_y = ctx_y.table
+        for iota_idx in table_y.linear_indices():
+            iota = table_y.irreducibles[iota_idx]
             if restrict(iota, z_in_y) != zeta:
                 continue
             if inner_product(chi_y, iota, characters=True) == 0:
@@ -660,9 +654,9 @@ def _descend(group, table, chi_cf, trail):
                 )
             except SearchExhausted:
                 continue
-            h_indices = [ctx_stab.to_parent[sub_ctx.to_parent[i]]
-                         for i in range(sub_ctx.group.order)]
-            h_ctx = InducedContext.build(group, h_indices, subgroup_group=sub_ctx.group)
+            h_ctx = InducedContext.build(
+                group, ctx_stab.to_parent[sub_ctx.to_parent], subgroup_group=sub_ctx.group
+            )
             if _verify_witness(table, chi_cf, h_ctx, alpha) is None:
                 trail.append({"step": "dead-branch", "y_order": y_member.order,
                               "iota": iota_idx, "stabilizer_order": stab.order})

@@ -344,11 +344,33 @@ def induce_by_summation(f, ctx):
     for cls in parent.classes:
         total = ExactCyclotomic.zero()
         for x in range(parent.order):
-            si = ctx.from_parent.get(parent.conjugate(cls.representative, x))
-            if si is not None:
+            si = ctx.from_parent[parent.conjugate(cls.representative, x)]
+            if si >= 0:
                 total = total + values[ctx.group.class_of[si]]
         out.append(total * Fraction(1, ctx.group.order))
     return ClassFunction(parent, out)
+
+
+def stabilizer_and_orbit_oracle(f, ctx):
+    """The stabilizer of a class function f on a normal subgroup under
+    conjugation by the parent, as an element set, and the orbit as exact value
+    tuples in the order of the first parent element giving each: one
+    ``Group.conjugate`` per parent element and class representative, mapped
+    back into the subgroup by its image row."""
+    parent, sub = ctx.parent, ctx.group
+    values = exact_values(f)
+    reps = [parent.element_index(sub.element(c.representative)) for c in sub.classes]
+    stabilizer, orbit = set(), []
+    for g in range(parent.order):
+        image = tuple(
+            values[sub.class_of[sub.element_index(parent.element(parent.conjugate(x, g)))]]
+            for x in reps
+        )
+        if image == values:
+            stabilizer.add(g)
+        if image not in orbit:
+            orbit.append(image)
+    return frozenset(stabilizer), orbit
 
 
 def compose(p, q):

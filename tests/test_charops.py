@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from charprod import catalog
@@ -22,6 +23,7 @@ from charprod.charops import (
     stabilizer_and_orbit,
     vanishing_off,
 )
+from charprod.chartab import dixon_table
 from charprod.errors import (
     GroupMismatch,
     IntegralityViolation,
@@ -29,8 +31,9 @@ from charprod.errors import (
     NotASubgroup,
     NotNormal,
 )
+from charprod.structure import normal_lattice
 
-from oracles import induce_by_summation
+from oracles import exact_values, induce_by_summation, stabilizer_and_orbit_oracle
 
 
 def degree2(table):
@@ -281,33 +284,46 @@ def test_conjugate_requires_normal(table_of):
         conjugate_character(ctx.table.irreducibles[0], ctx, 1)
 
 
-def test_stabilizer_and_orbit(table_of):
-    t = table_of("dihedral8")
-    g = t.group
-    rot = g.subgroup([g.element_index(g.generators[0])])
-    ctx = InducedContext.build(g, rot)
-    lam = next(l for l in ctx.table.irreducibles if kernel_of(l).order == 1)
-    stab, orbit = stabilizer_and_orbit(lam, ctx)
-    assert stab.order == 4 and len(orbit) == 2
-    one = principal_character(ctx.group)
-    stab1, orbit1 = stabilizer_and_orbit(one, ctx)
-    assert stab1.order == g.order and orbit1 == [one]
-    assert g.order % (len(orbit) * stab.order) == 0
+def _orbit_inputs(group_of):
+    """(context of a normal subgroup, expected stabilizer order and orbit
+    length of its last linear character, or None where only the oracle
+    decides): the rotations of dihedral8 and every member of the normal
+    lattice of heisenberg3."""
+    d8 = group_of("dihedral8")
+    rot = d8.subgroup([d8.element_index(d8.generators[0])])
+    h = group_of("heisenberg3")
+    members = normal_lattice(h, dixon_table(h)).members
+    assert len(members) == 7
+    return [(InducedContext.build(d8, rot), (4, 2))] + [(InducedContext.build(h, m), None) for m in members]
 
 
-def test_orbits_partition_irr(table_of):
-    t = table_of("dihedral8")
-    g = t.group
-    rot = g.subgroup([g.element_index(g.generators[0])])
-    ctx = InducedContext.build(g, rot)
-    seen = set()
-    for lam in ctx.table.irreducibles:
-        _, orbit = stabilizer_and_orbit(lam, ctx)
-        block = frozenset(f.value_key() for f in orbit)
-        for other in seen:
-            assert other == block or not (other & block)
-        seen.add(block)
-    assert sum(len(b) for b in set(seen)) == len(ctx.table.irreducibles)
+def test_stabilizer_and_orbit(group_of):
+    for ctx, expected in _orbit_inputs(group_of):
+        g = ctx.parent
+        assert ctx.subgroup.is_normal
+        lam = ctx.table.irreducibles[ctx.table.linear_indices()[-1]]
+        stab, orbit = stabilizer_and_orbit(lam, ctx)
+        stab_oracle, orbit_oracle = stabilizer_and_orbit_oracle(lam, ctx)
+        assert stab.element_set == stab_oracle
+        assert [exact_values(f) for f in orbit] == orbit_oracle
+        assert len(orbit) * stab.order == g.order
+        if expected is not None:
+            assert (stab.order, len(orbit)) == expected
+        one = principal_character(ctx.group)
+        stab1, orbit1 = stabilizer_and_orbit(one, ctx)
+        assert stab1.order == g.order and orbit1 == [one]
+
+
+def test_orbits_partition_irr(group_of):
+    for ctx, _ in _orbit_inputs(group_of):
+        seen = set()
+        for lam in ctx.table.irreducibles:
+            _, orbit = stabilizer_and_orbit(lam, ctx)
+            block = frozenset(f.value_key() for f in orbit)
+            for other in seen:
+                assert other == block or not (other & block)
+            seen.add(block)
+        assert sum(len(b) for b in set(seen)) == len(ctx.table.irreducibles)
 
 
 def test_clifford_correspondent_d8(table_of):
@@ -381,3 +397,34 @@ def test_context_rejects_a_set_that_is_not_a_subgroup():
     with pytest.raises(NotASubgroup):
         InducedContext.build(g, [0, x])
     assert g._promotions == {}
+
+
+def test_building_a_context_builds_no_table():
+    g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
+    center = g.subgroup([next(i for i in range(1, g.order) if g.classes[g.class_of[i]].size == 1)])
+    ctx = InducedContext.build(g, center)
+    assert ctx.group._character_table is None
+    assert g._character_table is None
+    table = ctx.table
+    assert ctx.group._character_table is table
+    assert InducedContext.build(g, center).table is table
+
+
+@pytest.mark.parametrize("gid", ["dihedral8", "sl23", "heisenberg3"])
+def test_context_embedding_invariants(group_of, gid):
+    g = group_of(gid)
+    rng = random.Random(19)
+    subgroups = [g.subgroup([rng.randrange(g.order)]) for _ in range(4)]
+    subgroups += list(normal_lattice(g, dixon_table(g)).members)
+    for sub in subgroups:
+        ctx = InducedContext.build(g, sub)
+        h = ctx.group
+        assert np.array_equal(ctx.from_parent[ctx.to_parent], np.arange(h.order))
+        inside = np.zeros(g.order, dtype=bool)
+        inside[list(sub.element_indices)] = True
+        assert (ctx.from_parent[~inside] == -1).all()
+        assert (ctx.from_parent[inside] >= 0).all()
+        assert np.array_equal(ctx.fusion, g.class_of[ctx.to_parent[h.class_reps]])
+        for c, cls in enumerate(h.classes):
+            x = g.element_index(h.element(cls.representative))
+            assert ctx.fusion[c] == g.class_of[x] and ctx.to_parent[cls.representative] == x

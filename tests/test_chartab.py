@@ -162,6 +162,42 @@ def test_determinism_same_group(group_of):
     assert [chi.value_key() for chi in a.irreducibles] == [chi.value_key() for chi in b.irreducibles]
 
 
+def test_table_is_built_once_across_threads(monkeypatch):
+    import sys
+    import threading
+    import time
+
+    from charprod import catalog, chartab
+
+    g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
+    split = chartab._split_eigenspaces
+
+    def slow_split(*args):
+        time.sleep(0.05)
+        return split(*args)
+
+    monkeypatch.setattr(chartab, "_split_eigenspaces", slow_split)
+    start = threading.Barrier(8)
+    tables = []
+
+    def worker():
+        start.wait(timeout=30)
+        tables.append(dixon_table(g))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(tables) == 8 and all(t is tables[0] for t in tables)
+
+
 def test_determinism_generator_order():
     one, _ = parse_generators("(1 2 3 4)\n(1 3)")
     two, _ = parse_generators("(1 3)\n(1 2 3 4)")
