@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .charops import ClassFunction
-from .cyclotomic import _reduction_matrix, fits, matmul_exact, max_abs
+from .cyclotomic import _reduction_matrix, fits, matmul_exact, max_abs, products_exact
 from .errors import EigensplitStall, LiftInconsistent
 from .modular import (
     charpoly_mod,
@@ -77,12 +77,14 @@ class CharacterTable:
         """Integer coefficients of every value at the common order, shape
         (irreducibles, classes, phi(order)): the stacked rows of the
         irreducibles.  Values are algebraic integers.  This is the one integer
-        image of the table; it is built once."""
+        image of the table; it is built once, under the group's lock."""
         if self._tensor is None:
-            order = self.irreducibles[0].order
-            if any(chi.den != 1 or chi.order != order for chi in self.irreducibles):
-                raise LiftInconsistent("table rows are not algebraic integers at one order")
-            self._tensor = order, np.stack([chi.num for chi in self.irreducibles])
+            with self.group._promotion_lock:
+                if self._tensor is None:
+                    order = self.irreducibles[0].order
+                    if any(chi.den != 1 or chi.order != order for chi in self.irreducibles):
+                        raise LiftInconsistent("table rows are not algebraic integers at one order")
+                    self._tensor = order, np.stack([chi.num for chi in self.irreducibles])
         return self._tensor
 
     def to_text(self):
@@ -122,25 +124,38 @@ def _split_eigenspaces(group, q):
     """Common eigenspaces of the class matrices over GF(q), split by applying
     the matrices in ascending class index until every space is 1-dimensional.
     A space is an echelon basis (columns) with the rows at its pivots forming
-    the identity, so a class matrix acts on it by the image's pivot rows."""
+    the identity, so a class matrix acts on it by the image's pivot rows.
+    Each class matrix makes one product, with the open bases side by side,
+    and each space one product with its eigenspace kernels side by side; a
+    space on which the class matrix acts as a scalar stays as it is."""
     m = group.num_classes
     fits(m * (q - 1) ** 2)
     spaces = [(np.eye(m, dtype=np.int64), np.arange(m))]
     for i in range(1, m):
-        if all(len(pivots) == 1 for _, pivots in spaces):
+        wide = [basis for basis, pivots in spaces if len(pivots) > 1]
+        if not wide:
             break
-        mat = class_constants(group, i) % q
-        refined = []
+        images = matmul_exact(class_constants(group, i) % q, np.hstack(wide)) % q
+        refined, start = [], 0
         for basis, pivots in spaces:
             k = len(pivots)
             if k == 1:
                 refined.append((basis, pivots))
                 continue
-            action = solve_columns_mod(basis, pivots, mat @ basis % q, q)
-            for lam in poly_roots_mod(charpoly_mod(action, q), q):
-                kernel, free = nullspace_mod(action - lam * np.eye(k, dtype=np.int64), q)
-                if free.size:
-                    refined.append((basis @ kernel % q, pivots[free]))
+            action = solve_columns_mod(basis, pivots, images[:, start:start + k], q)
+            start += k
+            eye = np.eye(k, dtype=np.int64)
+            if np.array_equal(action, action[0, 0] * eye):
+                refined.append((basis, pivots))
+                continue
+            kernels = [nullspace_mod(action - lam * eye, q) for lam in poly_roots_mod(charpoly_mod(action, q), q)]
+            if not kernels:
+                raise EigensplitStall("a class matrix has no eigenvalue mod q on a joint eigenspace")
+            split = matmul_exact(basis, np.hstack([kernel for kernel, _ in kernels])) % q
+            done = 0
+            for _, free in kernels:
+                refined.append((split[:, done:done + free.size], pivots[free]))
+                done += free.size
         spaces = refined
     if any(len(pivots) != 1 for _, pivots in spaces):
         raise EigensplitStall("class matrices left a joint eigenspace unsplit")
@@ -148,17 +163,22 @@ def _split_eigenspaces(group, q):
 
 
 def _lift_degree(omega, group, q, lift):
-    """chi(1) from the orthogonality normalization; unique below sqrt(|G|)."""
+    """chi(1) from the orthogonality normalization, unique below sqrt(|G|),
+    for central characters omega along the last axis: an int64 array of
+    shape omega.shape[:-1]."""
     inv_sizes = lift[1]
-    fits(len(omega) * (q - 1) ** 2)
+    fits(omega.shape[-1] * (q - 1) ** 2)
     inv_class = np.asarray(group.inverse_class())
-    s = int((omega * omega[inv_class] % q) @ inv_sizes % q)
-    dsq = group.order * inv_mod(s, q) % q
+    sums = matmul_exact(omega * omega[..., inv_class] % q, inv_sizes) % q
     limit = math.isqrt(group.order)
-    hits = [d for d in range(1, limit + 1) if d * d % q == dsq]
-    if len(hits) != 1:
-        raise LiftInconsistent(f"degree lift ambiguous or missing: {hits}")
-    return hits[0]
+    degrees = []
+    for s in sums.ravel().tolist():
+        dsq = group.order * inv_mod(s, q) % q
+        hits = [d for d in range(1, limit + 1) if d * d % q == dsq]
+        if len(hits) != 1:
+            raise LiftInconsistent(f"degree lift ambiguous or missing: {hits}")
+        degrees.append(hits[0])
+    return np.array(degrees, dtype=np.int64).reshape(sums.shape)
 
 
 def _value_lift(group, q, z):
@@ -180,18 +200,20 @@ def _value_lift(group, q, z):
 
 
 def _lift_values(omega, degree, q, lift):
-    """Power-basis coefficients (classes x phi(exponent)) of the values of one
-    character, via the Fourier sum over the power map.
+    """Power-basis coefficients (classes x phi(exponent)) of the values of
+    characters, via the Fourier sum over the power map: one array per
+    central character omega (last axis) and its degree (``_lift_degree``).
 
     Row j of the DFT holds the eigenvalue multiplicities of r_j: multiplicity
     k of an element of order o lands on coefficient k * exponent / o."""
     power_map, inv_sizes, dft, reduction = lift
     fits(len(dft) * (q - 1) ** 2)
-    chi_mod = degree * (omega * inv_sizes % q)[power_map] % q
-    mult = chi_mod @ dft % q
+    degree = np.asarray(degree)[..., None, None]
+    chi_mod = degree * (omega * inv_sizes % q)[..., power_map] % q
+    mult = matmul_exact(chi_mod, dft) % q
     if (mult > degree).any():
-        raise LiftInconsistent(f"eigenvalue multiplicity {int(mult.max())} exceeds the degree {degree}")
-    if (mult.sum(axis=1) != degree).any():
+        raise LiftInconsistent("an eigenvalue multiplicity exceeds the degree")
+    if (mult.sum(axis=-1) != degree[..., 0]).any():
         raise LiftInconsistent("eigenvalue multiplicities do not sum to the degree")
     return matmul_exact(mult, reduction)
 
@@ -199,18 +221,19 @@ def _lift_values(omega, degree, q, lift):
 def _coefficient_gram(x, y, red):
     """Power-basis coefficients of sum_c x[i, c] * y[j, c] for tables x, y of
     cyclotomic values given by their coefficients (last axis).  The product's
-    coefficient of degree s = a + b is built by integer matmuls of the degree-a
-    and degree-b slices, then reduced by ``red``; exact over Z, by the checked
-    bound on every entry and partial sum."""
-    xs = np.ascontiguousarray(x.transpose(2, 0, 1))
-    ys = np.ascontiguousarray(y.transpose(2, 1, 0))
-    phi = len(xs)
-    fits(len(red) * phi * xs.shape[2] * max_abs(x) * max_abs(y) * max_abs(red))
-    prod = np.zeros((2 * phi - 1, xs.shape[1], ys.shape[2]), dtype=np.int64)
-    for a in range(phi):
-        for b in range(phi):
-            prod[a + b] += xs[a] @ ys[b]
-    return np.tensordot(prod, red, axes=(0, 0))
+    coefficient of degree s sums the products of the degree-a slice of x and
+    the degree-b slice of y over a + b = s: one exact product per slice b
+    against all slices a stacked, then reduced by ``red``; exact over Z, by
+    the checked bound on every entry and partial sum."""
+    ni, c, phi = x.shape
+    nj = y.shape[0]
+    fits(len(red) * phi * c * max_abs(x) * max_abs(y) * max_abs(red))
+    prod = np.zeros((2 * phi - 1, ni, nj), dtype=np.int64)
+    blocks = products_exact(x.transpose(2, 0, 1), y.transpose(2, 1, 0))
+    for b in range(phi):
+        prod[b:b + phi] += next(blocks)
+    blocks.close()  # frees the float64 operands before the reduction
+    return matmul_exact(prod.reshape(2 * phi - 1, ni * nj).T, red).reshape(ni, nj, phi)
 
 
 def _orthogonality_defect(table):
@@ -267,13 +290,18 @@ def _build_table(group):
     vectors = _split_eigenspaces(group, q)
     lift = _value_lift(group, q, z)
 
+    vectors = np.stack(vectors)
+    if not vectors[:, 0].all():
+        raise LiftInconsistent("central character vanishes on the identity class")
+    omegas = vectors * np.array([inv_mod(v, q) for v in vectors[:, 0].tolist()])[:, None] % q
+    degrees = _lift_degree(omegas, group, q, lift)
+    # m // exponent characters a step, so that each step's (characters,
+    # classes, exponent) arrays hold about m^2 entries, as a class matrix does
+    step = max(1, m // exponent)
     characters = []
-    for vec in vectors:
-        if vec[0] == 0:
-            raise LiftInconsistent("central character vanishes on the identity class")
-        omega = vec * inv_mod(int(vec[0]), q) % q
-        degree = _lift_degree(omega, group, q, lift)
-        characters.append(ClassFunction.from_coefficients(group, exponent, _lift_values(omega, degree, q, lift)))
+    for i in range(0, len(omegas), step):
+        values = _lift_values(omegas[i:i + step], degrees[i:i + step], q, lift)
+        characters.extend(ClassFunction.from_coefficients(group, exponent, num) for num in values)
 
     one = np.zeros_like(characters[0].num)
     one[:, 0] = 1

@@ -5,13 +5,24 @@ A value of order e is written in the power basis 1, x, ..., x^(phi(e)-1) of
 Q(zeta_e), reduced modulo the e-th cyclotomic polynomial.  The engine keeps
 values as int64 coefficient arrays over a denominator (last axis: the basis)
 and computes with the constant matrices below: products, complex conjugation
-and embeddings into a multiple order are integer matrix products.  Every
-product is checked against 2^63 before it runs (``matmul_exact``), so no
-coefficient wraps silently.  ``Cyclotomic`` is the text format of one value.
+and embeddings into a multiple order are integer matrix products.
+
+``matmul_exact`` is the one exact integer matrix product of the engine.  It
+bounds every entry and partial sum by inner dimension x max|x| x max|y| and
+refuses a bound of 2^63 or more with CharprodError, so no coefficient wraps
+silently.  Below 2^53 it makes one float64 (BLAS) product: every partial sum
+is then an integer that float64 holds exactly, in any summation order.
+Between 2^53 and 2^63 it splits the operand of larger entries into signed
+base-2^k limbs, with k chosen so that each limb product stays below 2^53,
+and adds the shifted limb products in int64 (the delayed reduction of
+FFLAS-FFPACK: Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  Each float64
+product runs in row blocks of at most ``BLAS_BLOCK`` multiply-adds.
+``Cyclotomic`` is the text format of one value.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -113,16 +124,98 @@ def int64_array(values):
 
 def fits(bound):
     """Raise CharprodError unless ``bound``, a bound on every int64 entry and
-    partial sum of the next step, is below 2^63."""
+    partial sum of the next step, is below 2^63.  ``matmul_exact`` checks
+    its bound here and then runs one float64 product when it is below 2^53,
+    or limb products when it lies between 2^53 and 2^63."""
     if bound >= 2**63:
         raise CharprodError("coefficient arithmetic could exceed 64 bits")
 
 
+FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
+# Multiply-adds per float64 product call.  OpenBLAS runs a product of at
+# most 4 x 65536 = 2^18 of them on the calling thread (its default
+# GEMM_MULTITHREAD_THRESHOLD); a larger one may wake its worker threads,
+# which then spin for up to about 0.1 s after the call: CPU time that the
+# eigenspace split and the orthogonality check would pay after every one
+# of their medium-sized products, for little wall time.  A single row of
+# more than 2^18 multiply-adds is still one call.
+BLAS_BLOCK = 2**18
+
+
 def matmul_exact(x, y):
-    """x @ y over int64, after checking the bound inner dimension times
-    max|x| times max|y| on every entry and partial sum."""
-    fits(x.shape[-1] * max_abs(x) * max_abs(y))
-    return x @ y
+    """x @ y for integer arrays, exact, as int64: the one exact integer matrix
+    product of the engine.
+
+    The bound n * max|x| * max|y| (n the inner dimension) covers every entry
+    and partial sum; ``fits`` refuses it from 2^63 on with CharprodError.
+    Below 2^53 the product is one float64 (BLAS) product: each partial sum
+    is an integer below 2^53, which float64 holds exactly, so the result is
+    exact in any summation order.  Between 2^53 and 2^63 the operand of
+    larger entries is split into signed base-2^k digits (limbs), with
+    n * (smaller max) * (2^k - 1) below 2^53, so each limb product is exact in
+    float64; the limb products are shifted back and summed in int64."""
+    x_limbs, y_limbs, width = _limb_operands(x, y)
+    return _limb_sum(x_limbs, y_limbs, width)
+
+
+def products_exact(x, ys):
+    """``matmul_exact(x, y)`` for each y along the first axis of ``ys``, one
+    at a time, under one bound over the whole stack, with x and ys each cast
+    to float64 once."""
+    x_limbs, y_limbs, width = _limb_operands(x, ys)
+    for t in range(len(ys)):
+        yield _limb_sum(x_limbs, [yl[t] for yl in y_limbs], width)
+
+
+def _limb_operands(x, y):
+    """The float64 limbs of x and of y, and the limb width k, for the exact
+    product x @ y.  k >= 1 because n times the smaller max squared is below
+    2^63 and no array has 2^43 columns."""
+    n = x.shape[-1]
+    mx, my = max_abs(x), max_abs(y)
+    bound = n * mx * my
+    fits(bound)
+    width = count = 1
+    if bound >= FLOAT_EXACT:
+        width = ((FLOAT_EXACT - 1) // (n * min(mx, my)) + 1).bit_length() - 1
+        count = -(-max(mx, my).bit_length() // width)
+    return _limbs(x, width, count if mx > my else 1), _limbs(y, width, 1 if mx > my else count), width
+
+
+def _limb_sum(x_limbs, y_limbs, width):
+    """The sum over limb pairs k of (x limb @ y limb) * 2^(width k), in int64;
+    one of the two lists has a single entry, so pair k holds limb k.  Each
+    partial sum is the product with the operand's low digits, whose entries
+    are no larger than the operand's, so it stays within the checked bound."""
+    out = None
+    for k, (xl, yl) in enumerate(itertools.product(x_limbs, y_limbs)):
+        part = _float_matmul(xl, yl).astype(np.int64)
+        out = part if out is None else out + (part << width * k)
+    return out
+
+
+def _float_matmul(x, y):
+    """x @ y for float64 arrays, y 1-D or 2-D, made in row blocks of at most
+    BLAS_BLOCK multiply-adds each."""
+    n = x.shape[-1]
+    step = max(1, BLAS_BLOCK // max(1, n * (y.shape[1] if y.ndim == 2 else 1)))
+    if x.size <= step * n:
+        return x @ y
+    rows = x.reshape(-1, n)
+    out = np.empty((len(rows),) + y.shape[1:])
+    for start in range(0, len(rows), step):
+        np.matmul(rows[start:start + step], y, out=out[start:start + step])
+    return out.reshape(x.shape[:-1] + y.shape[1:])
+
+
+def _limbs(a, width, count):
+    """``count`` C-ordered float64 arrays of the signed base-2^width digits
+    of the integer array a, lowest first; a itself when count is 1."""
+    if count == 1:
+        return [a.astype(np.float64, order="C")]
+    sign, mag = np.sign(a), np.abs(a)
+    mask = (1 << width) - 1
+    return [(sign * ((mag >> (width * i)) & mask)).astype(np.float64, order="C") for i in range(count)]
 
 
 @lru_cache(maxsize=None)

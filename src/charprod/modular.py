@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cyclotomic import matmul_exact
+
 
 def is_prime(n):
     if n < 2:
@@ -112,7 +114,7 @@ def solve_columns_mod(b, pivots, target, q):
     rows at ``pivots`` form the identity: x is target at those rows.
     ArithmeticError when a target column lies outside the span."""
     x = target[pivots] % q
-    if not np.array_equal(b @ x % q, target % q):
+    if not np.array_equal(matmul_exact(b, x) % q, target % q):
         raise ArithmeticError("inconsistent system: target outside the span")
     return x
 

@@ -203,8 +203,8 @@ class Subgroup:
     """A subgroup of a parent Group as a sorted set of element indices, given
     as any iterable of indices or as an index array.
 
-    ``is_normal`` is computed on first read: lattice members are intersections
-    of kernels and never need the check."""
+    ``is_normal`` is computed on first read, once, under the parent's lock:
+    lattice members are intersections of kernels and never need the check."""
 
     __slots__ = ("parent", "element_indices", "element_set", "_is_normal", "_generators")
 
@@ -220,7 +220,9 @@ class Subgroup:
     @property
     def is_normal(self):
         if self._is_normal is None:
-            self._is_normal = self.parent._is_conjugation_closed(self.element_indices)
+            with self.parent._promotion_lock:
+                if self._is_normal is None:
+                    self._is_normal = self.parent._is_conjugation_closed(self.element_indices)
         return self._is_normal
 
     @property
@@ -287,7 +289,8 @@ class Group:
         self._orders = self._element_orders()
         self._power_classes = {}
         self._inverse_class = None
-        # one lock makes the table, the lattice and every context compute-once
+        # one lock makes the table, the lattice, every context and the
+        # power-class, normality and tensor caches compute-once
         self._promotion_lock = threading.RLock()
         self._promotions = {}
         self._character_table = None
@@ -390,8 +393,11 @@ class Group:
         key = (class_j, k % o)
         cached = self._power_classes.get(key)
         if cached is None:
-            cached = int(self.class_of[self.power(rep, k % o)])
-            self._power_classes[key] = cached
+            with self._promotion_lock:
+                cached = self._power_classes.get(key)
+                if cached is None:
+                    cached = int(self.class_of[self.power(rep, k % o)])
+                    self._power_classes[key] = cached
         return cached
 
     def inverse_class(self):

@@ -31,7 +31,7 @@ from .charops import (
     stabilizer_and_orbit,
 )
 from .chartab import dixon_table
-from .cyclotomic import conjugate, fits, max_abs, multiply
+from .cyclotomic import conjugate, fits, matmul_exact, multiply
 from .errors import (
     CharprodError,
     HypothesisNotMet,
@@ -137,8 +137,7 @@ class _ModularTable:
             raise CharprodError("value order does not divide the imaging order")
         z_local = pow(z, top_exponent // order, q)
         z_powers = np.array([pow(z_local, k, q) for k in range(tensor.shape[2])], dtype=np.int64)
-        fits(tensor.shape[2] * max_abs(tensor) * (q - 1))
-        self.values = tensor @ z_powers % q
+        self.values = matmul_exact(tensor, z_powers) % q
         self.weights = group.class_sizes
         inv = list(group.inverse_class())
         self.conj_values = self.values[:, inv]
@@ -181,12 +180,12 @@ class GroupSession:
             fits(m * (q - 1) ** 2)
             pv = v[:, None, :] * v[None, :, :] % q * w[None, None, :] % q
             flat = pv.reshape(n_irr * n_irr, m)
-            a = flat @ self.mod.conj_values.T % q * inv_mod(self.group.order, q) % q
+            a = matmul_exact(flat, self.mod.conj_values.T) % q * inv_mod(self.group.order, q) % q
             a = a.reshape(n_irr, n_irr, n_irr)
             if int(a.max()) > self.bound:
                 raise CharprodError("product multiplicity exceeded its a-priori bound")
             degs = self.mod.degrees
-            if not np.array_equal(a @ degs, np.outer(degs, degs)):
+            if not np.array_equal(matmul_exact(a, degs), np.outer(degs, degs)):
                 raise CharprodError("product decompositions fail the degree identity")
             conj = [self.table.conjugate_index(i) for i in range(n_irr)]
             if any(int(a[i, conj[i], 0]) != 1 for i in range(n_irr)):
@@ -261,10 +260,10 @@ class GroupSession:
                 mod_sub = _ModularTable(ctx.table, q, self.z, self.group.exponent)
                 fused = self.mod.values[:, ctx.fusion]
                 weighted = fused * mod_sub.weights[None, :] % q
-                r = weighted @ mod_sub.conj_values.T % q * inv_mod(ctx.group.order, q) % q
+                r = matmul_exact(weighted, mod_sub.conj_values.T) % q * inv_mod(ctx.group.order, q) % q
                 if int(r.max()) > self.bound:
                     raise CharprodError("restriction multiplicity exceeded its bound")
-                if not np.array_equal(r @ mod_sub.degrees, self.mod.degrees):
+                if not np.array_equal(matmul_exact(r, mod_sub.degrees), self.mod.degrees):
                     raise CharprodError("restriction matrix fails the degree identity")
                 positive = r > 0
                 col_support = positive.sum(axis=0)
@@ -370,7 +369,7 @@ def check_theorem_B(group, group_id="group", session=None):
     pi, pj = pi[keep], pj[keep]
     pairs = list(zip(pi.tolist(), pj.tolist()))
     # which irreducibles occur in each product chi psi
-    occurs = (a[pi, pj] > 0).astype(np.float64)
+    occurs = a[pi, pj] > 0
     verdicts = {pair: None for pair in pairs}
     for data in normals:
         if not pairs:
@@ -378,10 +377,8 @@ def check_theorem_B(group, group_id="group", session=None):
         r = data["R"]
         over = r > 0
         relevant = data["inducer_exists"][pi] | data["inducer_exists"][pj]
-        # under[k, gamma]: how many constituents of pair k lie over gamma.  The
-        # entries are counts of at most n irreducibles, far below 2^24, so the
-        # floating-point product is exact.
-        under = occurs @ over.astype(np.float64)
+        # under[k, gamma]: how many constituents of pair k lie over gamma
+        under = matmul_exact(occurs, over)
         bad_cols = data["col_support"] != 1
         if data["normal_index"] == p:
             bad_cols = bad_cols | (data["single_mult"] != 1)

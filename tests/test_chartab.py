@@ -198,6 +198,63 @@ def test_table_is_built_once_across_threads(monkeypatch):
     assert len(tables) == 8 and all(t is tables[0] for t in tables)
 
 
+def test_coefficient_tensor_is_built_once_across_threads(monkeypatch, table_of):
+    import sys
+    import threading
+    import time
+
+    table = CharacterTable(table_of("heisenberg3").group, table_of("heisenberg3").irreducibles)
+    stack = np.stack
+
+    def slow_stack(*args, **kwargs):
+        time.sleep(0.05)
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", slow_stack)
+    start = threading.Barrier(8)
+    tensors = []
+
+    def worker():
+        start.wait(timeout=30)
+        tensors.append(table.coefficient_tensor())
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(tensors) == 8 and all(t is tensors[0] for t in tensors)
+
+
+def test_scalar_actions_leave_their_space_alone(monkeypatch):
+    """A class matrix acting on a space as a scalar leaves it unsplit, with no
+    characteristic polynomial: heisenberg3 needs 5 of them, not 12, and its
+    table is unchanged."""
+    import hashlib
+    import json
+
+    from charprod import catalog, chartab
+
+    calls = []
+    charpoly = chartab.charpoly_mod
+
+    def counted(*args):
+        calls.append(args)
+        return charpoly(*args)
+
+    monkeypatch.setattr(chartab, "charpoly_mod", counted)
+    g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
+    text = json.dumps(dixon_table(g).to_json(), sort_keys=True)
+    assert len(calls) == 5
+    assert hashlib.sha256(text.encode()).hexdigest() == "151da976c042a5076024fb32be5bb924402920816419e58f64d3a73b176d7d94"
+
+
 def test_determinism_generator_order():
     one, _ = parse_generators("(1 2 3 4)\n(1 3)")
     two, _ = parse_generators("(1 3)\n(1 2 3 4)")

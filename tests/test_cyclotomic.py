@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charprod import catalog
+from charprod import catalog, cyclotomic
 from charprod.charops import ClassFunction, inner_product
 from charprod.chartab import dixon_table
 from charprod.cyclotomic import (
@@ -20,7 +20,9 @@ from charprod.cyclotomic import (
     divisors,
     embed,
     euler_phi,
+    matmul_exact,
     multiply,
+    products_exact,
 )
 from charprod.errors import CharprodError
 
@@ -202,7 +204,8 @@ def class_functions(draw, order):
     return ClassFunction(_GROUP, _exact_rows(num, order, den))
 
 
-@given(st.data(), st.fractions(max_denominator=7).filter(lambda r: abs(r) < 50))
+# bounded, so no draw is rejected; the domain is still |r| < 50
+@given(st.data(), st.fractions(min_value=-50, max_value=50, max_denominator=7).filter(lambda r: abs(r) != 50))
 @settings(max_examples=60, deadline=None)
 def test_class_function_arithmetic_matches_the_reference(data, r):
     """Two class functions, the second at a divisor of the first one's order."""
@@ -253,3 +256,85 @@ def test_coefficients_never_wrap(table_of):
         chi * 2**70
     with pytest.raises(CharprodError):
         ClassFunction(chi.group, [2**63] * chi.group.num_classes)
+
+
+# -- the exact integer product ---------------------------------------------------
+
+
+def _python_product(x, y):
+    return (x.astype(object) @ y.astype(object)).tolist()
+
+
+def _matrix(draw, rows, cols, entries):
+    return np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64).reshape(
+        rows, cols
+    )
+
+
+@st.composite
+def product_operands(draw):
+    """Signed operands whose bound n * max|x| * max|y| lies anywhere below
+    2^63: n <= 5, max|x| <= 2^ex and max|y| <= 2^ey with ex + ey <= 60."""
+    n, rows, cols = (draw(st.integers(1, 5)) for _ in range(3))
+    ex = draw(st.integers(0, 57))
+    ey = draw(st.integers(0, 60 - ex))
+    return (
+        _matrix(draw, rows, n, st.integers(-(2**ex), 2**ex)),
+        _matrix(draw, n, cols, st.integers(-(2**ey), 2**ey)),
+    )
+
+
+@given(product_operands())
+@settings(max_examples=300, deadline=None)
+def test_matmul_exact_matches_python_integers(operands):
+    x, y = operands
+    got = matmul_exact(x, y)
+    assert got.dtype == np.int64 and got.tolist() == _python_product(x, y)
+    assert matmul_exact(y.T, x.T).tolist() == _python_product(y.T, x.T)
+    stack = np.stack([y, -y, y // 3])
+    for got, want in zip(products_exact(x, stack), stack):
+        assert got.tolist() == _python_product(x, want)
+
+
+_NEAR_2_40 = st.integers(2**40 - 2**24, 2**40).flatmap(lambda v: st.sampled_from([v, -v]))
+_NEAR_2_12 = st.integers(2**12, 2**13).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_limb_products_near_2_40(data):
+    """Entries near 2^40 against entries near 2^12 with three columns: the
+    bound lies between 2^53 and 2^63, so one operand is split into limbs."""
+    x = _matrix(data.draw, 4, 3, _NEAR_2_40)
+    y = _matrix(data.draw, 3, 5, _NEAR_2_12)
+    assert 2**53 <= 3 * int(np.abs(x).max()) * int(np.abs(y).max()) < 2**63
+    assert matmul_exact(x, y).tolist() == _python_product(x, y)
+    assert matmul_exact(y.T, x.T).tolist() == _python_product(y.T, x.T)
+
+
+def test_matmul_exact_at_the_float_edges():
+    # bound 2^53 - 2: one float64 product, exact
+    x = np.array([[2**52 - 1, 2**52 - 1]])
+    assert matmul_exact(x, np.ones((2, 1), dtype=np.int64)).tolist() == [[2**53 - 2]]
+    # 2^53 + 1 has no float64 image: exact only through the limbs
+    for x, y in (([[2**53 + 1]], [[1]]), ([[2**27, 1]], [[2**26], [1]]), ([[2**60 - 1, -3]], [[1], [1]])):
+        x, y = np.array(x), np.array(y)
+        assert matmul_exact(x, y).tolist() == _python_product(x, y)
+        assert matmul_exact(y.T, x.T).tolist() == _python_product(y.T, x.T)
+
+
+def test_products_past_one_blas_block_are_assembled_from_row_blocks():
+    rng = np.random.default_rng(7)
+    x = rng.integers(-(2**20), 2**20, size=(2, 1500, 90))
+    for y in (rng.integers(-(2**20), 2**20, size=(90, 4)), rng.integers(-(2**20), 2**20, size=90)):
+        assert x.shape[-1] * (y.shape[-1] if y.ndim == 2 else 1) * len(x) * len(x[0]) > cyclotomic.BLAS_BLOCK
+        assert matmul_exact(x, y).tolist() == (x.astype(object) @ y.astype(object)).tolist()
+
+
+def test_matmul_exact_refuses_a_bound_of_2_63():
+    with pytest.raises(CharprodError, match="64 bits"):
+        matmul_exact(np.array([[2**62]]), np.array([[2]]))
+    with pytest.raises(CharprodError, match="64 bits"):
+        matmul_exact(np.full((1, 4), 2**61), np.ones((4, 1), dtype=np.int64))
+    with pytest.raises(CharprodError, match="64 bits"):
+        next(products_exact(np.full((1, 2), 2**31), np.full((3, 2, 1), 2**31)))
