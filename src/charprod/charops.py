@@ -19,10 +19,10 @@ from .cyclotomic import (
     conjugate,
     embed,
     fits,
+    gram,
     int64_array,
     matmul_exact,
     multiply,
-    reduce_outer,
 )
 from .errors import (
     CharprodError,
@@ -178,20 +178,29 @@ def inner_product(a, b, characters=False):
 
     With characters=True the result is asserted to be a nonnegative integer.
     """
-    if a.group is not b.group:
+    return next(_inner_products(a.group, a.num[None], a.order, a.den, b, characters))
+
+
+def _inner_products(g, rows, order, den, f, characters=False):
+    """[row, f] for each row of ``rows``, the coefficients (rows, classes,
+    phi(order)) over ``den`` of class functions on the group g, in row order:
+    one exact Gram of the weighted rows against conj(f).  Each is checked as
+    ``inner_product`` checks one, when it is taken; GroupMismatch, when the
+    first is taken, unless f lives on g."""
+    if f.group is not g:
         raise GroupMismatch("class functions live on different groups")
-    g = a.group
-    order, x, y = a._at_common_order(b)
+    target = math.lcm(order, f.order)
+    x = embed(rows, order, target)
     fits(max_abs(x) * g.order)
-    # sum over classes of |C| times the outer product of a and conj(b), reduced once
-    outer = matmul_exact((x * g.class_sizes[:, None]).T, conjugate(y, order))
-    total = reduce_outer(outer, order)
-    if total[1:].any():
-        raise IntegralityViolation("inner product is not rational")
-    rational = Fraction(int(total[0]), g.order * a.den * b.den)
-    if characters and (rational.denominator != 1 or rational < 0):
-        raise IntegralityViolation(f"character inner product {rational} is not a nonnegative integer")
-    return rational
+    y = conjugate(embed(f.num, f.order, target), target)
+    totals = gram(x * g.class_sizes[:, None], y[None], target)[:, 0]
+    for total in totals:
+        if total[1:].any():
+            raise IntegralityViolation("inner product is not rational")
+        rational = Fraction(int(total[0]), g.order * den * f.den)
+        if characters and (rational.denominator != 1 or rational < 0):
+            raise IntegralityViolation(f"character inner product {rational} is not a nonnegative integer")
+        yield rational
 
 
 @dataclass(frozen=True)
@@ -204,24 +213,13 @@ class Decomposition:
     def eta(self):
         return len(self.constituents)
 
-    def multiplicity(self, index):
-        for i, m in self.constituents:
-            if i == index:
-                return m
-        return 0
-
-    @property
-    def indices(self):
-        return tuple(i for i, _ in self.constituents)
-
     def reconstruct(self, table):
-        total = None
-        for i, m in self.constituents:
-            part = table.irreducibles[i] * m
-            total = part if total is None else total + part
-        if total is None:
-            total = ClassFunction(table.group, [0] * table.group.num_classes)
-        return total
+        """The sum of the constituents with their multiplicities."""
+        order, tensor = table.coefficient_tensor()
+        mult = np.zeros(len(tensor), dtype=np.int64)
+        mult[[i for i, _ in self.constituents]] = [m for _, m in self.constituents]
+        total = matmul_exact(mult, tensor.reshape(len(tensor), -1)).reshape(tensor.shape[1:])
+        return ClassFunction.from_coefficients(table.group, order, total)
 
     def to_json(self, table):
         return {
@@ -237,9 +235,10 @@ def decompose(f, table):
     """Full constituent list of a character; checks the reconstruction identity."""
     if f.group is not table.group:
         raise GroupMismatch("class function and table live on different groups")
+    order, tensor = table.coefficient_tensor()
     constituents = []
-    for i, chi in enumerate(table.irreducibles):
-        m = inner_product(f, chi)
+    # [chi, f] is the conjugate of [f, chi]: the two are rational together
+    for i, m in enumerate(_inner_products(f.group, tensor, order, 1, f)):
         if m == 0:
             continue
         if m.denominator != 1 or m < 0:
@@ -251,12 +250,12 @@ def decompose(f, table):
     return dec
 
 
-def _class_union_subgroup(group, class_indices, check=True):
+def _class_union_subgroup(group, class_indices):
     members = []
     for j in class_indices:
         members.extend(group.classes[j].members)
     sub = Subgroup(group, members)
-    if check and group._closure_indices(members)[0].sum() != len(members):
+    if group._closure_indices(members)[0].sum() != len(members):
         raise NotASubgroup("union of classes does not close under products")
     return sub
 
@@ -432,12 +431,13 @@ def stabilizer_and_orbit(f, ctx):
 
 
 def irr_lying_over(table, ctx, phi):
-    """Indices of the irreducibles of the parent lying over phi in Irr(N)."""
-    out = []
-    for i, chi in enumerate(table.irreducibles):
-        if inner_product(restrict(chi, ctx), phi, characters=True) != 0:
-            out.append(i)
-    return out
+    """Indices of the irreducibles of the parent lying over phi in Irr(N):
+    one Gram of phi against the table restricted along the class fusion."""
+    if table.group is not ctx.parent:
+        raise GroupMismatch("class function does not live on the context's parent")
+    order, tensor = table.coefficient_tensor()
+    over = _inner_products(ctx.group, tensor[:, ctx.fusion], order, 1, phi, characters=True)
+    return [i for i, m in enumerate(over) if m]
 
 
 def clifford_correspondent(chi, iota, ctx_y, ctx_stab):
@@ -452,12 +452,10 @@ def clifford_correspondent(chi, iota, ctx_y, ctx_stab):
     y_in_stab = InducedContext.build(
         ctx_stab.group, ctx_stab.from_parent[ctx_y.to_parent], subgroup_group=ctx_y.group
     )
-    found = []
-    for xi in ctx_stab.table.irreducibles:
-        if inner_product(restrict(xi, y_in_stab), iota, characters=True) == 0:
-            continue
-        if induce(xi, ctx_stab) == chi:
-            found.append(xi)
+    table = ctx_stab.table
+    order, tensor = table.coefficient_tensor()
+    over = _inner_products(y_in_stab.group, tensor[:, y_in_stab.fusion], order, 1, iota, characters=True)
+    found = [xi for xi, m in zip(table.irreducibles, over) if m and induce(xi, ctx_stab) == chi]
     if not found:
         raise NoCorrespondent("no irreducible of the stabilizer induces to chi over iota")
     if len(found) > 1:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .charops import ClassFunction
-from .cyclotomic import _reduction_matrix, fits, matmul_exact, max_abs, products_exact
+from .cyclotomic import _reduction_matrix, fits, gram, matmul_exact
 from .errors import EigensplitStall, LiftInconsistent
 from .modular import (
     charpoly_mod,
@@ -41,16 +41,23 @@ def class_constants(group, i):
 
 class CharacterTable:
     """The irreducible characters of a group, deterministically indexed:
-    the principal character first, the rest by (degree, value key)."""
+    the principal character first, the rest by (degree, value key).  Their
+    rows are stacked once into one read-only integer tensor, whose identity
+    column gives the degrees; LiftInconsistent unless they are algebraic
+    integers at one order."""
 
     def __init__(self, group, irreducibles):
         self.group = group
         self.irreducibles = tuple(irreducibles)
-        self.degrees = tuple(chi.degree().as_integer() for chi in self.irreducibles)
-        self.prime_p = group.p_group_prime()
+        order = self.irreducibles[0].order
+        if any(chi.den != 1 or chi.order != order for chi in self.irreducibles):
+            raise LiftInconsistent("table rows are not algebraic integers at one order")
+        tensor = np.stack([chi.num for chi in self.irreducibles])
+        tensor.flags.writeable = False
+        self._tensor = order, tensor
+        self.degrees = tuple(tensor[:, 0, 0].tolist())
         self._row_lookup = {chi.value_key(): i for i, chi in enumerate(self.irreducibles)}
         self._conj_rows = None
-        self._tensor = None
 
     @property
     def size(self):
@@ -74,17 +81,10 @@ class CharacterTable:
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
 
     def coefficient_tensor(self):
-        """Integer coefficients of every value at the common order, shape
-        (irreducibles, classes, phi(order)): the stacked rows of the
-        irreducibles.  Values are algebraic integers.  This is the one integer
-        image of the table; it is built once, under the group's lock."""
-        if self._tensor is None:
-            with self.group._promotion_lock:
-                if self._tensor is None:
-                    order = self.irreducibles[0].order
-                    if any(chi.den != 1 or chi.order != order for chi in self.irreducibles):
-                        raise LiftInconsistent("table rows are not algebraic integers at one order")
-                    self._tensor = order, np.stack([chi.num for chi in self.irreducibles])
+        """(order, tensor): the common order of the values and their integer
+        coefficients at it, shape (irreducibles, classes, phi(order)), read
+        only.  This is the one integer image of the table, stacked when the
+        table is made; every sum over its classes is one ``gram`` on it."""
         return self._tensor
 
     def to_text(self):
@@ -125,9 +125,10 @@ def _split_eigenspaces(group, q):
     the matrices in ascending class index until every space is 1-dimensional.
     A space is an echelon basis (columns) with the rows at its pivots forming
     the identity, so a class matrix acts on it by the image's pivot rows.
-    Each class matrix makes one product, with the open bases side by side,
-    and each space one product with its eigenspace kernels side by side; a
-    space on which the class matrix acts as a scalar stays as it is."""
+    Each class matrix makes one product, with the open bases side by side.
+    A space whose image is lambda times its basis stays as it is; any other
+    is solved for the action, which checks that it is invariant, and makes
+    one product with its eigenspace kernels side by side."""
     m = group.num_classes
     fits(m * (q - 1) ** 2)
     spaces = [(np.eye(m, dtype=np.int64), np.arange(m))]
@@ -142,12 +143,13 @@ def _split_eigenspaces(group, q):
             if k == 1:
                 refined.append((basis, pivots))
                 continue
-            action = solve_columns_mod(basis, pivots, images[:, start:start + k], q)
+            block = images[:, start:start + k]
             start += k
-            eye = np.eye(k, dtype=np.int64)
-            if np.array_equal(action, action[0, 0] * eye):
+            if np.array_equal(block, block[pivots[0], 0] * basis % q):
                 refined.append((basis, pivots))
                 continue
+            action = solve_columns_mod(basis, pivots, block, q)
+            eye = np.eye(k, dtype=np.int64)
             kernels = [nullspace_mod(action - lam * eye, q) for lam in poly_roots_mod(charpoly_mod(action, q), q)]
             if not kernels:
                 raise EigensplitStall("a class matrix has no eigenvalue mod q on a joint eigenspace")
@@ -218,47 +220,21 @@ def _lift_values(omega, degree, q, lift):
     return matmul_exact(mult, reduction)
 
 
-def _coefficient_gram(x, y, red):
-    """Power-basis coefficients of sum_c x[i, c] * y[j, c] for tables x, y of
-    cyclotomic values given by their coefficients (last axis).  The product's
-    coefficient of degree s sums the products of the degree-a slice of x and
-    the degree-b slice of y over a + b = s: one exact product per slice b
-    against all slices a stacked, then reduced by ``red``; exact over Z, by
-    the checked bound on every entry and partial sum."""
-    ni, c, phi = x.shape
-    nj = y.shape[0]
-    fits(len(red) * phi * c * max_abs(x) * max_abs(y) * max_abs(red))
-    prod = np.zeros((2 * phi - 1, ni, nj), dtype=np.int64)
-    blocks = products_exact(x.transpose(2, 0, 1), y.transpose(2, 1, 0))
-    for b in range(phi):
-        prod[b:b + phi] += next(blocks)
-    blocks.close()  # frees the float64 operands before the reduction
-    return matmul_exact(prod.reshape(2 * phi - 1, ni * nj).T, red).reshape(ni, nj, phi)
-
-
 def _orthogonality_defect(table):
     """Exact residuals of both orthogonality relations; empty dict if clean."""
     group = table.group
     order, tensor = table.coefficient_tensor()
-    phi = tensor.shape[2]
-    inv = list(group.inverse_class())
-    conj_tensor = tensor[:, inv, :]
-    red = _reduction_matrix(order, 2 * phi - 1)
-
-    reduced = _coefficient_gram(tensor * group.class_sizes[None, :, None], conj_tensor, red)
-    n_irr = tensor.shape[0]
-    expected = np.zeros_like(reduced)
-    expected[np.arange(n_irr), np.arange(n_irr), 0] = group.order
+    conj = tensor[:, list(group.inverse_class())]
+    relations = (
+        ("rows", gram(tensor * group.class_sizes[:, None], conj, order), group.order),
+        ("columns", gram(tensor.transpose(1, 0, 2), conj.transpose(1, 0, 2), order), group.order // group.class_sizes),
+    )
     defects = {}
-    if not np.array_equal(reduced, expected):
-        defects["rows"] = int(np.abs(reduced - expected).max())
-
-    classes = np.arange(group.num_classes)
-    reduced2 = _coefficient_gram(tensor.transpose(1, 0, 2), conj_tensor.transpose(1, 0, 2), red)
-    expected2 = np.zeros_like(reduced2)
-    expected2[classes, classes, 0] = group.order // group.class_sizes
-    if not np.array_equal(reduced2, expected2):
-        defects["columns"] = int(np.abs(reduced2 - expected2).max())
+    for name, residual, diagonal in relations:
+        n = np.arange(len(residual))
+        residual[n, n, 0] -= diagonal
+        if residual.any():
+            defects[name] = int(np.abs(residual).max())
     return defects
 
 
@@ -322,4 +298,4 @@ def _build_table(group):
 
 def _row_sort_key(chi):
     # rows of a table have denominator 1, so this orders them as the values do
-    return (chi.degree().as_integer(), tuple(chi.num.ravel().tolist()))
+    return (int(chi.num[0, 0]), tuple(chi.num.ravel().tolist()))

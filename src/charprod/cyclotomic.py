@@ -250,19 +250,31 @@ def _product_matrix(order):
     return out
 
 
-def reduce_outer(outer, order):
-    """Coefficients of sum over a, b of outer[..., a, b] x^(a+b), reduced
-    modulo Phi_order: the product of two values from their outer product."""
-    phi = outer.shape[-1]
-    return matmul_exact(outer.reshape(outer.shape[:-2] + (phi * phi,)), _product_matrix(order))
-
-
 def multiply(x, y, order):
     """Coefficients of the products of the values x and y at ``order``, taken
     elementwise over the leading axes (last axis: the power basis)."""
     x, y = np.broadcast_arrays(x, y)
     fits(max_abs(x) * max_abs(y))
-    return reduce_outer(x[..., :, None] * y[..., None, :], order)
+    outer = x[..., :, None] * y[..., None, :]
+    return matmul_exact(outer.reshape(x.shape[:-1] + (x.shape[-1] ** 2,)), _product_matrix(order))
+
+
+def gram(x, y, order):
+    """Coefficients (i, j, phi) at ``order`` of sum over c of x[i, c] y[j, c]
+    for values x (i, c, phi) and y (j, c, phi): the one sum over classes of
+    the engine.  Degree s sums slice a of x times slice b of y over a + b = s:
+    one exact product per slice b against all slices a stacked, reduced
+    modulo Phi_order once; exact by the checked bound on every partial sum."""
+    ni, c, phi = x.shape
+    nj = y.shape[0]
+    red = _reduction_matrix(order, 2 * phi - 1)
+    fits(len(red) * phi * c * max_abs(x) * max_abs(y) * max_abs(red))
+    prod = np.zeros((2 * phi - 1, ni, nj), dtype=np.int64)
+    blocks = products_exact(x.transpose(2, 0, 1), y.transpose(2, 1, 0))
+    for b in range(phi):
+        prod[b:b + phi] += next(blocks)
+    blocks.close()  # frees the float64 operands before the reduction
+    return matmul_exact(prod.reshape(2 * phi - 1, ni * nj).T, red).reshape(ni, nj, phi)
 
 
 @lru_cache(maxsize=None)

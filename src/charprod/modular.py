@@ -8,20 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cyclotomic import matmul_exact
+from .cyclotomic import factorize, matmul_exact
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return factorize(n) == ((n, 1),)
 
 
 def find_prime(multiple_of, floor):
@@ -44,19 +35,9 @@ def primitive_root(q):
     """Smallest primitive root of the prime q."""
     if q == 2:
         return 1
-    factors = []
-    n = q - 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            factors.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        factors.append(n)
+    primes = [p for p, _ in factorize(q - 1)]
     for g in range(2, q):
-        if all(pow(g, (q - 1) // p, q) != 1 for p in factors):
+        if all(pow(g, (q - 1) // p, q) != 1 for p in primes):
             return g
     raise ArithmeticError(f"no primitive root found for {q}")
 

@@ -19,6 +19,7 @@ import threading
 
 import numpy as np
 
+from .cyclotomic import factorize
 from .errors import CharprodError, ClosureCapExceeded, EmptyGeneratorSet, NotASubgroup, ParseError
 
 DEFAULT_CLOSURE_CAP = 10_000
@@ -247,9 +248,6 @@ class Subgroup:
             raise NotASubgroup("element set is not a union of conjugacy classes")
         return covered
 
-    def contains(self, other):
-        return other.element_set <= self.element_set
-
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
@@ -408,13 +406,8 @@ class Group:
 
     def p_group_prime(self):
         """The prime p when |G| = p^k with k >= 1, else None."""
-        n = self.order
-        if n == 1:
-            return None
-        p = _smallest_prime_factor(n)
-        while n % p == 0:
-            n //= p
-        return p if n == 1 else None
+        factors = factorize(self.order)
+        return factors[0][0] if len(factors) == 1 else None
 
     # -- subgroups --------------------------------------------------------
 
@@ -537,17 +530,6 @@ def _key_index(base_images, degree):
     by_rank = np.empty(n, dtype=np.intp)
     by_rank[rank] = np.arange(n)
     return runs, by_rank
-
-
-def _smallest_prime_factor(n):
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
 
 
 def group_closure(generators, cap=None):

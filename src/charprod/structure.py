@@ -22,16 +22,6 @@ class NormalLattice:
         self.group = group
         self.members = tuple(members)
         self.class_sets = tuple(class_sets)
-        self._position = {cs: i for i, cs in enumerate(self.class_sets)}
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def index_of(self, class_set):
-        return self._position.get(frozenset(class_set))
 
     def member_containing(self, class_set):
         """Smallest member containing the given classes: the normal closure of

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+from hypothesis import strategies as st
 
 from charprod.charops import ClassFunction
 from charprod.cyclotomic import (
@@ -1043,3 +1044,12 @@ def is_nonnegative_real(value):
             if total.b < 0:
                 return False
     raise ArithmeticError("interval precision exhausted deciding sign")
+
+
+@st.composite
+def generator_sets(draw):
+    """One to three random permutations of degree n <= 6: the generators of
+    a random subgroup of S_n."""
+    n = draw(st.integers(1, 6))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return [Permutation(p) for p in perms]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from charprod import catalog
 from charprod import charops as co
@@ -31,9 +32,17 @@ from charprod.errors import (
     NotASubgroup,
     NotNormal,
 )
+from charprod.perm import group_closure
 from charprod.structure import normal_lattice
+from charprod.verify import GroupSession
 
-from oracles import exact_values, induce_by_summation, stabilizer_and_orbit_oracle
+from oracles import (
+    exact_values,
+    generator_sets,
+    induce_by_summation,
+    normal_lattice_oracle,
+    stabilizer_and_orbit_oracle,
+)
 
 
 def degree2(table):
@@ -428,3 +437,44 @@ def test_context_embedding_invariants(group_of, gid):
         for c, cls in enumerate(h.classes):
             x = g.element_index(h.element(cls.representative))
             assert ctx.fusion[c] == g.class_of[x] and ctx.to_parent[cls.representative] == x
+
+
+# -- properties over random subgroups of S_n, n <= 6 ---------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=generator_sets())
+def test_gram_decompositions_match_the_session_products(gens):
+    """decompose (one exact Gram against the table) agrees with the modular
+    product tensor of the statement checks, pair by pair."""
+    g = group_closure(gens)
+    table = dixon_table(g)
+    products = GroupSession(g, "random").products
+    for i in range(table.size):
+        for j in range(i, table.size):
+            dec = decompose(table.irreducibles[i] * table.irreducibles[j], table)
+            assert dec.constituents == tuple((t, int(m)) for t, m in enumerate(products[i, j]) if m)
+
+
+def _lying_over_reference(table, ctx, phi):
+    return [
+        i for i, chi in enumerate(table.irreducibles)
+        if inner_product(restrict(chi, ctx), phi, characters=True) != 0
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=generator_sets())
+def test_lying_over_and_lattice_match_their_references(gens):
+    """irr_lying_over (one Gram on the restricted table) agrees with one
+    inner product per irreducible, for every normal subgroup and each of its
+    irreducibles; the normal lattice agrees with the brute-force oracle."""
+    g = group_closure(gens)
+    table = dixon_table(g)
+    lattice = normal_lattice(g, table)
+    for member in lattice.members:
+        ctx = InducedContext.build(g, member)
+        for phi in ctx.table.irreducibles:
+            assert irr_lying_over(table, ctx, phi) == _lying_over_reference(table, ctx, phi)
+    if g.order <= 120:
+        assert set(lattice.class_sets) == normal_lattice_oracle(g)

@@ -199,18 +199,23 @@ def test_table_is_built_once_across_threads(monkeypatch):
 
 
 def test_coefficient_tensor_is_built_once_across_threads(monkeypatch, table_of):
+    """The table stacks its rows into one read-only tensor when it is made;
+    every thread reads that tensor, and rows that are not algebraic integers
+    at one order are refused when the table is made."""
     import sys
     import threading
-    import time
+    from fractions import Fraction
 
-    table = CharacterTable(table_of("heisenberg3").group, table_of("heisenberg3").irreducibles)
+    source = table_of("heisenberg3")
+    stacks = []
     stack = np.stack
 
-    def slow_stack(*args, **kwargs):
-        time.sleep(0.05)
+    def counted_stack(*args, **kwargs):
+        stacks.append(args)
         return stack(*args, **kwargs)
 
-    monkeypatch.setattr(np, "stack", slow_stack)
+    monkeypatch.setattr(np, "stack", counted_stack)
+    table = CharacterTable(source.group, source.irreducibles)
     start = threading.Barrier(8)
     tensors = []
 
@@ -230,29 +235,60 @@ def test_coefficient_tensor_is_built_once_across_threads(monkeypatch, table_of):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(tensors) == 8 and all(t is tensors[0] for t in tensors)
+    assert len(stacks) == 1 and not tensors[0][1].flags.writeable
+    assert table.degrees == tuple(chi.degree().as_integer() for chi in source.irreducibles)
+    halved = [source.irreducibles[0] * Fraction(1, 2)] + list(source.irreducibles[1:])
+    with pytest.raises(LiftInconsistent, match="not algebraic integers at one order"):
+        CharacterTable(source.group, halved)
 
 
 def test_scalar_actions_leave_their_space_alone(monkeypatch):
     """A class matrix acting on a space as a scalar leaves it unsplit, with no
-    characteristic polynomial: heisenberg3 needs 5 of them, not 12, and its
-    table is unchanged."""
+    solve for its action and no characteristic polynomial: heisenberg3 needs
+    5 of each, not 12, and its table is unchanged."""
     import hashlib
     import json
 
     from charprod import catalog, chartab
 
-    calls = []
-    charpoly = chartab.charpoly_mod
+    calls, solves = [], []
+    charpoly, solve = chartab.charpoly_mod, chartab.solve_columns_mod
 
     def counted(*args):
         calls.append(args)
         return charpoly(*args)
 
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
     monkeypatch.setattr(chartab, "charpoly_mod", counted)
+    monkeypatch.setattr(chartab, "solve_columns_mod", counted_solve)
     g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
     text = json.dumps(dixon_table(g).to_json(), sort_keys=True)
-    assert len(calls) == 5
+    assert len(calls) == len(solves) == 5
     assert hashlib.sha256(text.encode()).hexdigest() == "151da976c042a5076024fb32be5bb924402920816419e58f64d3a73b176d7d94"
+
+
+def test_a_class_matrix_that_moves_an_eigenspace_fails_the_build(monkeypatch):
+    """The second class matrix the split reaches, off by one in one entry, no
+    longer keeps the eigenspaces of the first: the solve for its action must
+    refuse them rather than split them."""
+    from charprod import catalog, chartab
+
+    real = chartab.class_constants
+
+    def corrupted(group, i):
+        m = real(group, i)
+        if i == 2:
+            m = m.copy()
+            m[0, -1] += 1
+        return m
+
+    monkeypatch.setattr(chartab, "class_constants", corrupted)
+    g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
+    with pytest.raises(ArithmeticError, match="target outside the span"):
+        dixon_table(g)
 
 
 def test_determinism_generator_order():

@@ -21,6 +21,7 @@ from oracles import (
     closure_reference,
     compose,
     conjugacy_oracle,
+    generator_sets,
     inverse,
     order,
     power,
@@ -228,15 +229,8 @@ def test_keys_do_not_wrap_on_a_long_base(degree, transpositions):
         g.element_index(parse_permutation("(1 3)", degree))
 
 
-@st.composite
-def _generator_sets(draw):
-    n = draw(st.integers(1, 6))
-    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
-    return [Permutation(p) for p in perms]
-
-
 @settings(max_examples=40, deadline=None)
-@given(gens=_generator_sets(), data=st.data())
+@given(gens=generator_sets(), data=st.data())
 def test_group_core_matches_permutation_arithmetic(gens, data):
     g = group_closure(gens)
     elements = closure_reference(gens)
