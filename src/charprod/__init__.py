@@ -20,7 +20,6 @@ from .errors import (
     UnknownId,
 )
 from .perm import (
-    ConjugacyClass,
     Group,
     Permutation,
     Subgroup,

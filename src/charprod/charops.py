@@ -251,9 +251,7 @@ def decompose(f, table):
 
 
 def _class_union_subgroup(group, class_indices):
-    members = []
-    for j in class_indices:
-        members.extend(group.classes[j].members)
+    members = group.class_members(class_indices).tolist()
     sub = Subgroup(group, members)
     if group._closure_indices(members)[0].sum() != len(members):
         raise NotASubgroup("union of classes does not close under products")
@@ -282,10 +280,7 @@ def vanishing_off(f):
     """V(f): the subgroup generated by all g with f(g) != 0."""
     if f.is_zero():
         raise ValueError("the zero class function vanishes everywhere")
-    members = []
-    for j in np.flatnonzero(f.num.any(axis=1)).tolist():
-        members.extend(f.group.classes[j].members)
-    return f.group.subgroup(members)
+    return f.group.subgroup(f.group.class_members(f.num.any(axis=1)).tolist())
 
 
 def linear_characters(table):

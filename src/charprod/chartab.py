@@ -33,8 +33,7 @@ def class_constants(group, i):
     z_k in C_k, that is #{(x, y) in C_i x C_j : xy = z_k}; its right
     eigenvectors are the central characters."""
     m = group.num_classes
-    members = np.array(group.classes[i].members)
-    y = group.products(group.inverses[members][:, None], group.class_reps[None, :])
+    y = group.products(group.inverses[group.class_members(i)][:, None], group.class_reps[None, :])
     cells = group.class_of[y] * m + np.arange(m)
     return np.bincount(cells.ravel(), minlength=m * m).reshape(m, m)
 
@@ -70,7 +69,7 @@ class CharacterTable:
     def conjugate_index(self, i):
         """Index of the complex conjugate of irreducible i."""
         if self._conj_rows is None:
-            inv = list(self.group.inverse_class())
+            inv = self.group.inverse_class()
             self._conj_rows = tuple(
                 self._row_lookup[ClassFunction.from_coefficients(self.group, chi.order, chi.num[inv], chi.den).value_key()]
                 for chi in self.irreducibles
@@ -90,8 +89,8 @@ class CharacterTable:
     def to_text(self):
         lines = []
         g = self.group
-        lines.append("sizes  " + " ".join(str(c.size).rjust(6) for c in g.classes))
-        lines.append("orders " + " ".join(str(g.element_order(c.representative)).rjust(6) for c in g.classes))
+        lines.append("sizes  " + " ".join(str(size).rjust(6) for size in g.class_sizes.tolist()))
+        lines.append("orders " + " ".join(str(g.element_order(r)).rjust(6) for r in g.class_reps.tolist()))
         for i, chi in enumerate(self.irreducibles):
             row = " ".join(v.to_text().rjust(6) for v in chi.values)
             lines.append(f"X{i:<5} {row}")
@@ -104,11 +103,11 @@ class CharacterTable:
             "classes": [
                 {
                     "index": j,
-                    "size": c.size,
-                    "representative_order": g.element_order(c.representative),
-                    "representative": g.element(c.representative).to_text(),
+                    "size": size,
+                    "representative_order": g.element_order(r),
+                    "representative": g.element(r).to_text(),
                 }
-                for j, c in enumerate(g.classes)
+                for j, (size, r) in enumerate(zip(g.class_sizes.tolist(), g.class_reps.tolist()))
             ],
             "irreducibles": [
                 {"index": i, "degree": self.degrees[i], "values": chi.to_json()}
@@ -170,8 +169,7 @@ def _lift_degree(omega, group, q, lift):
     shape omega.shape[:-1]."""
     inv_sizes = lift[1]
     fits(omega.shape[-1] * (q - 1) ** 2)
-    inv_class = np.asarray(group.inverse_class())
-    sums = matmul_exact(omega * omega[..., inv_class] % q, inv_sizes) % q
+    sums = matmul_exact(omega * omega[..., group.inverse_class()] % q, inv_sizes) % q
     limit = math.isqrt(group.order)
     degrees = []
     for s in sums.ravel().tolist():
@@ -224,7 +222,7 @@ def _orthogonality_defect(table):
     """Exact residuals of both orthogonality relations; empty dict if clean."""
     group = table.group
     order, tensor = table.coefficient_tensor()
-    conj = tensor[:, list(group.inverse_class())]
+    conj = tensor[:, group.inverse_class()]
     relations = (
         ("rows", gram(tensor * group.class_sizes[:, None], conj, order), group.order),
         ("columns", gram(tensor.transpose(1, 0, 2), conj.transpose(1, 0, 2), order), group.order // group.class_sizes),

@@ -20,7 +20,7 @@ import threading
 import numpy as np
 
 from .cyclotomic import factorize
-from .errors import CharprodError, ClosureCapExceeded, EmptyGeneratorSet, NotASubgroup, ParseError
+from .errors import CharprodError, ClosureCapExceeded, EmptyGeneratorSet, ParseError
 
 DEFAULT_CLOSURE_CAP = 10_000
 CAP_ENV_VAR = "CHARPROD_CLOSURE_CAP"
@@ -183,23 +183,6 @@ def _pad(perm, degree):
     return Permutation(tuple(perm.images) + tuple(range(perm.degree, degree)))
 
 
-class ConjugacyClass:
-    """One conjugacy class: representative index plus the sorted member set."""
-
-    __slots__ = ("representative", "members")
-
-    def __init__(self, representative, members):
-        self.representative = representative
-        self.members = tuple(sorted(members))
-
-    @property
-    def size(self):
-        return len(self.members)
-
-    def __repr__(self):
-        return f"ConjugacyClass(rep={self.representative}, size={self.size})"
-
-
 class Subgroup:
     """A subgroup of a parent Group as a sorted set of element indices, given
     as any iterable of indices or as an index array.
@@ -230,23 +213,11 @@ class Subgroup:
     def order(self):
         return len(self.element_indices)
 
-    @property
-    def index(self):
-        return self.parent.order // self.order
-
     def generators(self):
         """A small deterministic generating set (ascending greedy scan)."""
         if self._generators is None:
             self._generators = tuple(self.parent._closure_indices(self.element_indices)[1])
         return self._generators
-
-    def class_index_set(self):
-        """Covered conjugacy classes of the parent; requires a class-closed set."""
-        g = self.parent
-        covered = frozenset(g.class_of[list(self.element_indices)].tolist())
-        if int(g.class_sizes[list(covered)].sum()) != self.order:
-            raise NotASubgroup("element set is not a union of conjugacy classes")
-        return covered
 
     def __eq__(self, other):
         return (
@@ -268,9 +239,10 @@ class Group:
     Element index 0 is the identity; the enumeration is the breadth-first
     closure of the generators in the order given, so it is reproducible.
     ``images[i]`` is the image row of element i; ``class_of`` (per element),
-    ``class_sizes`` and ``class_reps`` (per class) are arrays too.  Index
-    arguments of the batched methods (``products``, ``conjugates``) are integer
-    arrays that broadcast against each other.
+    ``class_sizes`` and ``class_reps`` (per class, the least member) are the
+    read-only arrays that are the conjugacy classes.  Index arguments of the
+    batched methods (``products``, ``conjugates``) are integer arrays that
+    broadcast against each other.
     """
 
     def __init__(self, generators, images):
@@ -285,18 +257,17 @@ class Group:
         self.inverses = self.locate(inverse_images[:, self.base])
         self._gen_indices = self.indices_of([g.images for g in self.generators]).tolist()
         self._orders = self._element_orders()
-        self._power_classes = {}
         self._inverse_class = None
         # one lock makes the table, the lattice, every context and the
-        # power-class, normality and tensor caches compute-once
+        # normality cache compute-once
         self._promotion_lock = threading.RLock()
         self._promotions = {}
         self._character_table = None
         self._normal_lattice = None
         self._derived = None
-        self.classes, self.class_of = self._conjugacy_classes()
-        self.class_sizes = np.array([c.size for c in self.classes], dtype=np.int64)
-        self.class_reps = np.array([c.representative for c in self.classes], dtype=np.intp)
+        steps = self.conjugates(np.arange(self.order), np.array(self._gen_indices)[:, None])
+        self.class_of, self.class_reps = orbit_labels(steps)
+        self.class_sizes = np.bincount(self.class_of)
         for shared in (self.class_of, self.class_sizes, self.class_reps):
             shared.flags.writeable = False
         self.exponent = math.lcm(*np.unique(self._orders).tolist())
@@ -322,10 +293,6 @@ class Group:
 
     def mul(self, i, j):
         return int(self.products(i, j))
-
-    def conjugate(self, i, g):
-        """Index of g * x_i * g^{-1}."""
-        return int(self.conjugates(i, g))
 
     def power(self, i, k):
         k %= self.element_order(i)
@@ -370,38 +337,25 @@ class Group:
             orders[live] += 1
             points = self.images[live[:, None], points]
 
-    def _conjugacy_classes(self):
-        steps = self.conjugates(np.arange(self.order), np.array(self._gen_indices)[:, None])
-        class_of, representatives = orbit_labels(self.order, steps.tolist())
-        members = [[] for _ in representatives]
-        for x, label in enumerate(class_of):
-            members[label].append(x)
-        return [ConjugacyClass(r, m) for r, m in zip(representatives, members)], np.array(class_of, dtype=np.intp)
-
     # -- class level ------------------------------------------------------
 
     @property
     def num_classes(self):
-        return len(self.classes)
+        return len(self.class_reps)
 
-    def power_class(self, class_j, k):
-        """Class of r^k for a representative r of class ``class_j``."""
-        rep = self.classes[class_j].representative
-        o = self.element_order(rep)
-        key = (class_j, k % o)
-        cached = self._power_classes.get(key)
-        if cached is None:
-            with self._promotion_lock:
-                cached = self._power_classes.get(key)
-                if cached is None:
-                    cached = int(self.class_of[self.power(rep, k % o)])
-                    self._power_classes[key] = cached
-        return cached
+    def class_members(self, classes):
+        """Ascending indices of the elements of one class or of a union of
+        classes, given as class indices or as a mask over the classes."""
+        chosen = np.zeros(self.num_classes, dtype=bool)
+        chosen[classes] = True
+        return np.flatnonzero(chosen[self.class_of])
 
     def inverse_class(self):
-        """Permutation j -> class of inverses of class j."""
+        """Read-only array: j -> class of the inverses of class j."""
         if self._inverse_class is None:
-            self._inverse_class = tuple(self.power_class(j, -1) for j in range(self.num_classes))
+            inverse = self.class_of[[self.power(r, -1) for r in self.class_reps.tolist()]]
+            inverse.flags.writeable = False
+            self._inverse_class = inverse
         return self._inverse_class
 
     def p_group_prime(self):
@@ -468,26 +422,21 @@ class Group:
         return f"Group(order={self.order}, degree={self.degree}, classes={self.num_classes})"
 
 
-def orbit_labels(n, perms):
-    """Orbits on range(n) of the maps given as lists: (orbit label of every
-    point, least point of every orbit), orbits numbered by their least point."""
-    label = [-1] * n
-    least = []
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        current = len(least)
-        least.append(start)
-        label[start] = current
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for p in perms:
-                y = p[x]
-                if label[y] < 0:
-                    label[y] = current
-                    stack.append(y)
-    return label, least
+def orbit_labels(perms):
+    """Orbits of the maps given as the rows of an index array (maps, points):
+    (orbit label of every point, least point of every orbit), orbits numbered
+    by their least point.  Each point takes the least label among its images
+    and labels then jump to their own label, until nothing changes."""
+    perms = np.asarray(perms, dtype=np.intp)
+    least = np.arange(perms.shape[-1])
+    while True:
+        step = np.minimum(least, least[perms].min(axis=0, initial=len(least)))
+        step = step[step]
+        if np.array_equal(step, least):
+            break
+        least = step
+    reps, label = np.unique(least, return_inverse=True)
+    return label.reshape(-1), reps
 
 
 def _choose_base(images):

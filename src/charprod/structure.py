@@ -23,15 +23,6 @@ class NormalLattice:
         self.members = tuple(members)
         self.class_sets = tuple(class_sets)
 
-    def member_containing(self, class_set):
-        """Smallest member containing the given classes: the normal closure of
-        a union of conjugacy classes."""
-        class_set = frozenset(class_set)
-        for member, cs in zip(self.members, self.class_sets):
-            if class_set <= cs:
-                return member
-        raise NotNormal("no lattice member contains the classes (engine bug)")
-
     def to_json(self):
         out = []
         for i, member in enumerate(self.members):
@@ -66,12 +57,7 @@ def normal_lattice(group, table):
                     found.add(c)
                     fresh.append(c)
         frontier = fresh
-    members = []
-    for cs in found:
-        elems = []
-        for j in cs:
-            elems.extend(group.classes[j].members)
-        members.append((Subgroup(group, elems), cs))
+    members = [(Subgroup(group, group.class_members(list(cs))), cs) for cs in found]
     members.sort(key=lambda pair: (pair[0].order, pair[0].element_indices))
     return NormalLattice(group, [m for m, _ in members], [cs for _, cs in members])
 
@@ -101,11 +87,10 @@ class QuotientMap:
     ``projection`` (per element of G) and ``class_map`` (per class of G) are
     index arrays into the quotient."""
 
-    def __init__(self, source, quotient, projection, section, class_map):
+    def __init__(self, source, quotient, projection, class_map):
         self.source = source
         self.quotient = quotient
         self.projection = projection
-        self.section = section
         self.class_map = class_map
 
     def inflate(self, f):
@@ -124,12 +109,10 @@ def quotient(group, normal):
         raise NotNormal("quotient requires a normal subgroup")
     everything = np.arange(group.order)
     steps = group.products(everything, np.array(normal.generators(), dtype=np.intp)[:, None])
-    coset_of, reps = orbit_labels(group.order, steps.tolist())
-    coset_of, reps = np.array(coset_of), np.array(reps)
+    coset_of, reps = orbit_labels(steps)
     # g acts on the cosets by g(x N) = gx N; coset c is reps[c] N.
     actions = coset_of[group.products(np.array(group._gen_indices)[:, None], reps)]
     quot = group_closure([Permutation(row) for row in actions.tolist()], cap=len(reps))
     projection = quot.locate(coset_of[group.products(everything[:, None], reps[quot.base])])
-    _, section = np.unique(projection, return_index=True)
     class_map = quot.class_of[projection[group.class_reps]]
-    return QuotientMap(group, quot, projection, tuple(section.tolist()), class_map)
+    return QuotientMap(group, quot, projection, class_map)

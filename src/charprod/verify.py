@@ -31,11 +31,12 @@ from .charops import (
     stabilizer_and_orbit,
 )
 from .chartab import dixon_table
-from .cyclotomic import conjugate, fits, matmul_exact, multiply
+from .cyclotomic import conjugate, factorize, fits, matmul_exact, multiply
 from .errors import (
     CharprodError,
     HypothesisNotMet,
     NotAPGroup,
+    NotNormal,
     SearchExhausted,
 )
 from .modular import find_prime, inv_mod, nth_root_of_unity
@@ -139,8 +140,7 @@ class _ModularTable:
         z_powers = np.array([pow(z_local, k, q) for k in range(tensor.shape[2])], dtype=np.int64)
         self.values = matmul_exact(tensor, z_powers) % q
         self.weights = group.class_sizes
-        inv = list(group.inverse_class())
-        self.conj_values = self.values[:, inv]
+        self.conj_values = self.values[:, group.inverse_class()]
         self.degrees = np.array(table.degrees, dtype=np.int64)
 
 
@@ -229,12 +229,14 @@ class GroupSession:
         return self._lattice
 
     def vclosure(self, class_set):
-        """Class set of the subgroup generated by a union of classes."""
+        """Class set of the subgroup generated by a union of classes: that of
+        the smallest lattice member containing them, their normal closure."""
         key = frozenset(class_set)
         cached = self._vclosure_memo.get(key)
         if cached is None:
-            member = self.lattice.member_containing(key)
-            cached = member.class_index_set()
+            cached = next((cs for cs in self.lattice.class_sets if key <= cs), None)
+            if cached is None:
+                raise NotNormal("no lattice member contains the classes (engine bug)")
             self._vclosure_memo[key] = cached
         return cached
 
@@ -305,50 +307,56 @@ def _require_p_group(session, statement):
         raise NotAPGroup(f"statement {statement} requires a p-group")
 
 
+def _pair_checks(statement, session, verdict):
+    """One record per ordered pair (chi, psi): a skipped duplicate when
+    chi > psi, hypothesis-not-met when eta(chi psi) >= p, else a pass or, when
+    ``verdict(i, j)`` returns a witness, a failure."""
+    checks = []
+    eta = session.eta
+    n = len(session.table.irreducibles)
+    for i in range(n):
+        for j in range(n):
+            instance = {"chi": i, "psi": j}
+            if i > j:
+                checks.append(CheckResult(statement, instance, SKIPPED, {"duplicate_of": [j, i]}))
+            elif eta[i, j] >= session.p:
+                checks.append(CheckResult(statement, instance, HYPOTHESIS, {"eta": int(eta[i, j])}))
+            else:
+                bad = verdict(i, j)
+                checks.append(CheckResult(statement, instance, PASS if bad is None else FAIL, bad))
+    return checks
+
+
 def check_theorem_A(group, group_id="group", session=None):
     """Z(chi psi) = Z(theta) and V(theta) <= V(chi psi) <= V(chi) & V(psi)
     for every constituent theta of every product with fewer than p distinct
     constituents."""
     session = session or GroupSession(group, group_id)
     _require_p_group(session, "A")
-    checks = []
-    p = session.p
     a = session.products
-    eta = session.eta
     zsets, supports, vsets = session.zsets, session.supports, session.vsets
-    n = len(session.table.irreducibles)
-    for i in range(n):
-        for j in range(n):
-            instance = {"chi": i, "psi": j}
-            if i > j:
-                checks.append(CheckResult("A", instance, SKIPPED, {"duplicate_of": [j, i]}))
-                continue
-            if eta[i, j] >= p:
-                checks.append(CheckResult("A", instance, HYPOTHESIS, {"eta": int(eta[i, j])}))
-                continue
-            z_prod = zsets[i] & zsets[j]
-            v_prod = session.vclosure(supports[i] & supports[j])
-            v_cap = vsets[i] & vsets[j]
-            bad = None
-            if not v_prod <= v_cap:
-                bad = {"reason": "V(chi psi) escapes V(chi) & V(psi)"}
-            else:
-                for t in np.nonzero(a[i, j])[0]:
-                    t = int(t)
-                    if zsets[t] != z_prod:
-                        bad = {"theta": t, "reason": "Z(chi psi) != Z(theta)",
-                               "z_product_classes": sorted(z_prod),
-                               "z_theta_classes": sorted(zsets[t])}
-                        break
-                    if not vsets[t] <= v_prod:
-                        bad = {"theta": t, "reason": "V(theta) escapes V(chi psi)"}
-                        break
-            if bad is None:
-                checks.append(CheckResult("A", instance, PASS))
-            else:
-                bad["eta"] = int(eta[i, j])
-                checks.append(CheckResult("A", instance, FAIL, bad))
-    return checks
+
+    def verdict(i, j):
+        z_prod = zsets[i] & zsets[j]
+        v_prod = session.vclosure(supports[i] & supports[j])
+        bad = None
+        if not v_prod <= vsets[i] & vsets[j]:
+            bad = {"reason": "V(chi psi) escapes V(chi) & V(psi)"}
+        else:
+            for t in np.nonzero(a[i, j])[0].tolist():
+                if zsets[t] != z_prod:
+                    bad = {"theta": t, "reason": "Z(chi psi) != Z(theta)",
+                           "z_product_classes": sorted(z_prod),
+                           "z_theta_classes": sorted(zsets[t])}
+                    break
+                if not vsets[t] <= v_prod:
+                    bad = {"theta": t, "reason": "V(theta) escapes V(chi psi)"}
+                    break
+        if bad is not None:
+            bad["eta"] = int(session.eta[i, j])
+        return bad
+
+    return _pair_checks("A", session, verdict)
 
 
 def check_theorem_B(group, group_id="group", session=None):
@@ -357,7 +365,6 @@ def check_theorem_B(group, group_id="group", session=None):
     irreducible (and to an irreducible itself when |G:N| = p)."""
     session = session or GroupSession(group, group_id)
     _require_p_group(session, "B")
-    checks = []
     p = session.p
     a = session.products
     eta = session.eta
@@ -370,7 +377,7 @@ def check_theorem_B(group, group_id="group", session=None):
     pairs = list(zip(pi.tolist(), pj.tolist()))
     # which irreducibles occur in each product chi psi
     occurs = a[pi, pj] > 0
-    verdicts = {pair: None for pair in pairs}
+    verdicts = {}
     for data in normals:
         if not pairs:
             continue
@@ -385,11 +392,10 @@ def check_theorem_B(group, group_id="group", session=None):
         if bad_cols.any():
             touches = under[:, bad_cols] > 0
             for row in np.nonzero(touches.any(axis=1) & relevant)[0]:
-                i, j = pairs[row]
-                if verdicts[(i, j)] is None:
+                if pairs[row] not in verdicts:
                     bad_local = np.nonzero(bad_cols)[0][np.nonzero(touches[row])[0]]
                     gamma = int(bad_local[0])
-                    verdicts[(i, j)] = {
+                    verdicts[pairs[row]] = {
                         "normal": data["index"],
                         "normal_order": data["member"].order,
                         "gamma": gamma,
@@ -401,27 +407,15 @@ def check_theorem_B(group, group_id="group", session=None):
         lies_under = under > 0
         broken = (lies_under & outside).any(axis=1) & relevant
         for row in np.nonzero(broken)[0]:
-            i, j = pairs[row]
-            if verdicts[(i, j)] is None:
+            if pairs[row] not in verdicts:
                 gamma = int(np.nonzero(lies_under[row] & outside[row])[0][0])
-                verdicts[(i, j)] = {
+                verdicts[pairs[row]] = {
                     "normal": data["index"],
                     "normal_order": data["member"].order,
                     "gamma": gamma,
                     "reason": "gamma^G has constituents outside chi psi",
                 }
-    for i in range(n):
-        for j in range(n):
-            instance = {"chi": i, "psi": j}
-            if i > j:
-                checks.append(CheckResult("B", instance, SKIPPED, {"duplicate_of": [j, i]}))
-            elif eta[i, j] >= p:
-                checks.append(CheckResult("B", instance, HYPOTHESIS, {"eta": int(eta[i, j])}))
-            elif verdicts[(i, j)] is None:
-                checks.append(CheckResult("B", instance, PASS))
-            else:
-                checks.append(CheckResult("B", instance, FAIL, verdicts[(i, j)]))
-    return checks
+    return _pair_checks("B", session, lambda i, j: verdicts.get((i, j)))
 
 
 def check_theorem_C(group, group_id="group", session=None):
@@ -524,12 +518,8 @@ def check_eta_bound(group, group_id="group", session=None):
         if deg == 1:
             checks.append(CheckResult("bound", instance, SKIPPED, {"reason": "chi is linear"}))
             continue
-        n_exp = 0
-        d = deg
-        while d % p == 0:
-            d //= p
-            n_exp += 1
-        if d != 1:
+        n_exp = dict(factorize(deg)).get(p, 0)
+        if p**n_exp != deg:
             checks.append(CheckResult("bound", instance, FAIL,
                                       {"reason": "degree is not a power of p", "degree": deg}))
             continue

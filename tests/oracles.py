@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 from hypothesis import strategies as st
 
 from charprod.charops import ClassFunction
@@ -342,10 +343,9 @@ def induce_by_summation(f, ctx):
     parent = ctx.parent
     values = exact_values(f)
     out = []
-    for cls in parent.classes:
+    for rep in parent.class_reps.tolist():
         total = ExactCyclotomic.zero()
-        for x in range(parent.order):
-            si = ctx.from_parent[parent.conjugate(cls.representative, x)]
+        for si in ctx.from_parent[parent.conjugates(rep, np.arange(parent.order))].tolist():
             if si >= 0:
                 total = total + values[ctx.group.class_of[si]]
         out.append(total * Fraction(1, ctx.group.order))
@@ -356,16 +356,16 @@ def stabilizer_and_orbit_oracle(f, ctx):
     """The stabilizer of a class function f on a normal subgroup under
     conjugation by the parent, as an element set, and the orbit as exact value
     tuples in the order of the first parent element giving each: one
-    ``Group.conjugate`` per parent element and class representative, mapped
-    back into the subgroup by its image row."""
+    ``Group.conjugates`` per parent element, of the class representatives,
+    mapped back into the subgroup by their image rows."""
     parent, sub = ctx.parent, ctx.group
     values = exact_values(f)
-    reps = [parent.element_index(sub.element(c.representative)) for c in sub.classes]
+    reps = [parent.element_index(sub.element(r)) for r in sub.class_reps.tolist()]
     stabilizer, orbit = set(), []
     for g in range(parent.order):
         image = tuple(
-            values[sub.class_of[sub.element_index(parent.element(parent.conjugate(x, g)))]]
-            for x in reps
+            values[sub.class_of[sub.element_index(parent.element(x))]]
+            for x in parent.conjugates(reps, g).tolist()
         )
         if image == values:
             stabilizer.add(g)
@@ -448,7 +448,7 @@ def class_constants_oracle(group):
     """a[i][j][k] = #{(x, y) in C_i x C_j : xy = z_k}, counting all pairs."""
     mul = cayley_table(group)
     m = group.num_classes
-    class_of_rep = {c.representative: k for k, c in enumerate(group.classes)}
+    class_of_rep = {r: k for k, r in enumerate(group.class_reps.tolist())}
     out = [[[0] * m for _ in range(m)] for _ in range(m)]
     for x, row in enumerate(mul):
         for y, z in enumerate(row):
@@ -465,11 +465,34 @@ def conjugacy_oracle(group):
     for i in range(group.order):
         if seen[i]:
             continue
-        orbit = sorted({group.conjugate(i, g) for g in range(group.order)})
+        orbit = sorted(set(group.conjugates(i, np.arange(group.order)).tolist()))
         for x in orbit:
             seen[x] = True
         classes.append(tuple(orbit))
     return classes
+
+
+def orbit_labels_oracle(n, perms):
+    """Orbits on range(n) of the maps given as lists, by depth-first search:
+    (orbit label of every point, least point of every orbit), orbits numbered
+    by their least point."""
+    label = [-1] * n
+    least = []
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        current = len(least)
+        least.append(start)
+        label[start] = current
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for p in perms:
+                y = p[x]
+                if label[y] < 0:
+                    label[y] = current
+                    stack.append(y)
+    return label, least
 
 
 def class_closure(group, class_indices, _memo=None):
@@ -478,9 +501,7 @@ def class_closure(group, class_indices, _memo=None):
     if _memo is not None and key in _memo:
         return _memo[key]
     mul = cayley_table(group)
-    members = {0}
-    for j in key:
-        members.update(group.classes[j].members)
+    members = {0} | {x for x, c in enumerate(group.class_of.tolist()) if c in key}
     frontier = list(members)
     while frontier:
         x = frontier.pop()
@@ -528,9 +549,7 @@ def normal_powerset_oracle(group):
         if not mask & 1:
             continue
         classes = [j for j in range(m) if mask >> j & 1]
-        members = set()
-        for j in classes:
-            members.update(group.classes[j].members)
+        members = {x for x, c in enumerate(group.class_of.tolist()) if mask >> c & 1}
         if all(mul[a][b] in members for a in members for b in members):
             out.add(frozenset(classes))
     return out
@@ -541,10 +560,10 @@ def normal_powerset_oracle(group):
 
 def _inner(group, a, b):
     total = ExactCyclotomic.zero()
-    for cls, av, bv in zip(group.classes, a, b):
+    for size, av, bv in zip(group.class_sizes.tolist(), a, b):
         term = av * bv.conj()
         if term:
-            total = total + cls.size * term
+            total = total + size * term
     r = (total * Fraction(1, group.order)).as_rational()
     assert r is not None, "oracle inner product must be rational"
     return r
@@ -555,8 +574,7 @@ def _induce_from(group, sub_elements, values_by_element):
     mul = cayley_table(group)
     inv = [row.index(0) for row in mul]
     out = []
-    for cls in group.classes:
-        rep = cls.representative
+    for rep in group.class_reps.tolist():
         total = ExactCyclotomic.zero()
         for x, row in enumerate(mul):
             y = mul[row[rep]][inv[x]]
@@ -576,7 +594,7 @@ def _cyclic_induced_pool(group):
         if key not in pool:
             pool[key] = tuple(values)
 
-    add(tuple(ExactCyclotomic.one() for _ in group.classes))
+    add(tuple(ExactCyclotomic.one() for _ in range(group.num_classes)))
     seen_subgroups = set()
     mul = cayley_table(group)
     for x in range(1, group.order):
@@ -688,8 +706,8 @@ def _linear_character_pool(group):
     out = []
     for lam in chars:
         out.append(tuple(
-            root_of_unity(exponent, lam[coset_of[cls.representative]])
-            for cls in group.classes
+            root_of_unity(exponent, lam[coset_of[rep]])
+            for rep in group.class_reps.tolist()
         ))
     return out
 

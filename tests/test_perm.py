@@ -11,6 +11,7 @@ from charprod.perm import (
     Permutation,
     direct_product,
     group_closure,
+    orbit_labels,
     parse_generators,
     parse_permutation,
 )
@@ -23,6 +24,7 @@ from oracles import (
     conjugacy_oracle,
     generator_sets,
     inverse,
+    orbit_labels_oracle,
     order,
     power,
 )
@@ -81,7 +83,7 @@ def test_d8_closure_matches_oracle():
     g = group_closure(gens)
     assert g.order == 8 and g.num_classes == 5
     assert set(map(tuple, g.images.tolist())) == {p.images for p in closure_oracle(gens)}
-    assert [tuple(c.members) for c in g.classes] == conjugacy_oracle(g)
+    _assert_classes_match(g)
 
 
 def test_identity_only_generators():
@@ -110,12 +112,13 @@ def test_closure_idempotence():
 def test_class_equation_and_conjugation_closure(group_of):
     for gid in ("dihedral8", "sl23", "heisenberg3", "modular16"):
         g = group_of(gid)
-        assert sum(c.size for c in g.classes) == g.order
-        for c in g.classes:
-            assert g.order % c.size == 0
+        assert g.class_sizes.sum() == g.order
+        for j, size in enumerate(g.class_sizes.tolist()):
+            members = g.class_members(j)
+            assert g.order % size == 0 and len(members) == size
             for s in g._gen_indices:
-                assert {g.conjugate(i, s) for i in c.members} == set(c.members)
-        assert g.classes[0].members == (0,)
+                assert set(g.conjugates(members, s).tolist()) == set(members.tolist())
+        assert g.class_members(0).tolist() == [0]
 
 
 def test_subgroup_generated_fixed_point(group_of):
@@ -134,31 +137,28 @@ def test_subgroup_examples(group_of):
     assert g.subgroup(range(g.order)).order == 8
     central = next(
         i for i in range(1, g.order)
-        if g.classes[g.class_of[i]].size == 1
+        if g.class_sizes[g.class_of[i]] == 1
     )
     sub = g.subgroup([central])
     assert sub.order == 2 and sub.is_normal
 
 
-def test_power_class(group_of):
+def test_inverse_class(group_of):
     c4 = group_closure([parse_permutation("(1 2 3 4)")])
+    for g in (c4, group_of("dihedral8"), group_of("heisenberg3")):
+        inverse_class = g.inverse_class()
+        assert not inverse_class.flags.writeable
+        for j in range(g.num_classes):
+            assert set(g.class_of[g.inverses[g.class_members(j)]].tolist()) == {inverse_class[j]}
     j = c4.class_of[c4.element_index(parse_permutation("(1 2 3 4)"))]
-    doubled = c4.power_class(j, 2)
-    rep = c4.classes[doubled].representative
-    assert c4.element(rep) == parse_permutation("(1 3)(2 4)")
-    for g in (c4, group_of("dihedral8")):
-        for cls_idx in range(g.num_classes):
-            assert g.power_class(cls_idx, 0) == 0
-            assert g.power_class(cls_idx, 1) == cls_idx
-            second = g.classes[cls_idx].members[-1]
-            assert g.class_of[g.power(second, 3)] == g.power_class(cls_idx, 3)
+    assert c4.element(c4.class_reps[c4.inverse_class()[j]]) == parse_permutation("(1 4 3 2)")
 
 
 def test_p_group_center_nontrivial(group_of):
     for gid in ("dihedral8", "quaternion16", "heisenberg3", "wreath3"):
         g = group_of(gid)
         p = g.p_group_prime()
-        singletons = sum(1 for c in g.classes if c.size == 1)
+        singletons = int((g.class_sizes == 1).sum())
         assert singletons >= p
 
 
@@ -192,8 +192,8 @@ def test_closure_cap_env(monkeypatch):
 
 
 def _assert_arithmetic_matches(g, elements, pairs, exponents):
-    """mul, conjugate, power and their batched forms against Permutation
-    arithmetic on the reference element list."""
+    """mul, power, products and conjugates against Permutation arithmetic
+    on the reference element list."""
     index = {p: i for i, p in enumerate(elements)}
     a, b = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
     assert g.products(a, b).tolist() == [index[compose(elements[i], elements[j])] for i, j in pairs]
@@ -202,9 +202,40 @@ def _assert_arithmetic_matches(g, elements, pairs, exponents):
     ]
     for (i, j), k in zip(pairs, exponents):
         assert g.mul(i, j) == index[compose(elements[i], elements[j])]
-        assert g.conjugate(i, j) == index[compose(compose(elements[j], elements[i]), inverse(elements[j]))]
         assert g.power(i, k) == index[power(elements[i], k)]
         assert g.element_order(i) == order(elements[i])
+
+
+def _assert_classes_match(g):
+    """class_members, class_reps and class_sizes against the partition by
+    conjugation with every element."""
+    classes = conjugacy_oracle(g)
+    assert [tuple(g.class_members(j).tolist()) for j in range(g.num_classes)] == classes
+    assert g.class_reps.tolist() == [c[0] for c in classes]
+    assert g.class_sizes.tolist() == [len(c) for c in classes]
+    assert g.class_members([0, g.num_classes - 1]).tolist() == sorted({0, *classes[-1]})
+
+
+def _point_maps(n):
+    """Lists of maps on range(n): random permutations and identities."""
+    return st.lists(st.one_of(st.permutations(range(n)), st.just(list(range(n)))), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_orbit_labels_match_depth_first_search(data):
+    n = data.draw(st.integers(1, 12))
+    perms = data.draw(_point_maps(n))
+    label, least = orbit_labels(np.array(perms, dtype=np.intp).reshape(len(perms), n))
+    assert (label.tolist(), least.tolist()) == orbit_labels_oracle(n, perms)
+
+
+@pytest.mark.parametrize("perms", [np.zeros((0, 5), dtype=np.intp), np.array([[0]]), np.tile(np.arange(4), (3, 1))])
+def test_orbit_labels_of_trivial_stacks(perms):
+    """No maps, one point, or only identities: every point is its own orbit."""
+    n = perms.shape[1]
+    label, least = orbit_labels(perms)
+    assert label.tolist() == least.tolist() == list(range(n))
 
 
 @pytest.mark.parametrize("degree, transpositions", [
@@ -242,5 +273,5 @@ def test_group_core_matches_permutation_arithmetic(gens, data):
     pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=25))
     exponents = data.draw(st.lists(st.integers(-8, 8), min_size=len(pairs), max_size=len(pairs)))
     _assert_arithmetic_matches(g, elements, pairs, exponents)
-    assert [c.members for c in g.classes] == conjugacy_oracle(g)
+    _assert_classes_match(g)
     assert np.stack([class_constants(g, i) for i in range(g.num_classes)]).tolist() == class_constants_oracle(g)

@@ -139,14 +139,6 @@ def test_inflation_round_trip(group_of, table_of):
         assert lifted.values[0] == tau.values[0]
 
 
-def test_section_consistency(group_of, table_of):
-    g = group_of("dihedral8")
-    lat = normal_lattice(g, dixon_table(g))
-    qm = quotient(g, lat.members[1])
-    for q_index, rep in enumerate(qm.section):
-        assert qm.projection[rep] == q_index
-
-
 def test_lattice_json(group_of, table_of):
     lat = lattice_of("dihedral8", group_of, table_of)
     payload = lat.to_json()

@@ -94,6 +94,43 @@ def test_theorem_B_contrast_fixture(group_of, table_of):
                 assert session.eta[i, jbar] >= p
 
 
+def test_theorem_A_reports_a_corrupted_center(group_of):
+    # Z(chi_9) shrunk to the identity class: the squares of the two degree-3
+    # characters (each 3 times the other) no longer match their constituent
+    gid = "heisenberg3"
+    g = group_of(gid)
+    session = GroupSession(g, gid)
+    session._value_sets()
+    session._zsets[9] = frozenset({0})
+    checks = check_theorem_A(g, gid, session=session)
+    assert len(checks) == 121
+    assert [c.to_json() for c in checks if c.status == "fail"] == [
+        {"statement": "A", "instance": {"chi": 9, "psi": 9}, "status": "fail",
+         "witness": {"theta": 10, "reason": "Z(chi psi) != Z(theta)", "z_product_classes": [0],
+                     "z_theta_classes": [0, 9, 10], "eta": 1}},
+        {"statement": "A", "instance": {"chi": 10, "psi": 10}, "status": "fail",
+         "witness": {"theta": 9, "reason": "Z(chi psi) != Z(theta)", "z_product_classes": [0, 9, 10],
+                     "z_theta_classes": [0], "eta": 1}},
+    ]
+
+
+def test_theorem_B_reports_a_corrupted_induction_count(group_of):
+    # the faithful phi of the center claimed to induce to two irreducibles:
+    # every pair in the hypothesis whose product lies over it fails
+    gid = "heisenberg3"
+    g = group_of(gid)
+    session = GroupSession(g, gid)
+    session.normal_data[1]["col_support"][1] = 2
+    checks = check_theorem_B(g, gid, session=session)
+    assert len(checks) == 121
+    witness = {"normal": 1, "normal_order": 3, "gamma": 1, "eta_gamma_induced": 2}
+    pairs = [(i, 9) for i in range(9)] + [(10, 10)]
+    assert [c.to_json() for c in checks if c.status == "fail"] == [
+        {"statement": "B", "instance": {"chi": i, "psi": j}, "status": "fail", "witness": witness}
+        for i, j in pairs
+    ]
+
+
 def test_theorem_C_counterexample_fixtures(group_of):
     sl_checks = check_theorem_C(group_of("sl23"), "sl23")
     lookup = by_instance(sl_checks)
