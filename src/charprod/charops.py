@@ -23,6 +23,8 @@ from .cyclotomic import (
     int64_array,
     matmul_exact,
     multiply,
+    value_json,
+    value_text,
 )
 from .errors import (
     CharprodError,
@@ -44,8 +46,8 @@ class ClassFunction:
     exponent and the orders of the values it was made from) and one int64
     coefficient array ``num`` of shape (classes, phi(order)) over one positive
     denominator ``den``, in canonical form: reduced modulo Phi_order, with no
-    common factor of ``den`` and all numerators.  ``values`` writes the values
-    out as Cyclotomic objects, for text."""
+    common factor of ``den`` and all numerators.  ``values`` gives the values
+    as Cyclotomic objects; the text formats write the coefficient rows."""
 
     __slots__ = ("group", "order", "num", "den")
 
@@ -154,10 +156,10 @@ class ClassFunction:
         return hash((id(self.group), self.num.any(axis=1).tobytes()))
 
     def to_json(self):
-        return [v.to_json() for v in self.values]
+        return [value_json(self.order, row, self.den) for row in self.num.tolist()]
 
     def __repr__(self):
-        shown = ", ".join(self._value(j).to_text() for j in range(min(6, len(self.num))))
+        shown = ", ".join(value_text(self.order, row, self.den) for row in self.num[:6].tolist())
         more = ", ..." if len(self.num) > 6 else ""
         return f"ClassFunction([{shown}{more}])"
 

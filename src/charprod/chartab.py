@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .charops import ClassFunction
-from .cyclotomic import _reduction_matrix, fits, gram, matmul_exact
+from .cyclotomic import _reduction_matrix, euler_phi, fits, gram, matmul_exact, value_text
 from .errors import EigensplitStall, LiftInconsistent
 from .modular import (
     charpoly_mod,
@@ -39,21 +39,18 @@ def class_constants(group, i):
 
 
 class CharacterTable:
-    """The irreducible characters of a group, deterministically indexed:
-    the principal character first, the rest by (degree, value key).  Their
-    rows are stacked once into one read-only integer tensor, whose identity
-    column gives the degrees; LiftInconsistent unless they are algebraic
-    integers at one order."""
+    """The irreducible characters of a group as one read-only int64 tensor of
+    their coefficients at ``order`` (the group's exponent), shape
+    (irreducibles, classes, phi(order)), deterministically indexed: the
+    principal character first, the rest ascending by their flattened
+    coefficients, so by degree first.  Each irreducible is a ClassFunction on
+    a view of its row; the identity column gives the degrees."""
 
-    def __init__(self, group, irreducibles):
-        self.group = group
-        self.irreducibles = tuple(irreducibles)
-        order = self.irreducibles[0].order
-        if any(chi.den != 1 or chi.order != order for chi in self.irreducibles):
-            raise LiftInconsistent("table rows are not algebraic integers at one order")
-        tensor = np.stack([chi.num for chi in self.irreducibles])
+    def __init__(self, group, order, tensor):
         tensor.flags.writeable = False
+        self.group = group
         self._tensor = order, tensor
+        self.irreducibles = tuple(ClassFunction.from_coefficients(group, order, row) for row in tensor)
         self.degrees = tuple(tensor[:, 0, 0].tolist())
         self._row_lookup = {chi.value_key(): i for i, chi in enumerate(self.irreducibles)}
         self._conj_rows = None
@@ -69,11 +66,10 @@ class CharacterTable:
     def conjugate_index(self, i):
         """Index of the complex conjugate of irreducible i."""
         if self._conj_rows is None:
-            inv = self.group.inverse_class()
-            self._conj_rows = tuple(
-                self._row_lookup[ClassFunction.from_coefficients(self.group, chi.order, chi.num[inv], chi.den).value_key()]
-                for chi in self.irreducibles
-            )
+            order, tensor = self._tensor
+            # chi(g^-1) is the conjugate of chi(g); keys as ClassFunction.value_key
+            conj = tensor[:, self.group.inverse_class()]
+            self._conj_rows = tuple(self._row_lookup[order, 1, row.tobytes()] for row in conj)
         return self._conj_rows[i]
 
     def linear_indices(self):
@@ -82,8 +78,8 @@ class CharacterTable:
     def coefficient_tensor(self):
         """(order, tensor): the common order of the values and their integer
         coefficients at it, shape (irreducibles, classes, phi(order)), read
-        only.  This is the one integer image of the table, stacked when the
-        table is made; every sum over its classes is one ``gram`` on it."""
+        only.  This is the one integer image of the table; every sum over its
+        classes is one ``gram`` on it."""
         return self._tensor
 
     def to_text(self):
@@ -91,8 +87,9 @@ class CharacterTable:
         g = self.group
         lines.append("sizes  " + " ".join(str(size).rjust(6) for size in g.class_sizes.tolist()))
         lines.append("orders " + " ".join(str(g.element_order(r)).rjust(6) for r in g.class_reps.tolist()))
-        for i, chi in enumerate(self.irreducibles):
-            row = " ".join(v.to_text().rjust(6) for v in chi.values)
+        order, tensor = self._tensor
+        for i, values in enumerate(tensor.tolist()):
+            row = " ".join(value_text(order, v).rjust(6) for v in values)
             lines.append(f"X{i:<5} {row}")
         return "\n".join(lines)
 
@@ -170,15 +167,13 @@ def _lift_degree(omega, group, q, lift):
     inv_sizes = lift[1]
     fits(omega.shape[-1] * (q - 1) ** 2)
     sums = matmul_exact(omega * omega[..., group.inverse_class()] % q, inv_sizes) % q
-    limit = math.isqrt(group.order)
-    degrees = []
-    for s in sums.ravel().tolist():
-        dsq = group.order * inv_mod(s, q) % q
-        hits = [d for d in range(1, limit + 1) if d * d % q == dsq]
-        if len(hits) != 1:
-            raise LiftInconsistent(f"degree lift ambiguous or missing: {hits}")
-        degrees.append(hits[0])
-    return np.array(degrees, dtype=np.int64).reshape(sums.shape)
+    # chi(1)^2 sum = |G| mod q; each product (d^2 mod q) sum is below
+    # (q - 1)^2, within the bound checked above
+    d = np.arange(1, math.isqrt(group.order) + 1)
+    hits = (d * d % q) * sums[..., None] % q == group.order % q
+    if (hits.sum(axis=-1) != 1).any():
+        raise LiftInconsistent("degree lift ambiguous or missing")
+    return d[hits.argmax(axis=-1)]
 
 
 def _value_lift(group, q, z):
@@ -257,7 +252,7 @@ def _build_table(group):
     m = group.num_classes
     exponent = group.exponent
     if m == 1:
-        return CharacterTable(group, [ClassFunction(group, [1])])
+        return CharacterTable(group, 1, np.ones((1, 1, 1), dtype=np.int64))
 
     q = find_prime(exponent, 2 * math.isqrt(group.order - 1) + 2)
     z = nth_root_of_unity(q, exponent)
@@ -272,19 +267,17 @@ def _build_table(group):
     # m // exponent characters a step, so that each step's (characters,
     # classes, exponent) arrays hold about m^2 entries, as a class matrix does
     step = max(1, m // exponent)
-    characters = []
-    for i in range(0, len(omegas), step):
-        values = _lift_values(omegas[i:i + step], degrees[i:i + step], q, lift)
-        characters.extend(ClassFunction.from_coefficients(group, exponent, num) for num in values)
+    tensor = np.empty((m, m, euler_phi(exponent)), dtype=np.int64)
+    for i in range(0, m, step):
+        tensor[i:i + step] = _lift_values(omegas[i:i + step], degrees[i:i + step], q, lift)
 
-    one = np.zeros_like(characters[0].num)
-    one[:, 0] = 1
-    principal = [chi for chi in characters if chi.den == 1 and np.array_equal(chi.num, one)]
-    if len(principal) != 1:
+    other = (tensor != np.eye(1, tensor.shape[-1], dtype=np.int64)).any(axis=(1, 2))
+    if m - other.sum() != 1:
         raise LiftInconsistent("principal character missing from the lifted table")
-    rest = [chi for chi in characters if chi is not principal[0]]
-    rest.sort(key=_row_sort_key)
-    table = CharacterTable(group, principal + rest)
+    # the principal row first, the rest ascending by their coefficients, the
+    # first of which is the degree (np.lexsort sorts by its last key first)
+    keys = tensor.reshape(m, -1).T[::-1]
+    table = CharacterTable(group, exponent, tensor[np.lexsort((*keys, other))])
 
     if sum(d * d for d in table.degrees) != group.order:
         raise LiftInconsistent("degree squares do not sum to the group order")
@@ -292,8 +285,3 @@ def _build_table(group):
     if defect:
         raise LiftInconsistent(f"orthogonality failed exactly: {defect}")
     return table
-
-
-def _row_sort_key(chi):
-    # rows of a table have denominator 1, so this orders them as the values do
-    return (int(chi.num[0, 0]), tuple(chi.num.ravel().tolist()))

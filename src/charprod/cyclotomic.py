@@ -17,7 +17,7 @@ base-2^k limbs, with k chosen so that each limb product stays below 2^53,
 and adds the shifted limb products in int64 (the delayed reduction of
 FFLAS-FFPACK: Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  Each float64
 product runs in row blocks of at most ``BLAS_BLOCK`` multiply-adds.
-``Cyclotomic`` is the text format of one value.
+``value_text``/``value_json`` write one value; ``Cyclotomic`` holds one.
 """
 
 from __future__ import annotations
@@ -314,7 +314,7 @@ def embed(x, order, target):
 class Cyclotomic:
     """One value of Q(zeta_order), given by canonical coefficients: numerators
     in the power basis reduced modulo Phi_order, over a positive denominator
-    sharing no factor with all of them.  Used to write values as text."""
+    sharing no factor with all of them, written through ``value_text``."""
 
     __slots__ = ("order", "num", "den")
 
@@ -357,20 +357,28 @@ class Cyclotomic:
         return hash(r) if r is not None else hash((self.order, self.num, self.den))
 
     def to_text(self):
-        r = self.as_rational()
-        if r is not None:
-            return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-        body = ",".join(_frac_text(c, self.den) for c in self.num)
-        return f"z({self.order};{body})"
+        return value_text(self.order, self.num, self.den)
 
     def to_json(self):
-        r = self.as_rational()
-        if r is not None and r.denominator == 1:
-            return int(r)
-        return self.to_text()
+        return value_json(self.order, self.num, self.den)
 
     def __repr__(self):
         return f"Cyclotomic({self.to_text()})"
+
+
+def value_text(order, num, den=1):
+    """The text of the value with power-basis coefficients ``num`` (ints) over
+    ``den``: a reduced fraction if rational, else z(order;c0,c1,...)."""
+    if not any(num[1:]):
+        return _frac_text(num[0], den)
+    return f"z({order};{','.join(_frac_text(c, den) for c in num)})"
+
+
+def value_json(order, num, den=1):
+    """``value_text``, except that a rational integer is an int."""
+    if not any(num[1:]) and num[0] % den == 0:
+        return num[0] // den
+    return value_text(order, num, den)
 
 
 def _frac_text(num, den):

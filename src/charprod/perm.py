@@ -125,7 +125,7 @@ def parse_permutation(text, degree=None, line_no=None):
                 pos += 1
                 break
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
             if pos == start:
                 raise ParseError(f"expected point or ')' but found {text[pos]!r}", line_no, pos + 1)

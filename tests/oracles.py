@@ -337,6 +337,23 @@ def from_text(text):
     return ExactCyclotomic.of(Fraction(text))
 
 
+def value_text_reference(order, num, den=1):
+    """The text of one value through Fraction: the reference for
+    ``cyclotomic.value_text``."""
+    if not any(num[1:]):
+        return str(Fraction(num[0], den))
+    return f"z({order};{','.join(str(Fraction(c, den)) for c in num)})"
+
+
+def value_json_reference(order, num, den=1):
+    """The JSON of one value through Fraction: the reference for
+    ``cyclotomic.value_json``."""
+    r = Fraction(num[0], den)
+    if not any(num[1:]) and r.denominator == 1:
+        return int(r)
+    return value_text_reference(order, num, den)
+
+
 def induce_by_summation(f, ctx):
     """Induction by the raw Frobenius sum over the whole parent group, on
     exact values: an independent cross-check of the engine's classwise form."""
@@ -842,6 +859,13 @@ def canonical_key(values):
         m = exact(v).minimal()
         out.append((m.order, m.num, m.den))
     return tuple(out)
+
+
+def row_sort_key(chi):
+    """The order of the rows of a table after the principal one: by degree,
+    then by all coefficients, row-major (rows of a table have denominator 1,
+    so this orders them as the values do)."""
+    return (int(chi.num[0, 0]), tuple(chi.num.ravel().tolist()))
 
 
 def brute_force_table(group):

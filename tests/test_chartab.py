@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from charprod.charops import ClassFunction
+from charprod.charops import principal_character
 from charprod.chartab import (
     CharacterTable,
     _lift_degree,
@@ -19,7 +20,15 @@ from charprod.errors import CharprodError, LiftInconsistent
 from charprod.modular import find_prime, inv_mod, nth_root_of_unity
 from charprod.perm import Permutation, group_closure, parse_generators
 
-from oracles import brute_force_table, canonical_key, exact, root_of_unity
+from oracles import (
+    brute_force_table,
+    canonical_key,
+    generator_sets,
+    root_of_unity,
+    row_sort_key,
+    value_json_reference,
+    value_text_reference,
+)
 
 SMALL_IDS = [
     "cyclic2", "cyclic3", "cyclic4", "cyclic8", "cyclic9", "cyclic16",
@@ -110,12 +119,12 @@ def test_sl23_table(table_of):
 def test_verify_orthogonality_and_perturbation(table_of):
     t = table_of("elemab_2_2")
     assert verify_orthogonality(t)
-    rows = [ClassFunction(t.group, list(chi.values)) for chi in t.irreducibles]
-    bumped = list(rows[1].values)
-    bumped[2] = exact(bumped[2]) + 1
-    rows[1] = ClassFunction(t.group, bumped)
-    assert not verify_orthogonality(CharacterTable(t.group, rows))
-    assert set(_orthogonality_defect(CharacterTable(t.group, rows))) == {"rows", "columns"}
+    order, tensor = t.coefficient_tensor()
+    bumped = tensor.copy()
+    bumped[1, 2, 0] += 1
+    perturbed = CharacterTable(t.group, order, bumped)
+    assert not verify_orthogonality(perturbed)
+    assert set(_orthogonality_defect(perturbed)) == {"rows", "columns"}
 
 
 @pytest.mark.parametrize("gid", ["dihedral8", "cyclic9", "heisenberg3"])
@@ -134,6 +143,21 @@ def test_corrupted_central_character_fails_the_lift(gid, group_of, table_of):
             with pytest.raises(LiftInconsistent):
                 _lift_values(bad, degree, q, lift)
     assert rows == {chi.num.tobytes() for chi in table_of(gid).irreducibles}
+
+
+def test_a_normalisation_sum_that_matches_no_degree_fails_the_lift(group_of):
+    """Twice the principal central character of heisenberg3 has normalisation
+    sum 4 |G| = 4 (mod q = 13): d^2 = 1/4 has the roots 6 and 7, both above
+    isqrt(27) = 5, so no degree fits."""
+    g = group_of("heisenberg3")
+    q = find_prime(g.exponent, 2 * math.isqrt(g.order - 1) + 2)
+    lift = _value_lift(g, q, nth_root_of_unity(q, g.exponent))
+    principal = g.class_sizes % q
+    assert q == 13 and _lift_degree(principal, g, q, lift) == 1
+    assert _lift_degree(np.stack([principal, principal]), g, q, lift).tolist() == [1, 1]
+    for omega in (2 * principal % q, np.stack([principal, 2 * principal % q])):
+        with pytest.raises(LiftInconsistent, match="degree lift"):
+            _lift_degree(omega, g, q, lift)
 
 
 @pytest.mark.parametrize("gid", SMALL_IDS + ["heisenberg3", "wreath3", "extraspecial27_exp9"])
@@ -198,24 +222,17 @@ def test_table_is_built_once_across_threads(monkeypatch):
     assert len(tables) == 8 and all(t is tables[0] for t in tables)
 
 
-def test_coefficient_tensor_is_built_once_across_threads(monkeypatch, table_of):
-    """The table stacks its rows into one read-only tensor when it is made;
-    every thread reads that tensor, and rows that are not algebraic integers
-    at one order are refused when the table is made."""
+def test_coefficient_tensor_is_built_once_across_threads(table_of):
+    """The tensor a table is made from is its only representation: every
+    thread reads that tensor, read-only, and every irreducible's coefficients
+    are a view of it."""
     import sys
     import threading
-    from fractions import Fraction
 
     source = table_of("heisenberg3")
-    stacks = []
-    stack = np.stack
-
-    def counted_stack(*args, **kwargs):
-        stacks.append(args)
-        return stack(*args, **kwargs)
-
-    monkeypatch.setattr(np, "stack", counted_stack)
-    table = CharacterTable(source.group, source.irreducibles)
+    order, tensor = source.coefficient_tensor()
+    tensor = tensor.copy()
+    table = CharacterTable(source.group, order, tensor)
     start = threading.Barrier(8)
     tensors = []
 
@@ -234,12 +251,11 @@ def test_coefficient_tensor_is_built_once_across_threads(monkeypatch, table_of):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(tensors) == 8 and all(t is tensors[0] for t in tensors)
-    assert len(stacks) == 1 and not tensors[0][1].flags.writeable
+    assert len(tensors) == 8 and all(t[0] == order and t[1] is tensor for t in tensors)
+    assert not tensor.flags.writeable
+    assert all(np.shares_memory(chi.num, tensor) for chi in table.irreducibles)
+    assert table.irreducibles == source.irreducibles
     assert table.degrees == tuple(chi.degree().as_integer() for chi in source.irreducibles)
-    halved = [source.irreducibles[0] * Fraction(1, 2)] + list(source.irreducibles[1:])
-    with pytest.raises(LiftInconsistent, match="not algebraic integers at one order"):
-        CharacterTable(source.group, halved)
 
 
 def test_scalar_actions_leave_their_space_alone(monkeypatch):
@@ -322,6 +338,30 @@ def test_brute_force_oracle_equivalence(gid, group_of, table_of):
     oracle_rows = {canonical_key(row) for row in brute_force_table(group)}
     engine_rows = {canonical_key(tuple(chi.values)) for chi in t.irreducibles}
     assert oracle_rows == engine_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=generator_sets())
+def test_random_tables_match_the_oracle(gens):
+    """Random groups of order at most 24: the table has the oracle's rows,
+    the principal row first and the rest ascending by ``row_sort_key``, the
+    conjugate of each row where ``conjugate_index`` says, and the reference
+    text and JSON of every value."""
+    group = group_closure(gens)
+    assume(group.order <= 24)
+    t = dixon_table(group)
+    assert {canonical_key(row) for row in brute_force_table(group)} == {
+        canonical_key(tuple(chi.values)) for chi in t.irreducibles
+    }
+    assert t.irreducibles[0] == principal_character(group)
+    keys = [row_sort_key(chi) for chi in t.irreducibles[1:]]
+    assert keys == sorted(keys)
+    lines = t.to_text().splitlines()[2:]
+    for i, (chi, entry) in enumerate(zip(t.irreducibles, t.to_json()["irreducibles"])):
+        assert t.irreducibles[t.conjugate_index(i)] == chi.conj()
+        assert entry["values"] == [value_json_reference(v.order, v.num, v.den) for v in chi.values]
+        texts = (value_text_reference(v.order, v.num, v.den).rjust(6) for v in chi.values)
+        assert lines[i] == f"X{i:<5} " + " ".join(texts)
 
 
 def test_conjugate_index(table_of):

@@ -98,6 +98,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "charprod" in err
 
 
+def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "superscript.gens"
+    path.write_text("(1 \u00b2)\n", encoding="utf-8")
+    code, out, err = run_cli(["table", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "line 1, column 4" in err and "Traceback" not in err
+
+
 def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "utf16.gens"
     path.write_bytes(b"\xff\xfe(1 2)")

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charprod import catalog, cyclotomic
 from charprod.charops import ClassFunction, inner_product
@@ -23,6 +23,8 @@ from charprod.cyclotomic import (
     matmul_exact,
     multiply,
     products_exact,
+    value_json,
+    value_text,
 )
 from charprod.errors import CharprodError
 
@@ -34,6 +36,8 @@ from oracles import (
     from_text,
     is_nonnegative_real,
     root_of_unity,
+    value_json_reference,
+    value_text_reference,
 )
 
 
@@ -159,6 +163,34 @@ def test_text_format_reduces_each_coefficient():
     assert Cyclotomic(1, (-4,)).to_json() == -4
     assert Cyclotomic(1, (3,), 2).to_json() == "3/2"
     assert Cyclotomic(6, (3, 0), 2) == Fraction(3, 2)
+
+
+@st.composite
+def value_rows(draw):
+    """(order, coefficients, den) of one value: rational when every
+    coefficient past the first is zero, which a third of the draws force."""
+    order = draw(st.integers(1, 30))
+    num = draw(st.lists(st.integers(-12, 12), min_size=euler_phi(order), max_size=euler_phi(order)))
+    if draw(st.integers(0, 2)) == 0:
+        num[1:] = [0] * (len(num) - 1)
+    return order, num, draw(st.integers(1, 12))
+
+
+@given(value_rows())
+@example((1, [4], 1))
+@example((6, [-3, 0], 2))
+@example((6, [0, 0], 5))
+@example((12, [2, 0, -3, 4], 6))
+@settings(max_examples=200, deadline=None)
+def test_value_formatter_matches_the_reference(value):
+    """Rational integers, other rationals and irrational values are written
+    as the Fraction-based reference writes them, as text and as JSON."""
+    order, num, den = value
+    text, payload = value_text(order, num, den), value_json(order, num, den)
+    assert text == value_text_reference(order, num, den)
+    assert payload == value_json_reference(order, num, den)
+    assert type(payload) is type(value_json_reference(order, num, den))
+    assert (Cyclotomic(order, num, den).to_text(), Cyclotomic(order, num, den).to_json()) == (text, payload)
 
 
 # -- coefficient arrays against the per-value reference ------------------------------

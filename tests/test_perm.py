@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charprod.chartab import class_constants
-from charprod.errors import ClosureCapExceeded, EmptyGeneratorSet, ParseError
+from charprod.errors import CharprodError, ClosureCapExceeded, EmptyGeneratorSet, ParseError
 from charprod.perm import (
     Permutation,
     direct_product,
@@ -56,6 +56,33 @@ def test_parse_rejects_malformed():
         parse_permutation("(0 1)")
     with pytest.raises(ParseError):
         parse_permutation("1 2 3")
+
+
+def test_non_decimal_digits_are_a_parse_error():
+    """Superscripts and circled digits are digits to str.isdigit but not to
+    int(): the parser reads decimal digits only, in any script."""
+    for text in ("(1 ²)", "(3 ①)"):
+        with pytest.raises(ParseError, match=r"line 1, column 4"):
+            parse_generators(text)
+    assert parse_generators("(١ ２)\n(１ 3)")[0] == parse_generators("(1 2)\n(1 3)")[0]
+
+
+# digit runs of at most two characters, each after a token that is no digit
+_SEPARATORS = st.sampled_from(["(", ")", " ", "\t", "\n", "#", "degree", "="])
+_DIGIT_RUNS = st.text(st.sampled_from("0123456789²①٣１"), max_size=2)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.lists(st.tuples(_SEPARATORS, _DIGIT_RUNS), max_size=12))
+def test_parse_generators_returns_generators_or_a_charprod_error(pieces):
+    """Text of cycle notation, comments and degree headers parses to a list
+    of generators or fails with a CharprodError, never another exception."""
+    text = "".join(sep + digits for sep, digits in pieces)
+    try:
+        gens, degree = parse_generators(text)
+    except CharprodError:
+        return
+    assert gens and all(g.degree == degree for g in gens)
 
 
 def test_parse_generators_header_and_comments():
