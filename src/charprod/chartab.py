@@ -1,11 +1,16 @@
-"""Exact character tables via the Dixon-Schneider method.
+"""Exact character tables: linear characters by cyclic extension, the rest
+via the Dixon-Schneider method.
 
-Class-sum matrices, each formed only when the split reaches it, are split
-into common eigenspaces over GF(q) with q = 1 (mod exponent) and
-q > 2 ceil(sqrt(|G|)); degrees and eigenvalue multiplicities are lifted to
-integers (they lie below sqrt(|G|) < q/2) and the values re-assembled as exact
-cyclotomics through the discrete Fourier sum over the power map.  The finished
-table must pass exact row and column orthogonality, otherwise the build fails.
+The characters of G/G', inflated to G, are built exactly along the group's
+generators, one cyclic extension at a time; for an abelian group they are
+the whole table.  The other central characters span the annihilator, over
+GF(q) with q = 1 (mod exponent) and q > 2 ceil(sqrt(|G|)), of the conjugate
+values of the linear ones (Schneider 1990).  That space is split into common
+eigenspaces of the class-sum matrices, each formed only when the split
+reaches it; degrees and eigenvalue multiplicities are lifted to integers (they
+lie below sqrt(|G|) < q/2) and the values re-assembled as exact cyclotomics
+through the discrete Fourier sum over the power map.  The finished table must
+pass exact row and column orthogonality, otherwise the build fails.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 import numpy as np
 
 from .charops import ClassFunction
-from .cyclotomic import _reduction_matrix, euler_phi, fits, gram, matmul_exact, value_text
+from .cyclotomic import _reduction_matrix, fits, gram, matmul_exact, value_text
 from .errors import EigensplitStall, LiftInconsistent
 from .modular import (
     charpoly_mod,
@@ -116,18 +121,19 @@ class CharacterTable:
         return f"CharacterTable(order={self.group.order}, irreducibles={self.size})"
 
 
-def _split_eigenspaces(group, q):
-    """Common eigenspaces of the class matrices over GF(q), split by applying
-    the matrices in ascending class index until every space is 1-dimensional.
-    A space is an echelon basis (columns) with the rows at its pivots forming
-    the identity, so a class matrix acts on it by the image's pivot rows.
+def _split_eigenspaces(group, q, basis, pivots):
+    """Common eigenspaces of the class matrices over GF(q) inside the space
+    ``basis`` (an invariant one), split by applying the matrices in ascending
+    class index until every space is 1-dimensional.  A space is an echelon
+    basis (columns) with the rows at its ``pivots`` forming the identity, so a
+    class matrix acts on it by the image's pivot rows.
     Each class matrix makes one product, with the open bases side by side.
     A space whose image is lambda times its basis stays as it is; any other
     is solved for the action, which checks that it is invariant, and makes
     one product with its eigenspace kernels side by side."""
     m = group.num_classes
     fits(m * (q - 1) ** 2)
-    spaces = [(np.eye(m, dtype=np.int64), np.arange(m))]
+    spaces = [(basis, pivots)]
     for i in range(1, m):
         wide = [basis for basis, pivots in spaces if len(pivots) > 1]
         if not wide:
@@ -248,35 +254,81 @@ def dixon_table(group, use_cache=True):
         return group._character_table
 
 
+def _linear_logs(group):
+    """Irr(G/G') inflated to G, by cyclic extension along the generators: an
+    int64 array (|G:G'|, classes) whose row of a character holds the
+    logarithms of its values to the base zeta_e, e the exponent.
+
+    From H = G' with its one character, each generator g outside H extends H
+    to <H, g>, whose elements are h g^j for j < r, r the least exponent with
+    g^r in H.  Each character of H extends in exactly r ways: log chi(h g^j) =
+    log chi(h) + j a for the r solutions a of r a = log chi(g^r) (mod e).
+    Every H met contains G', so its characters are constant on the classes of
+    G and are kept on them."""
+    e = group.exponent
+    members = np.array(group.derived_subgroup().element_indices, dtype=np.intp)
+    inside = np.zeros(group.order, dtype=bool)
+    inside[members] = True
+    classes = np.unique(group.class_of[members])
+    logs = np.zeros((1, classes.size), dtype=np.int64)
+    for g in group._gen_indices:
+        if inside[g]:
+            continue
+        powers = [0, g]
+        while not inside[powers[-1]]:
+            powers.append(int(group.products(powers[-1], g)))
+        r = len(powers) - 1
+        column = np.empty(group.num_classes, dtype=np.intp)
+        column[classes] = np.arange(classes.size)
+        target = logs[:, column[group.class_of[powers[-1]]]]
+        hits = (r * np.arange(e) - target[:, None]) % e == 0
+        if (hits.sum(axis=1) != r).any():
+            raise LiftInconsistent("a linear character does not extend in exactly r ways")
+        roots = np.nonzero(hits)[1].reshape(-1, r)
+        cosets = group.products(members, np.array(powers[:r])[:, None])
+        classes, first = np.unique(group.class_of[cosets], return_index=True)
+        j, h = np.divmod(first, members.size)
+        below = logs[:, column[group.class_of[members[h]]]]
+        logs = ((below[:, None] + roots[:, :, None] * j) % e).reshape(-1, classes.size)
+        members = cosets.ravel()
+        inside[members] = True
+    return logs
+
+
 def _build_table(group):
     m = group.num_classes
     exponent = group.exponent
-    if m == 1:
-        return CharacterTable(group, 1, np.ones((1, 1, 1), dtype=np.int64))
-
-    q = find_prime(exponent, 2 * math.isqrt(group.order - 1) + 2)
-    z = nth_root_of_unity(q, exponent)
-    vectors = _split_eigenspaces(group, q)
-    lift = _value_lift(group, q, z)
-
-    vectors = np.stack(vectors)
-    if not vectors[:, 0].all():
-        raise LiftInconsistent("central character vanishes on the identity class")
-    omegas = vectors * np.array([inv_mod(v, q) for v in vectors[:, 0].tolist()])[:, None] % q
-    degrees = _lift_degree(omegas, group, q, lift)
-    # m // exponent characters a step, so that each step's (characters,
-    # classes, exponent) arrays hold about m^2 entries, as a class matrix does
-    step = max(1, m // exponent)
-    tensor = np.empty((m, m, euler_phi(exponent)), dtype=np.int64)
-    for i in range(0, m, step):
-        tensor[i:i + step] = _lift_values(omegas[i:i + step], degrees[i:i + step], q, lift)
+    logs = _linear_logs(group)
+    known = len(logs)
+    reduction = _reduction_matrix(exponent, exponent)
+    if known == m:
+        tensor = reduction[logs]
+    else:
+        q = find_prime(exponent, 2 * math.isqrt(group.order - 1) + 2)
+        z = nth_root_of_unity(q, exponent)
+        # zeta -> z, as in the value lift: the other central characters span
+        # the null space of the known characters' conjugate values
+        conj_powers = np.array([pow(z, -t % exponent, q) for t in range(exponent)], dtype=np.int64)
+        vectors = np.stack(_split_eigenspaces(group, q, *nullspace_mod(conj_powers[logs], q)))
+        lift = _value_lift(group, q, z)
+        if not vectors[:, 0].all():
+            raise LiftInconsistent("central character vanishes on the identity class")
+        omegas = vectors * np.array([inv_mod(v, q) for v in vectors[:, 0].tolist()])[:, None] % q
+        degrees = _lift_degree(omegas, group, q, lift)
+        tensor = np.empty((known + len(omegas), m, reduction.shape[1]), dtype=np.int64)
+        np.take(reduction, logs, axis=0, out=tensor[:known])
+        # m // exponent characters a step, so that each step's (characters,
+        # classes, exponent) arrays hold about m^2 entries, as a class matrix does
+        step = max(1, m // exponent)
+        for i in range(0, len(omegas), step):
+            tensor[known + i:known + i + step] = _lift_values(omegas[i:i + step], degrees[i:i + step], q, lift)
 
     other = (tensor != np.eye(1, tensor.shape[-1], dtype=np.int64)).any(axis=(1, 2))
-    if m - other.sum() != 1:
+    if len(tensor) - other.sum() != 1:
         raise LiftInconsistent("principal character missing from the lifted table")
     # the principal row first, the rest ascending by their coefficients, the
     # first of which is the degree (np.lexsort sorts by its last key first)
-    keys = tensor.reshape(m, -1).T[::-1]
+    keys = tensor.reshape(len(tensor), -1).T[::-1]
     table = CharacterTable(group, exponent, tensor[np.lexsort((*keys, other))])
 
     if sum(d * d for d in table.degrees) != group.order:

@@ -30,10 +30,22 @@ def _load_group(source):
     return source, catalog.builtin(source)
 
 
+JSON_BUFFER = 1 << 16
+
+
 def _emit(payload, text, args, out):
     if args.format == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True))
-        out.write("\n")
+        # the bytes of json.dumps(indent=2, sort_keys=True), written in
+        # chunks of about JSON_BUFFER characters, never as one string
+        chunks, size = [], 0
+        for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload):
+            chunks.append(chunk)
+            size += len(chunk)
+            if size >= JSON_BUFFER:
+                out.write("".join(chunks))
+                chunks, size = [], 0
+        chunks.append("\n")
+        out.write("".join(chunks))
     else:
         out.write(text)
         if not text.endswith("\n"):

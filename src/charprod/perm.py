@@ -353,7 +353,7 @@ class Group:
     def inverse_class(self):
         """Read-only array: j -> class of the inverses of class j."""
         if self._inverse_class is None:
-            inverse = self.class_of[[self.power(r, -1) for r in self.class_reps.tolist()]]
+            inverse = self.class_of[self.inverses[self.class_reps]]
             inverse.flags.writeable = False
             self._inverse_class = inverse
         return self._inverse_class

@@ -10,6 +10,8 @@ from cyclic subgroups (certified by decomposing the regular character).
 Cyclotomic values are computed one at a time on Python integers
 (``ExactCyclotomic``) instead of the engine's int64 coefficient arrays.
 Signs of real cyclotomic values are decided by interval arithmetic.
+One reference is the engine's own earlier route: ``unseeded_table`` splits
+all of GF(q)^m with no known rows, against which the seeded build is checked.
 """
 
 from __future__ import annotations
@@ -23,6 +25,14 @@ import numpy as np
 from hypothesis import strategies as st
 
 from charprod.charops import ClassFunction
+from charprod.chartab import (
+    CharacterTable,
+    _lift_degree,
+    _lift_values,
+    _orthogonality_defect,
+    _split_eigenspaces,
+    _value_lift,
+)
 from charprod.cyclotomic import (
     Cyclotomic,
     _poly_mul,
@@ -31,6 +41,7 @@ from charprod.cyclotomic import (
     euler_phi,
     factorize,
 )
+from charprod.modular import find_prime, inv_mod, nth_root_of_unity
 from charprod.perm import Permutation
 
 
@@ -868,6 +879,39 @@ def row_sort_key(chi):
     return (int(chi.num[0, 0]), tuple(chi.num.ravel().tolist()))
 
 
+def unseeded_table(group):
+    """The table by the Dixon-Schneider split of all of GF(q)^m, with no row
+    known before the split: the engine's build before linear characters
+    seeded it, kept as the reference for the seeded build.  The same lift,
+    row order and exact checks as ``dixon_table``."""
+    m = group.num_classes
+    exponent = group.exponent
+    if m == 1:
+        return CharacterTable(group, 1, np.ones((1, 1, 1), dtype=np.int64))
+
+    q = find_prime(exponent, 2 * math.isqrt(group.order - 1) + 2)
+    z = nth_root_of_unity(q, exponent)
+    vectors = _split_eigenspaces(group, q, np.eye(m, dtype=np.int64), np.arange(m))
+    lift = _value_lift(group, q, z)
+
+    vectors = np.stack(vectors)
+    assert vectors[:, 0].all(), "central character vanishes on the identity class"
+    omegas = vectors * np.array([inv_mod(v, q) for v in vectors[:, 0].tolist()])[:, None] % q
+    degrees = _lift_degree(omegas, group, q, lift)
+    step = max(1, m // exponent)
+    tensor = np.empty((m, m, euler_phi(exponent)), dtype=np.int64)
+    for i in range(0, m, step):
+        tensor[i:i + step] = _lift_values(omegas[i:i + step], degrees[i:i + step], q, lift)
+
+    other = (tensor != np.eye(1, tensor.shape[-1], dtype=np.int64)).any(axis=(1, 2))
+    assert m - other.sum() == 1, "principal character missing from the lifted table"
+    keys = tensor.reshape(m, -1).T[::-1]
+    table = CharacterTable(group, exponent, tensor[np.lexsort((*keys, other))])
+    assert sum(d * d for d in table.degrees) == group.order
+    assert not _orthogonality_defect(table)
+    return table
+
+
 def brute_force_table(group):
     """Irreducible characters from the lattice of induced characters.
 
@@ -1089,9 +1133,9 @@ def is_nonnegative_real(value):
 
 
 @st.composite
-def generator_sets(draw):
-    """One to three random permutations of degree n <= 6: the generators of
-    a random subgroup of S_n."""
-    n = draw(st.integers(1, 6))
+def generator_sets(draw, max_degree=6):
+    """One to three random permutations of degree n <= max_degree: the
+    generators of a random subgroup of S_n."""
+    n = draw(st.integers(1, max_degree))
     perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
     return [Permutation(p) for p in perms]

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from charprod.charops import principal_character
 from charprod.chartab import (
     CharacterTable,
     _lift_degree,
     _lift_values,
+    _linear_logs,
     _orthogonality_defect,
     _split_eigenspaces,
     _value_lift,
@@ -26,6 +27,7 @@ from oracles import (
     generator_sets,
     root_of_unity,
     row_sort_key,
+    unseeded_table,
     value_json_reference,
     value_text_reference,
 )
@@ -74,10 +76,11 @@ def test_forced_large_prime_raises_before_any_product(group_of):
     g = group_of("heisenberg3")
     q = find_prime(g.exponent, 2 * math.isqrt(g.order - 1) + 2)
     lift = _value_lift(g, q, nth_root_of_unity(q, g.exponent))
-    omega = np.ones(g.num_classes, dtype=np.int64)
+    m = g.num_classes
+    omega = np.ones(m, dtype=np.int64)
     big = 2**61 - 1
     for call in (
-        lambda: _split_eigenspaces(g, big),
+        lambda: _split_eigenspaces(g, big, np.eye(m, dtype=np.int64), np.arange(m)),
         lambda: _lift_degree(omega, g, big, lift),
         lambda: _lift_values(omega, 1, big, lift),
     ):
@@ -133,7 +136,8 @@ def test_corrupted_central_character_fails_the_lift(gid, group_of, table_of):
     q = find_prime(g.exponent, 2 * math.isqrt(g.order - 1) + 2)
     lift = _value_lift(g, q, nth_root_of_unity(q, g.exponent))
     rows = set()
-    for vec in _split_eigenspaces(g, q):
+    m = g.num_classes
+    for vec in _split_eigenspaces(g, q, np.eye(m, dtype=np.int64), np.arange(m)):
         omega = vec * inv_mod(int(vec[0]), q) % q
         degree = _lift_degree(omega, g, q, lift)
         rows.add(_lift_values(omega, degree, q, lift).tobytes())
@@ -261,7 +265,9 @@ def test_coefficient_tensor_is_built_once_across_threads(table_of):
 def test_scalar_actions_leave_their_space_alone(monkeypatch):
     """A class matrix acting on a space as a scalar leaves it unsplit, with no
     solve for its action and no characteristic polynomial: heisenberg3 needs
-    5 of each, not 12, and its table is unchanged."""
+    5 of each, not 12, to split all of GF(q)^m, and 1 to split the span of
+    its two central characters of degree 3 that the seeded build starts
+    from; its table is unchanged."""
     import hashlib
     import json
 
@@ -281,9 +287,14 @@ def test_scalar_actions_leave_their_space_alone(monkeypatch):
     monkeypatch.setattr(chartab, "charpoly_mod", counted)
     monkeypatch.setattr(chartab, "solve_columns_mod", counted_solve)
     g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
-    text = json.dumps(dixon_table(g).to_json(), sort_keys=True)
+    reference = unseeded_table(g)
     assert len(calls) == len(solves) == 5
+    del calls[:], solves[:]
+    table = dixon_table(g)
+    assert len(calls) == len(solves) == 1
+    text = json.dumps(table.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == "151da976c042a5076024fb32be5bb924402920816419e58f64d3a73b176d7d94"
+    assert table.irreducibles == reference.irreducibles
 
 
 def test_a_class_matrix_that_moves_an_eigenspace_fails_the_build(monkeypatch):
@@ -383,3 +394,98 @@ def test_table_renderings(table_of):
     assert payload["order"] == 8
     assert len(payload["irreducibles"]) == 5
     assert payload["irreducibles"][4]["degree"] == 2
+
+
+def _gens(text):
+    return parse_generators(text)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@example(gens=_gens("(1 2)\n(3 4 5 6)\n(7 8 9)"))  # abelian: C2 x C4 x C3
+@example(gens=_gens("(1 2 3 4 5)\n(1 2 3)"))  # perfect: A5
+@example(gens=_gens("(1 2 3 4)\n()\n(1 2 3 4)\n(1 3)"))  # identity and repeated generators
+@given(gens=generator_sets(max_degree=7))
+def test_seeded_tables_match_the_unseeded_split(gens):
+    """Random subgroups of S_7: the table seeded by the linear characters is
+    the tensor of the split of all of GF(q)^m, with |G:G'| linear rows, and
+    has the oracle's rows for |G| <= 24."""
+    group = group_closure(gens)
+    table = dixon_table(group)
+    order, tensor = table.coefficient_tensor()
+    reference_order, reference = unseeded_table(group).coefficient_tensor()
+    assert order == reference_order and np.array_equal(tensor, reference)
+    assert table.degrees.count(1) == group.order // group.derived_subgroup().order
+    if group.order <= 24:
+        assert {canonical_key(row) for row in brute_force_table(group)} == {
+            canonical_key(tuple(chi.values)) for chi in table.irreducibles
+        }
+
+
+@pytest.mark.parametrize("gid", SMALL_IDS + ["heisenberg3", "extraspecial27_exp9"])
+def test_linear_rows_are_the_characters_of_the_abelianization(gid, group_of):
+    """|G:G'| distinct rows of logarithms in Z/e, each a homomorphism:
+    log chi(xy) = log chi(x) + log chi(y) on every pair of elements."""
+    g = group_of(gid)
+    logs = _linear_logs(g)
+    assert logs.shape == (g.order // g.derived_subgroup().order, g.num_classes)
+    assert len({row.tobytes() for row in logs}) == len(logs)
+    assert logs.min() >= 0 and logs.max() < g.exponent
+    x = np.arange(g.order)
+    each = logs[:, g.class_of]
+    products = logs[:, g.class_of[g.products(x[:, None], x[None, :])]]
+    assert np.array_equal(products, (each[:, :, None] + each[:, None, :]) % g.exponent)
+
+
+@pytest.mark.parametrize("text", ["degree=3", "(1 2)", "(1 2 3)", "(1 2 3 4 5)", "(1 2 3 4 5 6 7)"])
+def test_trivial_and_prime_cyclic_tables(text):
+    """The trivial group and C_p are their linear characters: one row per
+    element, each value a p-th root of unity, checked like every table."""
+    g = group_closure(_gens(text))
+    t = dixon_table(g)
+    assert _linear_logs(g).shape == (g.order, g.order)
+    assert t.degrees == (1,) * g.order
+    assert verify_orthogonality(t)
+    assert t.irreducibles == unseeded_table(g).irreducibles
+    assert {canonical_key(row) for row in brute_force_table(g)} == {
+        canonical_key(tuple(chi.values)) for chi in t.irreducibles
+    }
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_known_rows_left_out_of_the_annihilator_fail_the_build(kept, monkeypatch):
+    """The split of a space that still holds known central characters finds
+    them again; the duplicated rows must fail the build, not make a table."""
+    from charprod import catalog, chartab
+
+    real, seen = chartab.nullspace_mod, []
+
+    def dropping(matrix, q):
+        if not seen:
+            seen.append(matrix.shape)
+            matrix = matrix[:kept]
+        return real(matrix, q)
+
+    monkeypatch.setattr(chartab, "nullspace_mod", dropping)
+    g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
+    with pytest.raises(LiftInconsistent):
+        dixon_table(g)
+    assert seen == [(9, 11)]
+
+
+@pytest.mark.parametrize("gid", ["cyclic9", "elemab_2_3", "cyclic16"])
+def test_a_corrupted_linear_row_fails_an_abelian_build(gid, monkeypatch):
+    """An abelian table is its linear rows, with no split; the exact
+    orthogonality check still runs on it."""
+    from charprod import catalog, chartab
+
+    real = chartab._linear_logs
+
+    def corrupted(group):
+        logs = real(group)
+        logs[-1, -1] = (logs[-1, -1] + 1) % group.exponent
+        return logs
+
+    monkeypatch.setattr(chartab, "_linear_logs", corrupted)
+    g = catalog.parse_group(catalog.spec_for(gid).generators)
+    with pytest.raises(LiftInconsistent, match="orthogonality"):
+        dixon_table(g)

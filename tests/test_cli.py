@@ -167,3 +167,53 @@ def test_closure_cap_env_not_an_integer(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(["table", str(path)], capsys)
     assert code == 2 and out == ""
     assert "must be an integer" in err and "'abc'" in err
+
+
+class _Sink:
+    """A text stream that keeps only a digest and a count of what it is sent."""
+
+    def __init__(self):
+        import hashlib
+
+        self.digest, self.size, self.writes = hashlib.sha256(), 0, 0
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.size += len(text)
+        self.writes += 1
+
+
+def test_json_output_streams_the_bytes_of_json_dumps(capsys, monkeypatch):
+    """The streamed catalog report is json.dumps(indent=2, sort_keys=True)
+    plus a newline, byte for byte."""
+    from charprod import catalog, verify
+
+    report = verify.run_suite(catalog.builtin_ids(), verify.STATEMENTS)
+    monkeypatch.setattr(verify, "run_suite", lambda groups, statements: report)
+    code, out, _ = run_cli(["verify", "--catalog", "--format", "json"], capsys)
+    assert code == 0
+    assert out == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def test_json_output_memory_stays_flat():
+    """Writing a multi-MB payload holds a buffer of about JSON_BUFFER
+    characters, not the text: the tracemalloc peak stays far below its size."""
+    import argparse
+    import hashlib
+    import tracemalloc
+
+    from charprod.cli import JSON_BUFFER, _emit
+
+    payload = {"rows": [{"index": i, "values": [str(i * j) for j in range(12)]} for i in range(12_000)]}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert len(text) > 3_000_000
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        _emit(payload, None, argparse.Namespace(format="json"), sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+    assert sink.size == len(text) and sink.writes <= len(text) // JSON_BUFFER + 1
+    assert peak < len(text) // 4
