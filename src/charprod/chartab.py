@@ -11,6 +11,11 @@ reaches it; degrees and eigenvalue multiplicities are lifted to integers (they
 lie below sqrt(|G|) < q/2) and the values re-assembled as exact cyclotomics
 through the discrete Fourier sum over the power map.  The finished table must
 pass exact row and column orthogonality, otherwise the build fails.
+
+The table of a quotient G/N of a p-group needs no split: it is the rows of
+G's table with N in their kernel, read at one class of G over each class of
+G/N and brought down to the exponent of G/N by the power-basis stride, with
+the same row sort and checks as a built table.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import math
 import numpy as np
 
 from .charops import ClassFunction
-from .cyclotomic import _reduction_matrix, fits, gram, matmul_exact, value_text
-from .errors import EigensplitStall, LiftInconsistent
+from .cyclotomic import _reduction_matrix, embed, euler_phi, fits, gram, matmul_exact, value_text
+from .errors import EigensplitStall, GroupMismatch, LiftInconsistent, NotAPGroup
 from .modular import (
     charpoly_mod,
     find_prime,
@@ -323,13 +328,20 @@ def _build_table(group):
         for i in range(0, len(omegas), step):
             tensor[known + i:known + i + step] = _lift_values(omegas[i:i + step], degrees[i:i + step], q, lift)
 
+    return _finish_table(group, tensor)
+
+
+def _finish_table(group, tensor):
+    """The table of the rows of ``tensor`` (coefficients at the group's
+    exponent), sorted and checked: exactly one principal row, the degree
+    squares summing to |G| and exact orthogonality, else LiftInconsistent."""
     other = (tensor != np.eye(1, tensor.shape[-1], dtype=np.int64)).any(axis=(1, 2))
     if len(tensor) - other.sum() != 1:
         raise LiftInconsistent("principal character missing from the lifted table")
     # the principal row first, the rest ascending by their coefficients, the
     # first of which is the degree (np.lexsort sorts by its last key first)
     keys = tensor.reshape(len(tensor), -1).T[::-1]
-    table = CharacterTable(group, exponent, tensor[np.lexsort((*keys, other))])
+    table = CharacterTable(group, group.exponent, tensor[np.lexsort((*keys, other))])
 
     if sum(d * d for d in table.degrees) != group.order:
         raise LiftInconsistent("degree squares do not sum to the group order")
@@ -337,3 +349,35 @@ def _build_table(group):
     if defect:
         raise LiftInconsistent(f"orthogonality failed exactly: {defect}")
     return table
+
+
+def quotient_table(table, qm):
+    """The table of the quotient of a p-group, read off the table of G: the
+    irreducibles of G/N are the rows of G's table whose kernel contains N,
+    read at the first class of G over each class of G/N (Isaacs, Lemma 2.22),
+    stored as the quotient's table.
+
+    The values come down from the exponent e of G to the exponent e' of G/N
+    exactly: for p-groups the power basis of Q(zeta_e') is the basis of
+    Q(zeta_e) at the stride e / e', so those coefficients are the reduced
+    ones, and embedding them back must give the values again."""
+    group, quot = qm.source, qm.quotient
+    if table.group is not group:
+        raise GroupMismatch("the table is not the table of the quotient map's source")
+    if group.p_group_prime() is None:
+        raise NotAPGroup("quotient tables are read off the parent's table for p-groups")
+    order, tensor = table.coefficient_tensor()
+    kept = tensor[(tensor[:, qm.class_map == 0] == tensor[:, :1]).all(axis=(1, 2))]
+    if len(kept) != quot.num_classes:
+        raise LiftInconsistent(f"{len(kept)} rows of G have N in their kernel, G/N has {quot.num_classes} classes")
+    _, first = np.unique(qm.class_map, return_index=True)
+    values = kept[:, first]
+    reduced = values[..., ::order // quot.exponent]
+    if reduced.shape[-1] != euler_phi(quot.exponent) or not np.array_equal(
+        embed(reduced, quot.exponent, order), values
+    ):
+        raise LiftInconsistent("a row of the quotient does not lie in Q(zeta) at the quotient's exponent")
+    with quot._promotion_lock:
+        if quot._character_table is None:
+            quot._character_table = _finish_table(quot, reduced)
+        return quot._character_table

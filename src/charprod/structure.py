@@ -1,18 +1,20 @@
 """Normal-subgroup lattice, index-p normals, chief factors and quotient maps.
 
 Every normal subgroup is an intersection of kernels of irreducible characters,
-so the lattice is computed from the table's kernels and closed under pairwise
-intersection.  Members are unions of conjugacy classes and are handled as
-frozen sets of class indices.
+so the lattice is computed from the table's kernels, held as integer bitmasks
+over the classes, and closed under intersection one kernel at a time.
+Members are unions of conjugacy classes and are handed out as frozen sets of
+class indices.  A quotient G/N is the regular action of G on the cosets of N,
+enumerated breadth-first with each element keyed by the coset it sends N to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .charops import ClassFunction, kernel_classes
-from .errors import NotAPGroup, NotNormal
-from .perm import Permutation, Subgroup, group_closure, orbit_labels
+from .charops import ClassFunction
+from .errors import CharprodError, GroupMismatch, NotAPGroup, NotNormal
+from .perm import Group, Permutation, Subgroup, orbit_labels
 
 
 class NormalLattice:
@@ -44,20 +46,18 @@ class NormalLattice:
 
 
 def normal_lattice(group, table):
-    """Kernels of the irreducibles, closed under pairwise intersection, plus G."""
-    found = {frozenset(kernel_classes(chi)) for chi in table.irreducibles}
-    found.add(frozenset(range(group.num_classes)))
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(found):
-                c = a & b
-                if c not in found:
-                    found.add(c)
-                    fresh.append(c)
-        frontier = fresh
-    members = [(Subgroup(group, group.class_members(list(cs))), cs) for cs in found]
+    """Every intersection of kernels of irreducibles, G included.  A kernel
+    is an int bitmask over the classes; the lattice closes one kernel k at a
+    time, L <- L | {k & x : x in L}, from L = {G}."""
+    _, tensor = table.coefficient_tensor()
+    kernels = np.packbits((tensor == tensor[:, :1]).all(axis=2), axis=1, bitorder="little")
+    m, width = group.num_classes, kernels.shape[1]
+    found = {(1 << m) - 1}
+    for k in {int.from_bytes(row.tobytes(), "little") for row in kernels}:
+        found |= {k & x for x in found}
+    packed = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in found), np.uint8).reshape(-1, width)
+    masks = np.unpackbits(packed, axis=1, count=m, bitorder="little").astype(bool)
+    members = [(Subgroup(group, group.class_members(mask)), frozenset(np.flatnonzero(mask).tolist())) for mask in masks]
     members.sort(key=lambda pair: (pair[0].order, pair[0].element_indices))
     return NormalLattice(group, [m for m, _ in members], [cs for _, cs in members])
 
@@ -96,7 +96,7 @@ class QuotientMap:
     def inflate(self, f):
         """Pull a class function of the quotient back to the source."""
         if f.group is not self.quotient:
-            raise ValueError("class function does not live on the quotient")
+            raise GroupMismatch("class function does not live on the quotient")
         return ClassFunction.from_coefficients(self.source, f.order, f.num[self.class_map], f.den)
 
     def __repr__(self):
@@ -104,7 +104,12 @@ class QuotientMap:
 
 
 def quotient(group, normal):
-    """Quotient by a normal subgroup via the left-coset permutation action."""
+    """Quotient by a normal subgroup via the left-coset permutation action.
+
+    The action is regular, so an element of G/N is fixed by the coset it
+    sends N (coset 0) to: the breadth-first closure keys each element by that
+    one image and keeps first occurrences in (element, generator) order, the
+    order ``group_closure`` enumerates."""
     if not normal.is_normal:
         raise NotNormal("quotient requires a normal subgroup")
     everything = np.arange(group.order)
@@ -112,7 +117,25 @@ def quotient(group, normal):
     coset_of, reps = orbit_labels(steps)
     # g acts on the cosets by g(x N) = gx N; coset c is reps[c] N.
     actions = coset_of[group.products(np.array(group._gen_indices)[:, None], reps)]
-    quot = group_closure([Permutation(row) for row in actions.tolist()], cap=len(reps))
-    projection = quot.locate(coset_of[group.products(everything[:, None], reps[quot.base])])
+    n, k = len(reps), len(actions)
+    level = np.arange(n)[None, :]
+    levels, seen = [level], np.zeros(n, dtype=bool)
+    seen[0] = True
+    while len(level):
+        # product r is element r // k of the level times generator r % k
+        keys = level[:, actions[:, 0]].ravel()
+        _, first = np.unique(keys, return_index=True)
+        fresh = np.sort(first[~seen[keys[first]]])
+        seen[keys[fresh]] = True
+        level = level[(fresh // k)[:, None], actions[fresh % k]]
+        levels.append(level)
+    if not seen.all():
+        raise CharprodError("the coset action does not reach every coset (engine bug)")
+    images = np.concatenate(levels)
+    quot = Group([Permutation(row) for row in actions.tolist()], images)
+    # element i of G/N sends coset 0 to coset images[i, 0]
+    element_of = np.empty(n, dtype=np.intp)
+    element_of[images[:, 0]] = np.arange(n)
+    projection = element_of[coset_of]
     class_map = quot.class_of[projection[group.class_reps]]
     return QuotientMap(group, quot, projection, class_map)

@@ -30,8 +30,8 @@ from .charops import (
     restrict,
     stabilizer_and_orbit,
 )
-from .chartab import dixon_table
-from .cyclotomic import conjugate, factorize, fits, matmul_exact, multiply
+from .chartab import dixon_table, quotient_table
+from .cyclotomic import conjugate, embed, factorize, fits, matmul_exact, multiply
 from .errors import (
     CharprodError,
     HypothesisNotMet,
@@ -592,15 +592,14 @@ def _descend(group, table, chi_cf, trail):
     kernel = kernel_of(chi_cf)
     if kernel.order > 1:
         qm = quotient(group, kernel)
-        qtable = dixon_table(qm.quotient)
-        reduced = None
-        for tau in qtable.irreducibles:
-            if qm.inflate(tau) == chi_cf:
-                reduced = tau
-                break
-        if reduced is None:
+        qtable = quotient_table(table, qm)
+        order, tensor = qtable.coefficient_tensor()
+        # the row of the quotient whose inflation is chi
+        inflated = embed(tensor, order, chi_cf.order)[:, qm.class_map]
+        rows = np.flatnonzero((inflated == chi_cf.num).all(axis=(1, 2)))
+        if chi_cf.den != 1 or len(rows) != 1:
             raise CharprodError("character does not descend to the quotient (engine bug)")
-        sub_ctx, sub_alpha, sub_chain = _descend(qm.quotient, qtable, reduced, trail)
+        sub_ctx, sub_alpha, sub_chain = _descend(qm.quotient, qtable, qtable.irreducibles[rows[0]], trail)
         h_ctx = InducedContext.build(group, np.flatnonzero(sub_ctx.from_parent[qm.projection] >= 0))
         reps = h_ctx.to_parent[h_ctx.group.class_reps]
         classes = sub_ctx.group.class_of[sub_ctx.from_parent[qm.projection[reps]]]

@@ -24,7 +24,7 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
-from charprod.charops import ClassFunction
+from charprod.charops import ClassFunction, kernel_classes
 from charprod.chartab import (
     CharacterTable,
     _lift_degree,
@@ -565,6 +565,28 @@ def normal_lattice_oracle(group):
                     fresh.append(joined)
         frontier = fresh
     return found
+
+
+def pairwise_lattice_reference(group, table):
+    """The normal lattice as the engine built it by pairwise intersection of
+    frozensets: kernels of the irreducibles plus G, closed until nothing new
+    appears; (members as ascending element-index tuples, class sets), sorted
+    by order, then element indices."""
+    found = {frozenset(kernel_classes(chi)) for chi in table.irreducibles}
+    found.add(frozenset(range(group.num_classes)))
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(found):
+                c = a & b
+                if c not in found:
+                    found.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    members = [(tuple(group.class_members(list(cs)).tolist()), cs) for cs in found]
+    members.sort(key=lambda pair: (len(pair[0]), pair[0]))
+    return [m for m, _ in members], [cs for _, cs in members]
 
 
 def normal_powerset_oracle(group):

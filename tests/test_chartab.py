@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
+from charprod import catalog
 from charprod.charops import principal_character
 from charprod.chartab import (
     CharacterTable,
+    _build_table,
     _lift_degree,
     _lift_values,
     _linear_logs,
@@ -15,11 +17,13 @@ from charprod.chartab import (
     _value_lift,
     class_constants,
     dixon_table,
+    quotient_table,
     verify_orthogonality,
 )
-from charprod.errors import CharprodError, LiftInconsistent
+from charprod.errors import CharprodError, LiftInconsistent, NotAPGroup
 from charprod.modular import find_prime, inv_mod, nth_root_of_unity
 from charprod.perm import Permutation, group_closure, parse_generators
+from charprod.structure import QuotientMap, normal_lattice, quotient
 
 from oracles import (
     brute_force_table,
@@ -489,3 +493,75 @@ def test_a_corrupted_linear_row_fails_an_abelian_build(gid, monkeypatch):
     g = catalog.parse_group(catalog.spec_for(gid).generators)
     with pytest.raises(LiftInconsistent, match="orthogonality"):
         dixon_table(g)
+
+
+# -- quotient tables read off the parent's table ---------------------------------
+
+P_GROUP_IDS = [spec.id for spec in catalog.group_specs() if spec.prime]
+
+
+def _assert_same_tensor(table, reference):
+    order, tensor = table.coefficient_tensor()
+    reference_order, reference_tensor = reference.coefficient_tensor()
+    assert order == reference_order and np.array_equal(tensor, reference_tensor)
+
+
+@pytest.mark.parametrize("gid", P_GROUP_IDS)
+def test_quotient_tables_equal_the_split_built_ones(gid, group_of, table_of):
+    """For every normal N, the rows of G's table with N in their kernel,
+    brought down to the exponent of G/N, are the tensor the split builds for
+    a fresh G/N; the result is stored as the quotient's table."""
+    g, t = group_of(gid), table_of(gid)
+    for member in normal_lattice(g, t).members:
+        qm = quotient(g, member)
+        table = quotient_table(t, qm)
+        assert qm.quotient._character_table is table and dixon_table(qm.quotient) is table
+        _assert_same_tensor(table, _build_table(quotient(g, member).quotient))
+
+
+def test_quotient_tables_of_the_order_2187_descent(product_2187, kernels_2187):
+    g, t = product_2187
+    for kernel in kernels_2187:
+        table = quotient_table(t, quotient(g, kernel))
+        _assert_same_tensor(table, _build_table(quotient(g, kernel).quotient))
+
+
+def test_quotient_table_mutations_raise(group_of, table_of, monkeypatch):
+    """A wrong stride, a dropped kernel filter and a missing parent row each
+    raise LiftInconsistent and leave the quotient without a table."""
+    g, t = group_of("heisenberg3_x_cyclic9"), table_of("heisenberg3_x_cyclic9")
+    normal = next(
+        m for m in normal_lattice(g, t).members if m.order == 3 and quotient(g, m).quotient.exponent == 9
+    )
+    assert t.coefficient_tensor()[0] == 9
+
+    qm = quotient(g, normal)
+    # stride 3 where it is 1: the values at zeta_9 do not lie in Q(zeta_3)
+    monkeypatch.setattr(qm.quotient, "exponent", 3)
+    with pytest.raises(LiftInconsistent):
+        quotient_table(t, qm)
+    monkeypatch.undo()
+    assert qm.quotient._character_table is None
+
+    qm = quotient(g, normal)
+    inside = (qm.class_map == 0) & (np.arange(g.num_classes) > 0)
+    assert inside.any()
+    # only the identity class inside N: every row of G passes the filter
+    unfiltered = QuotientMap(g, qm.quotient, qm.projection, np.where(inside, 1, qm.class_map))
+    with pytest.raises(LiftInconsistent):
+        quotient_table(t, unfiltered)
+    assert qm.quotient._character_table is None
+
+    order, tensor = t.coefficient_tensor()
+    kept = np.flatnonzero((tensor[:, qm.class_map == 0] == tensor[:, :1]).all(axis=(1, 2)))
+    short = CharacterTable(g, order, np.delete(tensor, kept[-1], axis=0))
+    with pytest.raises(LiftInconsistent):
+        quotient_table(short, qm)
+    assert qm.quotient._character_table is None
+
+
+def test_quotient_table_rejects_non_p_groups(group_of, table_of):
+    g, t = group_of("sl23"), table_of("sl23")
+    centre = next(m for m in normal_lattice(g, t).members if m.order == 2)
+    with pytest.raises(NotAPGroup):
+        quotient_table(t, quotient(g, centre))

@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from charprod import catalog
 from charprod.charops import InducedContext, decompose, kernel_of, principal_character
 from charprod.chartab import dixon_table
-from charprod.errors import NotAPGroup, NotNormal
+from charprod.errors import GroupMismatch, NotAPGroup, NotNormal
+from charprod.perm import group_closure
 from charprod.structure import (
     chief_factor_above,
     normal_lattice,
@@ -10,7 +14,10 @@ from charprod.structure import (
     quotient,
 )
 
-from oracles import normal_lattice_oracle, normal_powerset_oracle
+from oracles import generator_sets, normal_lattice_oracle, normal_powerset_oracle, pairwise_lattice_reference
+
+CATALOG_IDS = catalog.builtin_ids()
+P_GROUP_IDS = [spec.id for spec in catalog.group_specs() if spec.prime]
 
 
 def lattice_of(gid, group_of, table_of):
@@ -149,3 +156,56 @@ def test_lattice_json(group_of, table_of):
     for i, entry in enumerate(payload):
         if i != whole:
             assert whole in entry["is_in"]
+
+
+def test_inflate_rejects_a_foreign_class_function(group_of, table_of):
+    g, t = group_of("dihedral8"), table_of("dihedral8")
+    qm = quotient(g, normal_lattice(g, t).members[1])
+    with pytest.raises(GroupMismatch):
+        qm.inflate(t.irreducibles[1])
+
+
+def _assert_closure_order(g, member):
+    """The quotient's elements are in group_closure's breadth-first order,
+    and the projection is a homomorphism on every product by a generator."""
+    qm = quotient(g, member)
+    quot = qm.quotient
+    assert np.array_equal(quot.images, group_closure(quot.generators).images)
+    everything, gens = np.arange(g.order), np.array(g._gen_indices)[:, None]
+    assert np.array_equal(
+        qm.projection[g.products(everything, gens)], quot.products(qm.projection[everything], qm.projection[gens])
+    )
+
+
+@pytest.mark.parametrize("gid", P_GROUP_IDS)
+def test_quotient_elements_in_closure_order(gid, group_of, table_of):
+    g = group_of(gid)
+    members = normal_lattice(g, table_of(gid)).members
+    assert members[0].order == 1 and members[-1].order == g.order
+    for member in members:
+        _assert_closure_order(g, member)
+
+
+def test_quotient_elements_in_closure_order_at_order_2187(product_2187, kernels_2187):
+    g, _ = product_2187
+    for kernel in kernels_2187:
+        _assert_closure_order(g, kernel)
+
+
+def _assert_pairwise_lattice(g, table):
+    lattice = normal_lattice(g, table)
+    members, class_sets = pairwise_lattice_reference(g, table)
+    assert [m.element_indices for m in lattice.members] == members
+    assert list(lattice.class_sets) == class_sets
+
+
+@pytest.mark.parametrize("gid", CATALOG_IDS)
+def test_bitset_lattice_matches_the_pairwise_closure(gid, group_of, table_of):
+    _assert_pairwise_lattice(group_of(gid), table_of(gid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=generator_sets())
+def test_bitset_lattice_matches_the_pairwise_closure_on_random_groups(gens):
+    g = group_closure(gens)
+    _assert_pairwise_lattice(g, dixon_table(g))

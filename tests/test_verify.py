@@ -3,7 +3,7 @@ import json
 import pytest
 
 from charprod import verify
-from charprod.charops import InducedContext, decompose, induce, inner_product, restrict
+from charprod.charops import InducedContext, decompose, induce, inner_product, kernel_of, restrict
 from charprod.chartab import dixon_table
 from charprod.errors import HypothesisNotMet, NotAPGroup
 from charprod.perm import group_closure, parse_generators
@@ -244,12 +244,9 @@ def test_witness_degree_bookkeeping(group_of, table_of):
                 assert step["correspondent_degree"] * index == step["degree"]
 
 
-def test_witness_multi_level_descent(group_of):
+def test_witness_multi_level_descent(product_2187):
     # a degree-9 character forces two rounds of the Clifford descent
-    from charprod.perm import direct_product
-
-    g = direct_product(group_of("wreath3"), group_of("heisenberg3"))
-    t = dixon_table(g)
+    g, t = product_2187
     target = next(i for i, d in enumerate(t.degrees) if d == 9)
     w = monomial_witness_search(g, target, table=t)
     assert w.subgroup_index == 9
@@ -273,6 +270,32 @@ def test_witness_through_quotient(group_of, table_of):
     w = monomial_witness_search(g, target)
     assert any(step["step"] == "quotient" for step in w.chain)
     assert w.subgroup_index == 3
+
+
+def test_quotient_step_reads_the_parent_table(group_of, monkeypatch):
+    """The quotient step of the descent takes G/ker(chi)'s table from the
+    rows of G's table and builds no table for the quotient."""
+    from charprod import chartab
+
+    g = group_closure(group_of("heisenberg3_x_cyclic9").generators)
+    t = dixon_table(g)
+    built, derived = [], []
+    real_build, real_derive = chartab._build_table, verify.quotient_table
+
+    def build(group):
+        built.append(group)
+        return real_build(group)
+
+    def derive(table, qm):
+        derived.append(real_derive(table, qm))
+        return derived[-1]
+
+    monkeypatch.setattr(chartab, "_build_table", build)
+    monkeypatch.setattr(verify, "quotient_table", derive)
+    for i, d in enumerate(t.degrees):
+        if d > 1 and kernel_of(t.irreducibles[i]).order > 1:
+            assert any(step["step"] == "quotient" for step in monomial_witness_search(g, i, table=t).chain)
+    assert derived and not {id(table.group) for table in derived} & {id(group) for group in built}
 
 
 def test_run_suite_empty_statements(group_of):
