@@ -85,7 +85,7 @@ def builtin(group_id):
     return cached
 
 
-def parse_group(text, cap=None):
+def parse_group(text):
     """Close the generators found in ``text`` (perm-core cycle format)."""
     gens, _ = parse_generators(text)
-    return group_closure(gens, cap=cap)
+    return group_closure(gens)

@@ -450,9 +450,8 @@ def clifford_correspondent(chi, iota, ctx_y, ctx_stab):
         ctx_stab.group, ctx_stab.from_parent[ctx_y.to_parent], subgroup_group=ctx_y.group
     )
     table = ctx_stab.table
-    order, tensor = table.coefficient_tensor()
-    over = _inner_products(y_in_stab.group, tensor[:, y_in_stab.fusion], order, 1, iota, characters=True)
-    found = [xi for xi, m in zip(table.irreducibles, over) if m and induce(xi, ctx_stab) == chi]
+    over = (table.irreducibles[i] for i in irr_lying_over(table, y_in_stab, iota))
+    found = [xi for xi in over if induce(xi, ctx_stab) == chi]
     if not found:
         raise NoCorrespondent("no irreducible of the stabilizer induces to chi over iota")
     if len(found) > 1:

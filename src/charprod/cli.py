@@ -143,9 +143,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, group_required=True):
-        if group_required:
-            p.add_argument("group", help="catalog id or generator file path")
+    def add_common(p):
+        p.add_argument("group", help="catalog id or generator file path")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write to this path instead of stdout")
 

@@ -12,17 +12,14 @@ bounds every entry and partial sum by inner dimension x max|x| x max|y| and
 refuses a bound of 2^63 or more with CharprodError, so no coefficient wraps
 silently.  Below 2^53 it makes one float64 (BLAS) product: every partial sum
 is then an integer that float64 holds exactly, in any summation order.
-Between 2^53 and 2^63 it splits the operand of larger entries into signed
-base-2^k limbs, with k chosen so that each limb product stays below 2^53,
-and adds the shifted limb products in int64 (the delayed reduction of
-FFLAS-FFPACK: Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  Each float64
-product runs in row blocks of at most ``BLAS_BLOCK`` multiply-adds.
+From 2^53 to 2^63 it makes numpy's int64 product, which no partial sum can
+wrap.  Each float64 product runs in row blocks of at most ``BLAS_BLOCK``
+multiply-adds.
 ``value_text``/``value_json`` write one value; ``Cyclotomic`` holds one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -126,7 +123,7 @@ def fits(bound):
     """Raise CharprodError unless ``bound``, a bound on every int64 entry and
     partial sum of the next step, is below 2^63.  ``matmul_exact`` checks
     its bound here and then runs one float64 product when it is below 2^53,
-    or limb products when it lies between 2^53 and 2^63."""
+    or one int64 product when it lies between 2^53 and 2^63."""
     if bound >= 2**63:
         raise CharprodError("coefficient arithmetic could exceed 64 bits")
 
@@ -150,72 +147,35 @@ def matmul_exact(x, y):
     and partial sum; ``fits`` refuses it from 2^63 on with CharprodError.
     Below 2^53 the product is one float64 (BLAS) product: each partial sum
     is an integer below 2^53, which float64 holds exactly, so the result is
-    exact in any summation order.  Between 2^53 and 2^63 the operand of
-    larger entries is split into signed base-2^k digits (limbs), with
-    n * (smaller max) * (2^k - 1) below 2^53, so each limb product is exact in
-    float64; the limb products are shifted back and summed in int64."""
-    x_limbs, y_limbs, width = _limb_operands(x, y)
-    return _limb_sum(x_limbs, y_limbs, width)
+    exact in any summation order.  From 2^53 to 2^63 it is numpy's int64
+    product, exact because no partial sum reaches 2^63."""
+    return _product(*_operands(x, y))
 
 
-def products_exact(x, ys):
-    """``matmul_exact(x, y)`` for each y along the first axis of ``ys``, one
-    at a time, under one bound over the whole stack, with x and ys each cast
-    to float64 once."""
-    x_limbs, y_limbs, width = _limb_operands(x, ys)
-    for t in range(len(ys)):
-        yield _limb_sum(x_limbs, [yl[t] for yl in y_limbs], width)
-
-
-def _limb_operands(x, y):
-    """The float64 limbs of x and of y, and the limb width k, for the exact
-    product x @ y.  k >= 1 because n times the smaller max squared is below
-    2^63 and no array has 2^43 columns."""
-    n = x.shape[-1]
-    mx, my = max_abs(x), max_abs(y)
-    bound = n * mx * my
+def _operands(x, y):
+    """x and y cast once for their exact product: float64 in C order when the
+    bound n * max|x| * max|y| is below 2^53, else int64."""
+    bound = x.shape[-1] * max_abs(x) * max_abs(y)
     fits(bound)
-    width = count = 1
-    if bound >= FLOAT_EXACT:
-        width = ((FLOAT_EXACT - 1) // (n * min(mx, my)) + 1).bit_length() - 1
-        count = -(-max(mx, my).bit_length() // width)
-    return _limbs(x, width, count if mx > my else 1), _limbs(y, width, 1 if mx > my else count), width
+    dtype = np.float64 if bound < FLOAT_EXACT else np.int64
+    return x.astype(dtype, order="C"), y.astype(dtype, order="C")
 
 
-def _limb_sum(x_limbs, y_limbs, width):
-    """The sum over limb pairs k of (x limb @ y limb) * 2^(width k), in int64;
-    one of the two lists has a single entry, so pair k holds limb k.  Each
-    partial sum is the product with the operand's low digits, whose entries
-    are no larger than the operand's, so it stays within the checked bound."""
-    out = None
-    for k, (xl, yl) in enumerate(itertools.product(x_limbs, y_limbs)):
-        part = _float_matmul(xl, yl).astype(np.int64)
-        out = part if out is None else out + (part << width * k)
-    return out
-
-
-def _float_matmul(x, y):
-    """x @ y for float64 arrays, y 1-D or 2-D, made in row blocks of at most
-    BLAS_BLOCK multiply-adds each."""
+def _product(x, y):
+    """x @ y as int64 for operands cast by ``_operands``, y 1-D or 2-D: one
+    int64 product, or float64 products in row blocks of at most BLAS_BLOCK
+    multiply-adds each."""
+    if x.dtype == np.int64:
+        return x @ y
     n = x.shape[-1]
     step = max(1, BLAS_BLOCK // max(1, n * (y.shape[1] if y.ndim == 2 else 1)))
     if x.size <= step * n:
-        return x @ y
+        return (x @ y).astype(np.int64)
     rows = x.reshape(-1, n)
     out = np.empty((len(rows),) + y.shape[1:])
     for start in range(0, len(rows), step):
         np.matmul(rows[start:start + step], y, out=out[start:start + step])
-    return out.reshape(x.shape[:-1] + y.shape[1:])
-
-
-def _limbs(a, width, count):
-    """``count`` C-ordered float64 arrays of the signed base-2^width digits
-    of the integer array a, lowest first; a itself when count is 1."""
-    if count == 1:
-        return [a.astype(np.float64, order="C")]
-    sign, mag = np.sign(a), np.abs(a)
-    mask = (1 << width) - 1
-    return [(sign * ((mag >> (width * i)) & mask)).astype(np.float64, order="C") for i in range(count)]
+    return out.reshape(x.shape[:-1] + y.shape[1:]).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -270,10 +230,10 @@ def gram(x, y, order):
     red = _reduction_matrix(order, 2 * phi - 1)
     fits(len(red) * phi * c * max_abs(x) * max_abs(y) * max_abs(red))
     prod = np.zeros((2 * phi - 1, ni, nj), dtype=np.int64)
-    blocks = products_exact(x.transpose(2, 0, 1), y.transpose(2, 1, 0))
+    xs, ys = _operands(x.transpose(2, 0, 1), y.transpose(2, 1, 0))
     for b in range(phi):
-        prod[b:b + phi] += next(blocks)
-    blocks.close()  # frees the float64 operands before the reduction
+        prod[b:b + phi] += _product(xs, ys[b])
+    del xs, ys  # frees the cast operands before the reduction
     return matmul_exact(prod.reshape(2 * phi - 1, ni * nj).T, red).reshape(ni, nj, phi)
 
 

@@ -20,7 +20,7 @@ import threading
 import numpy as np
 
 from .cyclotomic import factorize
-from .errors import CharprodError, ClosureCapExceeded, EmptyGeneratorSet, ParseError
+from .errors import CharprodError, ClosureCapExceeded, EmptyGeneratorSet, NotASubgroup, ParseError
 
 DEFAULT_CLOSURE_CAP = 10_000
 CAP_ENV_VAR = "CHARPROD_CLOSURE_CAP"
@@ -196,7 +196,9 @@ class Subgroup:
         self.parent = parent
         if isinstance(element_indices, np.ndarray):
             element_indices = element_indices.tolist()
-        self.element_indices = tuple(sorted(element_indices))
+        indices = self.element_indices = tuple(sorted(element_indices))
+        if indices and not 0 <= indices[0] <= indices[-1] < parent.order:
+            raise NotASubgroup(f"element indices must lie in [0, {parent.order})")
         self.element_set = frozenset(self.element_indices)
         self._is_normal = None
         self._generators = None
@@ -293,15 +295,6 @@ class Group:
 
     def mul(self, i, j):
         return int(self.products(i, j))
-
-    def power(self, i, k):
-        k %= self.element_order(i)
-        result = 0
-        while k:
-            if k & 1:
-                result = self.mul(result, i)
-            i, k = self.mul(i, i), k >> 1
-        return result
 
     def indices_of(self, rows):
         """Indices of the elements with the given full image rows; KeyError
@@ -518,7 +511,7 @@ def group_closure(generators, cap=None):
     return Group(generators, np.concatenate(levels))
 
 
-def direct_product(*groups, cap=None):
+def direct_product(*groups):
     """Direct product realized on disjoint point sets."""
     if not groups:
         raise EmptyGeneratorSet("direct_product needs at least one group")
@@ -532,4 +525,4 @@ def direct_product(*groups, cap=None):
                 images[offset + i] = offset + j
             gens.append(Permutation(images))
         offset += g.degree
-    return group_closure(gens, cap=cap)
+    return group_closure(gens)

@@ -162,7 +162,6 @@ class GroupSession:
         self._zsets = None
         self._supports = None
         self._vsets = None
-        self._lattice = None
         self._normal_data = None
         self._vclosure_memo = {}
 
@@ -224,9 +223,7 @@ class GroupSession:
 
     @property
     def lattice(self):
-        if self._lattice is None:
-            self._lattice = _group_lattice(self.group, self.table)
-        return self._lattice
+        return _group_lattice(self.group, self.table)
 
     def vclosure(self, class_set):
         """Class set of the subgroup generated by a union of classes: that of

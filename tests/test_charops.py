@@ -408,6 +408,16 @@ def test_context_rejects_a_set_that_is_not_a_subgroup():
     assert g._promotions == {}
 
 
+@pytest.mark.parametrize("indices", [[0, -1], [0, 11]])
+def test_context_rejects_indices_outside_the_group(indices):
+    """-1 and |G| + 3 are no element indices of dihedral8: both are refused
+    before anything is promoted or cached."""
+    g = catalog.parse_group(catalog.spec_for("dihedral8").generators)
+    with pytest.raises(NotASubgroup, match=r"\[0, 8\)"):
+        InducedContext.build(g, indices)
+    assert g._promotions == {}
+
+
 def test_building_a_context_builds_no_table():
     g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
     center = g.subgroup([next(i for i in range(1, g.order) if g.class_sizes[g.class_of[i]] == 1)])

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from charprod import catalog, cyclotomic
 from charprod.charops import ClassFunction, inner_product
-from charprod.chartab import dixon_table
+from charprod.chartab import _build_table, dixon_table
 from charprod.cyclotomic import (
     Cyclotomic,
     conjugate,
@@ -20,9 +20,9 @@ from charprod.cyclotomic import (
     divisors,
     embed,
     euler_phi,
+    gram,
     matmul_exact,
     multiply,
-    products_exact,
     value_json,
     value_text,
 )
@@ -323,9 +323,6 @@ def test_matmul_exact_matches_python_integers(operands):
     got = matmul_exact(x, y)
     assert got.dtype == np.int64 and got.tolist() == _python_product(x, y)
     assert matmul_exact(y.T, x.T).tolist() == _python_product(y.T, x.T)
-    stack = np.stack([y, -y, y // 3])
-    for got, want in zip(products_exact(x, stack), stack):
-        assert got.tolist() == _python_product(x, want)
 
 
 _NEAR_2_40 = st.integers(2**40 - 2**24, 2**40).flatmap(lambda v: st.sampled_from([v, -v]))
@@ -334,9 +331,9 @@ _NEAR_2_12 = st.integers(2**12, 2**13).flatmap(lambda v: st.sampled_from([v, -v]
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_limb_products_near_2_40(data):
+def test_int64_products_near_2_40(data):
     """Entries near 2^40 against entries near 2^12 with three columns: the
-    bound lies between 2^53 and 2^63, so one operand is split into limbs."""
+    bound lies between 2^53 and 2^63, so the product is made in int64."""
     x = _matrix(data.draw, 4, 3, _NEAR_2_40)
     y = _matrix(data.draw, 3, 5, _NEAR_2_12)
     assert 2**53 <= 3 * int(np.abs(x).max()) * int(np.abs(y).max()) < 2**63
@@ -344,11 +341,11 @@ def test_limb_products_near_2_40(data):
     assert matmul_exact(y.T, x.T).tolist() == _python_product(y.T, x.T)
 
 
-def test_matmul_exact_at_the_float_edges():
+def test_matmul_exact_on_both_sides_of_the_int64_edge():
     # bound 2^53 - 2: one float64 product, exact
     x = np.array([[2**52 - 1, 2**52 - 1]])
     assert matmul_exact(x, np.ones((2, 1), dtype=np.int64)).tolist() == [[2**53 - 2]]
-    # 2^53 + 1 has no float64 image: exact only through the limbs
+    # 2^53 + 1 has no float64 image: exact only in int64
     for x, y in (([[2**53 + 1]], [[1]]), ([[2**27, 1]], [[2**26], [1]]), ([[2**60 - 1, -3]], [[1], [1]])):
         x, y = np.array(x), np.array(y)
         assert matmul_exact(x, y).tolist() == _python_product(x, y)
@@ -369,4 +366,46 @@ def test_matmul_exact_refuses_a_bound_of_2_63():
     with pytest.raises(CharprodError, match="64 bits"):
         matmul_exact(np.full((1, 4), 2**61), np.ones((4, 1), dtype=np.int64))
     with pytest.raises(CharprodError, match="64 bits"):
-        next(products_exact(np.full((1, 2), 2**31), np.full((3, 2, 1), 2**31)))
+        gram(np.full((1, 2, 1), 2**31), np.full((1, 2, 1), 2**31), 1)
+
+
+@st.composite
+def gram_operands(draw):
+    """Stacks x (i, c, phi) and y (j, c, phi) at an order with phi <= 2 whose
+    per-slice bound c * max|x| * max|y| is c * 2^(ex + ey): below 2^53 for
+    ex + ey <= 50, from 2^53 on for ex + ey in {53, 54}."""
+    order = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    phi = euler_phi(order)
+    ni, nj, c = (draw(st.integers(1, 3)) for _ in range(3))
+    total = draw(st.one_of(st.integers(0, 50), st.sampled_from([53, 54])))
+    ex = draw(st.integers(0, total))
+    x = _matrix(draw, ni * c, phi, st.integers(-(2**ex), 2**ex)).reshape(ni, c, phi)
+    y = _matrix(draw, nj * c, phi, st.integers(-(2 ** (total - ex)), 2 ** (total - ex))).reshape(nj, c, phi)
+    x[0, 0, 0], y[0, 0, 0] = 2**ex, -(2 ** (total - ex))
+    return x, y, order
+
+
+@given(gram_operands())
+@settings(max_examples=200, deadline=None)
+def test_gram_matches_the_sum_of_products_over_classes(operands):
+    x, y, order = operands
+    products = multiply(x[:, None], y[None], order)
+    assert gram(x, y, order).tolist() == products.astype(object).sum(axis=2).tolist()
+
+
+@pytest.mark.parametrize("gid", ["cyclic8", "quaternion8", "heisenberg3", "extraspecial27_exp9", "sl23", "extraspecial125_exp25"])
+def test_tables_built_on_the_int64_path_equal_the_float64_ones(gid, table_of, monkeypatch):
+    """No engine data reaches the int64 path by its bound; with FLOAT_EXACT at
+    1 every nonzero product takes it, and the table is the float64 one."""
+    reference = table_of(gid).coefficient_tensor()
+    dtypes, product = set(), cyclotomic._product
+
+    def recorded(x, y):
+        dtypes.add(x.dtype)
+        return product(x, y)
+
+    monkeypatch.setattr(cyclotomic, "FLOAT_EXACT", 1)
+    monkeypatch.setattr(cyclotomic, "_product", recorded)
+    order, tensor = _build_table(catalog.parse_group(catalog.spec_for(gid).generators)).coefficient_tensor()
+    assert dtypes == {np.dtype(np.int64)}
+    assert order == reference[0] and np.array_equal(tensor, reference[1])
