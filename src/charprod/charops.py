@@ -322,7 +322,8 @@ class InducedContext:
         or as element indices.
 
         Promoted groups are cached on the parent; the cache is a thread-safe
-        memo (one computation per element set, concurrent readers).
+        memo (one computation per element set, concurrent readers).  A given
+        ``subgroup_group`` must be the cached one when there is one.
         """
         if isinstance(subgroup, Subgroup):
             if subgroup.parent is not parent:
@@ -332,6 +333,8 @@ class InducedContext:
         key = subgroup.element_set
         with parent._promotion_lock:
             cached = parent._promotions.get(key)
+            if cached is not None and subgroup_group not in (None, cached[0]):
+                raise GroupMismatch("the subgroup was promoted earlier to another group")
             if cached is None:
                 group = subgroup_group
                 if group is None:

@@ -5,10 +5,11 @@ Points are 0-based internally and 1-based in all text I/O.  Composition is
 
 A group stores its elements as one integer array of images, one row per
 element in breadth-first order.  A base (points whose images tell all
-elements apart) keys every element by its base images, so a product, a
-conjugate or a power is composed at the base points only and located by
-binary search in the sorted keys; the hot loops do this for whole index
-arrays at once.  ``Permutation`` is only the text format of one element.
+elements apart) ranks every element by its base images, one point at a
+time, so a product or a conjugate is composed at the base points only and
+located by one table gather per base point; the hot loops do this for whole
+index arrays at once.  ``Permutation`` is only the text format of one
+element.
 """
 
 from __future__ import annotations
@@ -251,9 +252,8 @@ class Group:
         self.generators = tuple(generators)
         self.images = images
         self.order, self.degree = images.shape
-        self.base = _choose_base(images)
+        self.base, self._tables, self._by_rank = _base_tables(images)
         self._base_images = images[:, self.base]
-        self._runs, self._by_rank = _key_index(self._base_images, self.degree)
         inverse_images = np.empty_like(images)
         inverse_images[np.arange(self.order)[:, None], images] = np.arange(self.degree)
         self.inverses = self.locate(inverse_images[:, self.base])
@@ -277,10 +277,11 @@ class Group:
     # -- element arithmetic ----------------------------------------------
 
     def locate(self, base_images):
-        """Indices of the elements with the given base images (last axis)."""
-        rank = 0
-        for start, stop, radix, weights, keys in self._runs:
-            rank = keys.searchsorted(rank * radix + base_images[..., start:stop] @ weights)
+        """Indices of the elements with the given base images (last axis),
+        one table gather per base point; a non-member gets some index."""
+        rank = np.zeros(base_images.shape[:-1], dtype=np.intp)
+        for column, table in enumerate(self._tables):
+            rank = table[rank, base_images[..., column]]
         return self._by_rank.take(rank, mode="clip")
 
     def products(self, a, b):
@@ -432,46 +433,34 @@ def orbit_labels(perms):
     return label.reshape(-1), reps
 
 
-def _choose_base(images):
-    """Points, in ascending order, each kept when its images split the
-    elements further, until the elements are told apart."""
-    n, degree = images.shape
-    labels, count, base = np.zeros(n, dtype=np.int64), 1, []
+def _base_tables(images):
+    """Base and lookup tables of the elements, in one pass over the points.
+
+    A point joins the base when its images split the elements further, until
+    the elements are told apart.  Its table maps (rank of an element's
+    base-image prefix so far, image of the point) to the rank of the longer
+    prefix, or to -1 when no element has that prefix; the last row is all -1,
+    so a miss stays -1 at the points after it.  Each base point at least
+    doubles the prefix count, so the tables hold fewer than
+    (order + |base|) * degree entries.  Returns the base, the tables and the
+    element index of every rank on the whole base."""
+    order, degree = images.shape
+    rank, count, base, tables = np.zeros(order, dtype=np.intp), 1, [], []
     for point in range(degree):
-        if count == n:
+        if count == order:
             break
-        keys, refined = np.unique(labels * degree + images[:, point], return_inverse=True)
-        if len(keys) > count:
+        seen = np.zeros((count + 1, degree), dtype=bool)
+        seen[rank, images[:, point]] = True
+        split = np.count_nonzero(seen)
+        if split > count:
+            table = np.full(seen.shape, -1, dtype=np.intp)
+            table[seen] = np.arange(split)
+            rank, count = table[rank, images[:, point]], split
             base.append(point)
-            labels, count = refined, len(keys)
-    return base
-
-
-def _key_index(base_images, degree):
-    """Sorted keys of the elements' base images, for ``Group.locate``.
-
-    The base is cut into runs; a run's key is the rank of the element's key on
-    the runs before it, times degree^(run length), plus the run's images as
-    base-``degree`` digits.  Runs are as long as keeps every key, for members
-    and non-members alike, below 2^63, so no key wraps.  Returns the runs as
-    (start, stop, radix, digit weights, sorted distinct keys) and the element
-    index of every rank on the whole base."""
-    n, length = base_images.shape
-    runs, rank, start = [], np.zeros(n, dtype=np.int64), 0
-    while True:
-        stop = min(start + 1, length)
-        while stop < length and (n + 1) * degree ** (stop + 1 - start) <= 2**63:
-            stop += 1
-        radix = degree ** (stop - start)
-        weights = degree ** np.arange(stop - start - 1, -1, -1, dtype=np.int64)
-        keys, rank = np.unique(rank * radix + base_images[:, start:stop] @ weights, return_inverse=True)
-        runs.append((start, stop, radix, weights, keys))
-        if stop == length:
-            break
-        start = stop
-    by_rank = np.empty(n, dtype=np.intp)
-    by_rank[rank] = np.arange(n)
-    return runs, by_rank
+            tables.append(table)
+    by_rank = np.empty(order, dtype=np.intp)
+    by_rank[rank] = np.arange(order)
+    return base, tables, by_rank
 
 
 def group_closure(generators, cap=None):

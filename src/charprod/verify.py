@@ -130,8 +130,6 @@ class _ModularTable:
     integer coefficient tensor."""
 
     def __init__(self, table, q, z, top_exponent):
-        self.table = table
-        self.q = q
         group = table.group
         order, tensor = table.coefficient_tensor()
         if top_exponent % order:
@@ -139,7 +137,6 @@ class _ModularTable:
         z_local = pow(z, top_exponent // order, q)
         z_powers = np.array([pow(z_local, k, q) for k in range(tensor.shape[2])], dtype=np.int64)
         self.values = matmul_exact(tensor, z_powers) % q
-        self.weights = group.class_sizes
         self.conj_values = self.values[:, group.inverse_class()]
         self.degrees = np.array(table.degrees, dtype=np.int64)
 
@@ -174,7 +171,7 @@ class GroupSession:
         if self._products is None:
             v = self.mod.values
             q = self.q
-            w = self.mod.weights
+            w = self.group.class_sizes
             n_irr, m = v.shape
             fits(m * (q - 1) ** 2)
             pv = v[:, None, :] * v[None, :, :] % q * w[None, None, :] % q
@@ -258,7 +255,7 @@ class GroupSession:
                 fits(ctx.group.num_classes * (q - 1) ** 2)
                 mod_sub = _ModularTable(ctx.table, q, self.z, self.group.exponent)
                 fused = self.mod.values[:, ctx.fusion]
-                weighted = fused * mod_sub.weights[None, :] % q
+                weighted = fused * ctx.group.class_sizes[None, :] % q
                 r = matmul_exact(weighted, mod_sub.conj_values.T) % q * inv_mod(ctx.group.order, q) % q
                 if int(r.max()) > self.bound:
                     raise CharprodError("restriction multiplicity exceeded its bound")
@@ -560,13 +557,6 @@ class MonomialWitness:
         }
 
 
-def _find_irreducible_index(table, f):
-    idx = table.index_of(f)
-    if idx is None:
-        raise CharprodError("expected an irreducible of the table")
-    return idx
-
-
 def _verify_witness(table, chi_cf, h_ctx, alpha):
     """alpha^G = chi exactly and (alpha^2)^G irreducible; returns the index of
     the induced square or None when the branch is dead."""
@@ -672,11 +662,14 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None):
         chi_cf = table.irreducibles[chi_index]
     else:
         chi_cf = chi
-        chi_index = _find_irreducible_index(table, chi_cf)
-    if _eta_sq is None:
-        _eta_sq = decompose(chi_cf * chi_cf, table).eta
-    if p == 2 and _eta_sq >= 2:
-        raise HypothesisNotMet(f"p = 2 and eta(chi^2) = {_eta_sq} >= 2")
+        chi_index = table.index_of(chi_cf)
+        if chi_index is None:
+            raise CharprodError("expected an irreducible of the table")
+    if p == 2:
+        if _eta_sq is None:
+            _eta_sq = decompose(chi_cf * chi_cf, table).eta
+        if _eta_sq >= 2:
+            raise HypothesisNotMet(f"p = 2 and eta(chi^2) = {_eta_sq} >= 2")
 
     trail = []
     h_ctx, alpha, chain = _descend(group, table, chi_cf, trail)

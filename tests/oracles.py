@@ -449,6 +449,22 @@ def closure_reference(gens):
     return elements
 
 
+def base_oracle(group):
+    """Points in ascending order, each kept when the elements show more
+    distinct images on the points kept so far and it, until every element is
+    told apart."""
+    rows = group.images.tolist()
+    base, count = [], 1
+    for point in range(group.degree):
+        if count == len(rows):
+            break
+        grown = len({tuple(row[q] for q in base + [point]) for row in rows})
+        if grown > count:
+            base.append(point)
+            count = grown
+    return base
+
+
 def closure_oracle(gens):
     """Set-product fixpoint closure (not breadth-first)."""
     degree = gens[0].degree

@@ -418,6 +418,19 @@ def test_context_rejects_indices_outside_the_group(indices):
     assert g._promotions == {}
 
 
+def test_context_refuses_a_second_closure_of_a_promoted_subgroup():
+    """Once a subgroup is promoted, a context built with another Group of the
+    same elements would mix class functions of two groups: it is refused."""
+    g = catalog.parse_group(catalog.spec_for("dihedral8").generators)
+    sub = g.subgroup([next(i for i in range(g.order) if g.element_order(i) == 4)])
+    ctx = InducedContext.build(g, sub)
+    again = group_closure([g.element(i) for i in sub.generators()])
+    assert again is not ctx.group and again.order == ctx.group.order
+    with pytest.raises(GroupMismatch, match="promoted"):
+        InducedContext.build(g, sub, subgroup_group=again)
+    assert InducedContext.build(g, sub, subgroup_group=ctx.group).group is ctx.group
+
+
 def test_building_a_context_builds_no_table():
     g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
     center = g.subgroup([next(i for i in range(1, g.order) if g.class_sizes[g.class_of[i]] == 1)])

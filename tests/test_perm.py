@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charprod import catalog
 from charprod.chartab import class_constants
 from charprod.errors import CharprodError, ClosureCapExceeded, EmptyGeneratorSet, ParseError
 from charprod.perm import (
@@ -17,6 +18,7 @@ from charprod.perm import (
 )
 
 from oracles import (
+    base_oracle,
     class_constants_oracle,
     closure_oracle,
     closure_reference,
@@ -264,16 +266,22 @@ def test_orbit_labels_of_trivial_stacks(perms):
     assert label.tolist() == least.tolist() == list(range(n))
 
 
+def _transpositions(degree, transpositions):
+    text = f"degree={degree}\n" + "".join(f"({a} {b})\n" for a, b in transpositions)
+    return parse_generators(text)[0]
+
+
 @pytest.mark.parametrize("degree, transpositions", [
     (60, [(2 * t + 1, 2 * t + 2) for t in range(11)]),
     (64, [(t + 1, t + 17) for t in range(11)]),
 ])
 def test_keys_do_not_wrap_on_a_long_base(degree, transpositions):
-    """11 disjoint transpositions: base length 11 and degree^11 > 2^63.  At
-    degree 64 a key wrapped modulo 2^64 would confuse elements that differ
-    only in the first transposition, (1 17)."""
-    text = f"degree={degree}\n" + "".join(f"({a} {b})\n" for a, b in transpositions)
-    gens, _ = parse_generators(text)
+    """11 disjoint transpositions: base length 11 and degree^11 > 2^63, so
+    the base images as one base-``degree`` number would not fit in int64.
+    At degree 64 a number wrapped modulo 2^64 would confuse elements that
+    differ only in the first transposition, (1 17); the rank tables keep
+    every index below |G| * degree."""
+    gens = _transpositions(degree, transpositions)
     g = group_closure(gens)
     assert g.order == 2048 and len(g.base) == 11 and degree ** 11 > 2 ** 63
     elements = closure_reference(gens)
@@ -300,3 +308,66 @@ def test_group_core_matches_permutation_arithmetic(gens, data):
     _assert_arithmetic_matches(g, elements, pairs)
     _assert_classes_match(g)
     assert np.stack([class_constants(g, i) for i in range(g.num_classes)]).tolist() == class_constants_oracle(g)
+
+
+def _prefix_ranks(g, images):
+    """Rank of the base-image prefix of one image row at every base point."""
+    rank, ranks = 0, []
+    for point, table in zip(g.base, g._tables):
+        rank = int(table[rank, images[point]])
+        ranks.append(rank)
+    return ranks
+
+
+def test_rank_tables_miss_at_the_first_unmatched_base_point():
+    """(1 2), (3 4), ..., (21 22) at degree 60, base 1, 3, ..., 21: (3 5)
+    misses at the second base point and stays missed; (2 4) has the base
+    images of the identity, so only the full row tells it apart."""
+    g = group_closure(_transpositions(60, [(2 * t + 1, 2 * t + 2) for t in range(11)]))
+    assert g.base == list(range(0, 22, 2))
+    misses = parse_permutation("(3 5)", 60)
+    ranks = _prefix_ranks(g, misses.images)
+    assert ranks[0] >= 0 and ranks[1:] == [-1] * 10
+    agrees = parse_permutation("(2 4)", 60)
+    identity = Permutation.identity(60)
+    assert _prefix_ranks(g, agrees.images) == _prefix_ranks(g, identity.images)
+    assert min(_prefix_ranks(g, identity.images)) >= 0
+    assert g.locate(np.array(agrees.images)[g.base]) == g.element_index(identity) == 0
+    for perm in (misses, agrees):
+        with pytest.raises(KeyError):
+            g.element_index(perm)
+        with pytest.raises(KeyError):
+            g.indices_of([identity.images, perm.images])
+
+
+def test_rank_tables_fit_below_the_images(group_of, product_2187):
+    """One table of (prefixes + 1) rows per base point, the last row a miss:
+    fewer than (|G| + |base|) * degree entries, on the base the refinement
+    by distinct base images picks."""
+    groups = [group_of(gid) for gid in catalog.builtin_ids()] + [product_2187[0]]
+    for g in groups:
+        assert g.base == base_oracle(g)
+        assert len(g._tables) == len(g.base)
+        assert all(table.shape[1] == g.degree and (table[-1] == -1).all() for table in g._tables)
+        assert sum(table.size for table in g._tables) < (g.order + len(g.base)) * g.degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=generator_sets(), data=st.data())
+def test_element_index_raises_exactly_for_non_members(gens, data):
+    g = group_closure(gens)
+    elements = closure_reference(gens)
+    members = set(elements)
+    drawn = data.draw(st.lists(st.permutations(range(g.degree)), min_size=1, max_size=8))
+    perms = [Permutation(images) for images in drawn] + elements[-2:]
+    for perm in perms:
+        if perm in members:
+            assert g.element(g.element_index(perm)) == perm
+        else:
+            with pytest.raises(KeyError):
+                g.element_index(perm)
+    if all(perm in members for perm in perms):
+        assert [g.element(i) for i in g.indices_of([p.images for p in perms])] == perms
+    else:
+        with pytest.raises(KeyError):
+            g.indices_of([p.images for p in perms])

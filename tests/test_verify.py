@@ -5,7 +5,7 @@ import pytest
 from charprod import verify
 from charprod.charops import InducedContext, decompose, induce, inner_product, kernel_of, restrict
 from charprod.chartab import dixon_table
-from charprod.errors import HypothesisNotMet, NotAPGroup
+from charprod.errors import CharprodError, HypothesisNotMet, NotAPGroup
 from charprod.perm import group_closure, parse_generators
 from charprod.verify import (
     GroupSession,
@@ -222,6 +222,35 @@ def test_witness_quaternion8_hypothesis(group_of):
     chi2 = next(i for i, d in enumerate(t.degrees) if d == 2)
     with pytest.raises(HypothesisNotMet):
         monomial_witness_search(g, chi2)
+
+
+def test_only_a_search_at_p_2_decomposes_the_square(group_of, monkeypatch):
+    """eta(chi^2) decides only the p = 2 hypothesis: an odd-p search never
+    decomposes chi^2, and at p = 2 eta(chi^2) >= 2 still refuses the search."""
+    def refuse(*args):
+        raise AssertionError("decompose called")
+
+    g = group_of("heisenberg3")
+    t = dixon_table(g)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "decompose", refuse)
+        for i in [i for i, d in enumerate(t.degrees) if d == 3]:
+            assert monomial_witness_search(g, i, table=t).subgroup_order == 9
+            assert monomial_witness_search(g, t.irreducibles[i], table=t).chi_index == i
+    g = group_of("quaternion8")
+    t = dixon_table(g)
+    chi2 = t.degrees.index(2)
+    assert decompose(t.irreducibles[chi2] * t.irreducibles[chi2], t).eta >= 2
+    with pytest.raises(HypothesisNotMet, match="eta"):
+        monomial_witness_search(g, t.irreducibles[chi2], table=t)
+
+
+def test_witness_rejects_a_class_function_off_the_table(group_of):
+    g = group_of("heisenberg3")
+    t = dixon_table(g)
+    chi = t.irreducibles[t.degrees.index(3)]
+    with pytest.raises(CharprodError, match="expected an irreducible of the table"):
+        monomial_witness_search(g, chi + chi, table=t)
 
 
 def test_witness_rejects_non_p_group(group_of):
