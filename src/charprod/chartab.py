@@ -10,7 +10,8 @@ eigenspaces of the class-sum matrices, each formed only when the split
 reaches it; degrees and eigenvalue multiplicities are lifted to integers (they
 lie below sqrt(|G|) < q/2) and the values re-assembled as exact cyclotomics
 through the discrete Fourier sum over the power map.  The finished table must
-pass exact row and column orthogonality, otherwise the build fails.
+have one row per class and pass exact row orthogonality, which for a square
+table implies the column relation; each distinct value is formatted once.
 
 The table of a quotient G/N of a p-group needs no split: it is the rows of
 G's table with N in their kernel, read at one class of G over each class of
@@ -25,7 +26,7 @@ import math
 import numpy as np
 
 from .charops import ClassFunction
-from .cyclotomic import _reduction_matrix, embed, euler_phi, fits, gram, matmul_exact, value_text
+from .cyclotomic import _reduction_matrix, embed, euler_phi, fits, gram, matmul_exact, value_json, value_text
 from .errors import EigensplitStall, GroupMismatch, LiftInconsistent, NotAPGroup
 from .modular import (
     charpoly_mod,
@@ -97,10 +98,8 @@ class CharacterTable:
         g = self.group
         lines.append("sizes  " + " ".join(str(size).rjust(6) for size in g.class_sizes.tolist()))
         lines.append("orders " + " ".join(str(g.element_order(r)).rjust(6) for r in g.class_reps.tolist()))
-        order, tensor = self._tensor
-        for i, values in enumerate(tensor.tolist()):
-            row = " ".join(value_text(order, v).rjust(6) for v in values)
-            lines.append(f"X{i:<5} {row}")
+        rows = self._value_texts(lambda order, v: value_text(order, v).rjust(6))
+        lines.extend(f"X{i:<5} {' '.join(row)}" for i, row in enumerate(rows))
         return "\n".join(lines)
 
     def to_json(self):
@@ -117,10 +116,23 @@ class CharacterTable:
                 for j, (size, r) in enumerate(zip(g.class_sizes.tolist(), g.class_reps.tolist()))
             ],
             "irreducibles": [
-                {"index": i, "degree": self.degrees[i], "values": chi.to_json()}
-                for i, chi in enumerate(self.irreducibles)
+                {"index": i, "degree": self.degrees[i], "values": values}
+                for i, values in enumerate(self._value_texts(value_json))
             ],
         }
+
+    def _value_texts(self, formatter):
+        """formatter(order, coefficients) of every value, as nested lists
+        (irreducibles, classes), called once per distinct vector: in np.lexsort
+        order a vector is new where it differs from the one before it."""
+        order, tensor = self._tensor
+        flat = tensor.reshape(-1, tensor.shape[-1])
+        ranks = np.lexsort(flat.T)
+        new = np.r_[True, (flat[ranks[1:]] != flat[ranks[:-1]]).any(axis=1)]
+        index = np.empty_like(ranks)
+        index[ranks] = np.cumsum(new) - 1
+        texts = np.array([formatter(order, v) for v in flat[ranks[new]].tolist()], dtype=object)
+        return texts[index.reshape(tensor.shape[:2])].tolist()
 
     def __repr__(self):
         return f"CharacterTable(order={self.group.order}, irreducibles={self.size})"
@@ -225,25 +237,28 @@ def _lift_values(omega, degree, q, lift):
 
 
 def _orthogonality_defect(table):
-    """Exact residuals of both orthogonality relations; empty dict if clean."""
+    """The largest exact residual of each orthogonality relation that fails;
+    empty dict if clean.  For values X, Y = X at the inverse classes and W the
+    class sizes, the rows say X W Y^T = |G| I; a square X is then invertible,
+    so the columns Y^T X = |G| W^-1 hold and are not computed (Isaacs, ch. 2)."""
     group = table.group
     order, tensor = table.coefficient_tensor()
     conj = tensor[:, group.inverse_class()]
-    relations = (
-        ("rows", gram(tensor * group.class_sizes[:, None], conj, order), group.order),
-        ("columns", gram(tensor.transpose(1, 0, 2), conj.transpose(1, 0, 2), order), group.order // group.class_sizes),
-    )
     defects = {}
-    for name, residual, diagonal in relations:
+
+    def check(name, residual, diagonal):
         n = np.arange(len(residual))
         residual[n, n, 0] -= diagonal
         if residual.any():
             defects[name] = int(np.abs(residual).max())
+    check("rows", gram(tensor * group.class_sizes[:, None], conj, order), group.order)
+    if defects or len(tensor) != group.num_classes:
+        check("columns", gram(tensor.transpose(1, 0, 2), conj.transpose(1, 0, 2), order), group.order // group.class_sizes)
     return defects
 
 
 def verify_orthogonality(table):
-    """True iff both orthogonality relations hold exactly."""
+    """True iff both orthogonality relations hold exactly; rows alone if square."""
     return not _orthogonality_defect(table)
 
 
@@ -333,8 +348,10 @@ def _build_table(group):
 
 def _finish_table(group, tensor):
     """The table of the rows of ``tensor`` (coefficients at the group's
-    exponent), sorted and checked: exactly one principal row, the degree
-    squares summing to |G| and exact orthogonality, else LiftInconsistent."""
+    exponent), sorted and checked: one row per class, a single principal row,
+    the degree squares summing to |G| and orthogonality, else LiftInconsistent."""
+    if len(tensor) != group.num_classes:
+        raise LiftInconsistent(f"{len(tensor)} irreducibles for {group.num_classes} classes")
     other = (tensor != np.eye(1, tensor.shape[-1], dtype=np.int64)).any(axis=(1, 2))
     if len(tensor) - other.sum() != 1:
         raise LiftInconsistent("principal character missing from the lifted table")

@@ -1,14 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from charprod import catalog
 from charprod.charops import principal_character
 from charprod.chartab import (
     CharacterTable,
     _build_table,
+    _finish_table,
     _lift_degree,
     _lift_values,
     _linear_logs,
@@ -20,6 +23,7 @@ from charprod.chartab import (
     quotient_table,
     verify_orthogonality,
 )
+from charprod.cyclotomic import euler_phi
 from charprod.errors import CharprodError, LiftInconsistent, NotAPGroup
 from charprod.modular import find_prime, inv_mod, nth_root_of_unity
 from charprod.perm import Permutation, group_closure, parse_generators
@@ -29,6 +33,7 @@ from oracles import (
     brute_force_table,
     canonical_key,
     generator_sets,
+    orthogonality_defect_reference,
     root_of_unity,
     row_sort_key,
     unseeded_table,
@@ -132,6 +137,46 @@ def test_verify_orthogonality_and_perturbation(table_of):
     perturbed = CharacterTable(t.group, order, bumped)
     assert not verify_orthogonality(perturbed)
     assert set(_orthogonality_defect(perturbed)) == {"rows", "columns"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(gid=st.sampled_from(["elemab_2_2", "dihedral8", "cyclic9", "sl23", "heisenberg3", "extraspecial27_exp9"]),
+       data=st.data())
+def test_perturbed_tables_have_the_reference_orthogonality_defect(gid, data, table_of):
+    """One coefficient of a catalog table off by +-1 or by a multiple of
+    2^20: the square table's rows fail, so both relations are reported, as
+    the two-relation reference reports them."""
+    t = table_of(gid)
+    order, tensor = t.coefficient_tensor()
+    cell = tuple(data.draw(st.integers(0, n - 1)) for n in tensor.shape)
+    small = st.sampled_from([-1, 1])
+    large = st.integers(-8, 8).filter(bool).map(lambda k: k * 2**20)
+    bumped = tensor.copy()
+    bumped[cell] += data.draw(st.one_of(small, large))
+    perturbed = CharacterTable(t.group, order, bumped)
+    defect = _orthogonality_defect(perturbed)
+    assert set(defect) == {"rows", "columns"} and defect == orthogonality_defect_reference(perturbed)
+
+
+@pytest.mark.parametrize("dropped", range(1, 11))
+def test_a_table_missing_a_row_fails_only_the_column_relation(dropped, table_of):
+    """heisenberg3 less one non-principal row: the rows left are still
+    orthonormal, but the table is no longer square, so the columns must be
+    computed, and they fail."""
+    t = table_of("heisenberg3")
+    order, tensor = t.coefficient_tensor()
+    short = CharacterTable(t.group, order, np.delete(tensor, dropped, axis=0))
+    defect = _orthogonality_defect(short)
+    assert set(defect) == {"columns"} and defect == orthogonality_defect_reference(short)
+    assert not verify_orthogonality(short)
+
+
+@pytest.mark.parametrize("rows", [slice(None, -1), [*range(11), 10]], ids=["missing", "repeated"])
+def test_finish_table_needs_one_row_per_class(rows, table_of):
+    t = table_of("heisenberg3")
+    tensor = t.coefficient_tensor()[1][rows]
+    with pytest.raises(LiftInconsistent, match=f"^{len(tensor)} irreducibles for 11 classes$"):
+        _finish_table(t.group, tensor)
 
 
 @pytest.mark.parametrize("gid", ["dihedral8", "cyclic9", "heisenberg3"])
@@ -398,6 +443,72 @@ def test_table_renderings(table_of):
     assert payload["order"] == 8
     assert len(payload["irreducibles"]) == 5
     assert payload["irreducibles"][4]["degree"] == 2
+
+
+def _assert_renders_like_the_references(table):
+    """Every value of to_json and every row of to_text as the per-value
+    references write them, from the table's own coefficients."""
+    order, tensor = table.coefficient_tensor()
+    lines = table.to_text().splitlines()[2:]
+    entries = table.to_json()["irreducibles"]
+    assert len(lines) == len(entries) == len(tensor)
+    for i, row in enumerate(tensor.tolist()):
+        expected = [value_json_reference(order, v) for v in row]
+        assert json.dumps(entries[i]["values"]) == json.dumps(expected)
+        assert lines[i] == f"X{i:<5} " + " ".join(value_text_reference(order, v).rjust(6) for v in row)
+
+
+@pytest.mark.parametrize("gid", [spec.id for spec in catalog.group_specs()])
+def test_catalog_renderings_match_the_per_value_references(gid, table_of):
+    _assert_renders_like_the_references(table_of(gid))
+
+
+def test_order_2187_renderings_match_the_per_value_references(product_2187):
+    _assert_renders_like_the_references(product_2187[1])
+
+
+NEAR_2_62 = 2**62 + 5
+
+
+@st.composite
+def drawn_tensors(draw):
+    """A catalog group with phi(exponent) > 1 and a drawn (rows, classes,
+    phi) tensor at its exponent: cells from a pool of vectors with negative
+    coefficients, each beside a copy that differs only in its last
+    coefficient (the first two cells hold one such pair), and one
+    coefficient near +-2^62."""
+    gid = draw(st.sampled_from(["cyclic3", "dihedral8", "cyclic9", "heisenberg3"]))
+    group = catalog.builtin(gid)
+    phi = euler_phi(group.exponent)
+    vector = st.lists(st.integers(-3, 3), min_size=phi, max_size=phi)
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    pool += [v[:-1] + [v[-1] + draw(st.sampled_from([-1, 1, 2**20]))] for v in pool]
+    cells = draw(st.integers(1, 4)) * group.num_classes
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=cells, max_size=cells))
+    picks[:2] = [0, len(pool) // 2]
+    tensor = np.array([pool[k] for k in picks], dtype=np.int64).reshape(-1, group.num_classes, phi)
+    tensor.flat[draw(st.integers(0, tensor.size - 1))] = draw(st.sampled_from([-1, 1])) * draw(
+        st.integers(NEAR_2_62 - 2**10, NEAR_2_62 + 2**10)
+    )
+    return gid, tensor
+
+
+def _colliding_tensor():
+    """(16, 0), (0, 4), -2 and 2^62 + 1 in one heisenberg3 row: packed as
+    (c0 - lo) + (c1 - lo) * (hi - lo + 1) in int64, the first two vectors
+    get the same key once the product wraps, since 4 (2^62 + 4) = 16 mod 2^64."""
+    tensor = np.zeros((1, 11, 2), dtype=np.int64)
+    tensor[0, :4] = [[16, 0], [0, 4], [-2, 0], [0, 2**62 + 1]]
+    return tensor
+
+
+@settings(max_examples=80, deadline=None)
+@example(case=("heisenberg3", _colliding_tensor()))
+@given(case=drawn_tensors())
+def test_drawn_tensors_render_like_the_references(case):
+    gid, tensor = case
+    group = catalog.builtin(gid)
+    _assert_renders_like_the_references(CharacterTable(group, group.exponent, tensor))
 
 
 def _gens(text):

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import charprod
 from charprod.cli import main
 
 
@@ -217,3 +222,14 @@ def test_json_output_memory_stays_flat():
     assert sink.digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
     assert sink.size == len(text) and sink.writes <= len(text) // JSON_BUFFER + 1
     assert peak < len(text) // 4
+
+
+def test_python_dash_m_prints_the_same_bytes(capsys):
+    """``python -m charprod`` from a source checkout runs the same main."""
+    src = str(Path(charprod.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["table", "cyclic3"]
+    proc = subprocess.run([sys.executable, "-m", "charprod", *argv], env=env, capture_output=True, timeout=120)
+    code, out, _ = run_cli(argv, capsys)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
