@@ -33,12 +33,14 @@ def _load_group(source):
 JSON_BUFFER = 1 << 16
 
 
-def _emit(payload, text, args, out):
+def _emit(args, out, payload, lines):
+    """Write ``payload()`` as JSON or the ``lines()`` as text, as ``--format``
+    asks; only the form written is built."""
     if args.format == "json":
         # the bytes of json.dumps(indent=2, sort_keys=True), written in
         # chunks of about JSON_BUFFER characters, never as one string
         chunks, size = [], 0
-        for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload):
+        for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload()):
             chunks.append(chunk)
             size += len(chunk)
             if size >= JSON_BUFFER:
@@ -47,6 +49,7 @@ def _emit(payload, text, args, out):
         chunks.append("\n")
         out.write("".join(chunks))
     else:
+        text = "\n".join(lines())
         out.write(text)
         if not text.endswith("\n"):
             out.write("\n")
@@ -55,7 +58,7 @@ def _emit(payload, text, args, out):
 def _cmd_table(args, out):
     _, group = _load_group(args.group)
     table = dixon_table(group)
-    _emit(table.to_json(), table.to_text(), args, out)
+    _emit(args, out, table.to_json, lambda: [table.to_text()])
     return 0
 
 
@@ -69,40 +72,44 @@ def _cmd_product(args, out):
     dec = decompose(product, table)
     payload = {"group": gid, "chi": args.chi, "psi": args.psi}
     payload.update(dec.to_json(table))
-    lines = [f"chi_{args.chi} (degree {table.degrees[args.chi]}) * "
-             f"chi_{args.psi} (degree {table.degrees[args.psi]})"]
-    for item in payload["constituents"]:
-        lines.append(f"  {item['multiplicity']} * chi_{item['irr_index']} (degree {item['degree']})")
-    lines.append(f"eta = {payload['eta']}")
-    _emit(payload, "\n".join(lines), args, out)
+
+    def lines():
+        yield (f"chi_{args.chi} (degree {table.degrees[args.chi]}) * "
+               f"chi_{args.psi} (degree {table.degrees[args.psi]})")
+        for item in payload["constituents"]:
+            yield f"  {item['multiplicity']} * chi_{item['irr_index']} (degree {item['degree']})"
+        yield f"eta = {payload['eta']}"
+
+    _emit(args, out, lambda: payload, lines)
     return 0
 
 
 def _cmd_verify(args, out):
     statements = tuple(s.strip() for s in args.statements.split(",") if s.strip())
-    if args.catalog:
-        groups = catalog.builtin_ids()
-    elif args.group:
-        groups = [_load_group(args.group)]
-    else:
-        raise CharprodError("verify needs a group source or --catalog")
+    if not statements:
+        raise CharprodError("verify needs at least one statement")
+    if bool(args.catalog) == bool(args.group):
+        raise CharprodError("verify needs either a group source or --catalog")
+    groups = catalog.builtin_ids() if args.catalog else [_load_group(args.group)]
     report = verify.run_suite(groups, statements)
-    lines = []
-    for group_report in report.reports:
-        s = group_report.summary
-        lines.append(
-            f"{group_report.group_id}: pass {s['pass']}, fail {s['fail']}, "
-            f"hypothesis-not-met {s['hypothesis_not_met']}, skipped {s['skipped']}"
+
+    def lines():
+        for group_report in report.reports:
+            s = group_report.summary
+            yield (
+                f"{group_report.group_id}: pass {s['pass']}, fail {s['fail']}, "
+                f"hypothesis-not-met {s['hypothesis_not_met']}, skipped {s['skipped']}"
+            )
+            for c in group_report.failures:
+                yield (f"  FAIL {c.statement} {json.dumps(c.instance, sort_keys=True)} "
+                       f"{json.dumps(c.witness, sort_keys=True)}")
+        total = report.summary
+        yield (
+            f"total: pass {total['pass']}, fail {total['fail']}, "
+            f"hypothesis-not-met {total['hypothesis_not_met']}, skipped {total['skipped']}"
         )
-        for c in group_report.failures:
-            lines.append(f"  FAIL {c.statement} {json.dumps(c.instance, sort_keys=True)} "
-                         f"{json.dumps(c.witness, sort_keys=True)}")
-    total = report.summary
-    lines.append(
-        f"total: pass {total['pass']}, fail {total['fail']}, "
-        f"hypothesis-not-met {total['hypothesis_not_met']}, skipped {total['skipped']}"
-    )
-    _emit(report.to_json(), "\n".join(lines), args, out)
+
+    _emit(args, out, report.to_json, lines)
     return 0 if report.all_pass else 1
 
 
@@ -112,27 +119,26 @@ def _cmd_witness(args, out):
     witness = monomial_witness_search(group, args.chi, table=table)
     payload = {"group": gid}
     payload.update(witness.to_json())
-    lines = [
-        f"chi_{args.chi} (degree {table.degrees[args.chi]}): "
-        f"H of order {witness.subgroup_order} (index {witness.subgroup_index})",
-        "H generators: " + " ".join(witness.subgroup_generators),
-        "alpha values: " + " ".join(str(v) for v in witness.alpha_values),
-        f"(alpha^2)^G = chi_{witness.square_induced_index}",
-    ]
-    for step in witness.chain:
-        lines.append("  descent: " + json.dumps(step, sort_keys=True))
-    _emit(payload, "\n".join(lines), args, out)
+
+    def lines():
+        yield (f"chi_{args.chi} (degree {table.degrees[args.chi]}): "
+               f"H of order {witness.subgroup_order} (index {witness.subgroup_index})")
+        yield "H generators: " + " ".join(witness.subgroup_generators)
+        yield "alpha values: " + " ".join(str(v) for v in witness.alpha_values)
+        yield f"(alpha^2)^G = chi_{witness.square_induced_index}"
+        for step in witness.chain:
+            yield "  descent: " + json.dumps(step, sort_keys=True)
+
+    _emit(args, out, lambda: payload, lines)
     return 0
 
 
 def _cmd_catalog(args, out):
     specs = catalog.group_specs()
-    payload = [spec.to_json() for spec in specs]
-    lines = [
+    _emit(args, out, lambda: [spec.to_json() for spec in specs], lambda: (
         f"{spec.id:28s} order {spec.expected_order:4d}  classes {spec.expected_classes:3d}  {spec.description}"
         for spec in specs
-    ]
-    _emit(payload, "\n".join(lines), args, out)
+    ))
     return 0
 
 

@@ -356,7 +356,16 @@ def check_theorem_A(group, group_id="group", session=None):
 def check_theorem_B(group, group_id="group", session=None):
     """Whenever some member of Irr(N) induces to a multiple of chi, every
     member of Irr(N) under the product induces to a multiple of one
-    irreducible (and to an irreducible itself when |G:N| = p)."""
+    irreducible (and to an irreducible itself when |G:N| = p).
+
+    One product over all normal subgroups decides it.  Column gamma of N is
+    bad when gamma^G has other than one distinct constituent, or, at index p,
+    a multiple of one.  A pair fails at N when chi or psi has an inducer in
+    Irr(N) and a constituent of chi psi lies over a bad gamma; the witness is
+    the first such N in lattice order and its first such gamma.  A pair over
+    gamma can see gamma^G leave chi psi only when gamma lies under two
+    irreducibles, so gamma is bad: no second verdict is needed, as long as
+    ``col_support`` is R's column support, which ``normal_data`` builds."""
     session = session or GroupSession(group, group_id)
     _require_p_group(session, "B")
     p = session.p
@@ -368,47 +377,27 @@ def check_theorem_B(group, group_id="group", session=None):
     pi, pj = np.triu_indices(n)
     keep = eta[pi, pj] < p
     pi, pj = pi[keep], pj[keep]
-    pairs = list(zip(pi.tolist(), pj.tolist()))
     # which irreducibles occur in each product chi psi
     occurs = a[pi, pj] > 0
+    bad_cols = [(d["col_support"] != 1) | ((d["normal_index"] == p) & (d["single_mult"] != 1))
+                for d in normals]
+    # bad[xi, N]: xi lies over a bad column of N; inducer[xi, N]: some member
+    # of Irr(N) induces to a multiple of xi
+    bad = np.stack([(d["R"][:, cols] > 0).any(axis=1) for d, cols in zip(normals, bad_cols)], axis=1)
+    inducer = np.stack([d["inducer_exists"] for d in normals], axis=1)
+    fails = (matmul_exact(occurs, bad) > 0) & (inducer[pi] | inducer[pj])
     verdicts = {}
-    for data in normals:
-        if not pairs:
-            continue
-        r = data["R"]
-        over = r > 0
-        relevant = data["inducer_exists"][pi] | data["inducer_exists"][pj]
-        # under[k, gamma]: how many constituents of pair k lie over gamma
-        under = matmul_exact(occurs, over)
-        bad_cols = data["col_support"] != 1
-        if data["normal_index"] == p:
-            bad_cols = bad_cols | (data["single_mult"] != 1)
-        if bad_cols.any():
-            touches = under[:, bad_cols] > 0
-            for row in np.nonzero(touches.any(axis=1) & relevant)[0]:
-                if pairs[row] not in verdicts:
-                    bad_local = np.nonzero(bad_cols)[0][np.nonzero(touches[row])[0]]
-                    gamma = int(bad_local[0])
-                    verdicts[pairs[row]] = {
-                        "normal": data["index"],
-                        "normal_order": data["member"].order,
-                        "gamma": gamma,
-                        "eta_gamma_induced": int(data["col_support"][gamma]),
-                    }
-        # proof-level consistency: each gamma under (chi psi)_N induces inside
-        # the constituents of chi psi itself
-        outside = over.sum(axis=0) - under > 0
-        lies_under = under > 0
-        broken = (lies_under & outside).any(axis=1) & relevant
-        for row in np.nonzero(broken)[0]:
-            if pairs[row] not in verdicts:
-                gamma = int(np.nonzero(lies_under[row] & outside[row])[0][0])
-                verdicts[pairs[row]] = {
-                    "normal": data["index"],
-                    "normal_order": data["member"].order,
-                    "gamma": gamma,
-                    "reason": "gamma^G has constituents outside chi psi",
-                }
+    for k in np.flatnonzero(fails.any(axis=1)).tolist():
+        col = int(fails[k].argmax())
+        data = normals[col]
+        under = occurs[k] @ (data["R"] > 0)
+        gamma = int(np.flatnonzero(bad_cols[col] & under)[0])
+        verdicts[int(pi[k]), int(pj[k])] = {
+            "normal": data["index"],
+            "normal_order": data["member"].order,
+            "gamma": gamma,
+            "eta_gamma_induced": int(data["col_support"][gamma]),
+        }
     return _pair_checks("B", session, lambda i, j: verdicts.get((i, j)))
 
 

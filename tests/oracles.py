@@ -40,6 +40,7 @@ from charprod.cyclotomic import (
     euler_phi,
     factorize,
     gram,
+    matmul_exact,
 )
 from charprod.modular import find_prime, inv_mod, nth_root_of_unity
 from charprod.perm import Permutation
@@ -640,6 +641,68 @@ def normal_powerset_oracle(group):
         if all(mul[a][b] in members for a in members for b in members):
             out.add(frozenset(classes))
     return out
+
+
+# -- statement B, one normal subgroup at a time -----------------------------------
+
+
+def theorem_B_reference(session):
+    """Statement B's verdicts as the engine decided them with one product per
+    normal subgroup: {(chi, psi): witness} over the pairs in the hypothesis,
+    the first normal subgroup in lattice order deciding.  Both verdict
+    branches are kept, including the one the engine proves unreachable
+    ("gamma^G has constituents outside chi psi")."""
+    p = session.p
+    a = session.products
+    eta = session.eta
+    n = len(session.table.irreducibles)
+    normals = session.normal_data
+
+    pi, pj = np.triu_indices(n)
+    keep = eta[pi, pj] < p
+    pi, pj = pi[keep], pj[keep]
+    pairs = list(zip(pi.tolist(), pj.tolist()))
+    # which irreducibles occur in each product chi psi
+    occurs = a[pi, pj] > 0
+    verdicts = {}
+    for data in normals:
+        if not pairs:
+            continue
+        r = data["R"]
+        over = r > 0
+        relevant = data["inducer_exists"][pi] | data["inducer_exists"][pj]
+        # under[k, gamma]: how many constituents of pair k lie over gamma
+        under = matmul_exact(occurs, over)
+        bad_cols = data["col_support"] != 1
+        if data["normal_index"] == p:
+            bad_cols = bad_cols | (data["single_mult"] != 1)
+        if bad_cols.any():
+            touches = under[:, bad_cols] > 0
+            for row in np.nonzero(touches.any(axis=1) & relevant)[0]:
+                if pairs[row] not in verdicts:
+                    bad_local = np.nonzero(bad_cols)[0][np.nonzero(touches[row])[0]]
+                    gamma = int(bad_local[0])
+                    verdicts[pairs[row]] = {
+                        "normal": data["index"],
+                        "normal_order": data["member"].order,
+                        "gamma": gamma,
+                        "eta_gamma_induced": int(data["col_support"][gamma]),
+                    }
+        # proof-level consistency: each gamma under (chi psi)_N induces inside
+        # the constituents of chi psi itself
+        outside = over.sum(axis=0) - under > 0
+        lies_under = under > 0
+        broken = (lies_under & outside).any(axis=1) & relevant
+        for row in np.nonzero(broken)[0]:
+            if pairs[row] not in verdicts:
+                gamma = int(np.nonzero(lies_under[row] & outside[row])[0][0])
+                verdicts[pairs[row]] = {
+                    "normal": data["index"],
+                    "normal_order": data["member"].order,
+                    "gamma": gamma,
+                    "reason": "gamma^G has constituents outside chi psi",
+                }
+    return verdicts
 
 
 # -- exact table oracle ----------------------------------------------------------

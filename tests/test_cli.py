@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import charprod
 from charprod.cli import main
 
@@ -80,6 +82,38 @@ def test_verify_unknown_statement(capsys):
 def test_verify_needs_source(capsys):
     code, _, err = run_cli(["verify"], capsys)
     assert code == 2
+
+
+def test_verify_needs_a_statement(capsys):
+    code, out, err = run_cli(["verify", "dihedral8", "--statements", ","], capsys)
+    assert code == 2 and out == ""
+    assert "at least one statement" in err
+
+
+def test_verify_takes_a_group_or_the_catalog_not_both(capsys):
+    code, out, err = run_cli(["verify", "dihedral8", "--catalog"], capsys)
+    assert code == 2 and out == ""
+    assert "either a group source or --catalog" in err
+
+
+def test_only_the_requested_format_is_built(capsys, monkeypatch):
+    """table and verify build the text or the JSON form, never both."""
+    from charprod.chartab import CharacterTable
+    from charprod.verify import SuiteReport
+
+    def refuse(self):
+        raise AssertionError("the other format was built")
+
+    monkeypatch.setattr(CharacterTable, "to_text", refuse)
+    monkeypatch.setattr(SuiteReport, "to_json", refuse)
+    code, out, _ = run_cli(["table", "dihedral8", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["order"] == 8
+    code, out, _ = run_cli(["verify", "dihedral8", "--statements", "A"], capsys)
+    assert code == 0 and out.startswith("dihedral8: pass")
+    monkeypatch.undo()
+    monkeypatch.setattr(CharacterTable, "to_json", refuse)
+    code, out, _ = run_cli(["table", "dihedral8"], capsys)
+    assert code == 0 and "sizes" in out
 
 
 def test_witness_command(capsys):
@@ -188,16 +222,52 @@ class _Sink:
         self.writes += 1
 
 
-def test_json_output_streams_the_bytes_of_json_dumps(capsys, monkeypatch):
-    """The streamed catalog report is json.dumps(indent=2, sort_keys=True)
-    plus a newline, byte for byte."""
+@pytest.fixture(scope="module")
+def catalog_report():
+    """One run of every statement over the catalog, shared by the tests that
+    print it."""
     from charprod import catalog, verify
 
-    report = verify.run_suite(catalog.builtin_ids(), verify.STATEMENTS)
-    monkeypatch.setattr(verify, "run_suite", lambda groups, statements: report)
+    return verify.run_suite(catalog.builtin_ids(), verify.STATEMENTS)
+
+
+def _serve(monkeypatch, report):
+    """Make ``verify --catalog`` print ``report`` without running the suite
+    again, after checking that it asks for the catalog and every statement."""
+    from charprod import catalog, verify
+
+    def run_suite(groups, statements):
+        assert list(groups) == list(catalog.builtin_ids()) and tuple(statements) == verify.STATEMENTS
+        return report
+
+    monkeypatch.setattr(verify, "run_suite", run_suite)
+
+
+def test_json_output_streams_the_bytes_of_json_dumps(capsys, monkeypatch, catalog_report):
+    """The streamed catalog report is json.dumps(indent=2, sort_keys=True)
+    plus a newline, byte for byte."""
+    _serve(monkeypatch, catalog_report)
     code, out, _ = run_cli(["verify", "--catalog", "--format", "json"], capsys)
     assert code == 0
-    assert out == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps(catalog_report.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+CATALOG_REPORT_SHA256 = {
+    "json": "aa8c75340217e21e636d281713201a2190f58feae71ca655fee6c00919eba36c",
+    "text": "a815c8951823faefb1a9b023407511fbe049a9fcbe944854e9763d250000d98f",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CATALOG_REPORT_SHA256))
+def test_catalog_report_bytes_are_pinned(fmt, capsys, monkeypatch, catalog_report):
+    """The bytes of ``charprod verify --catalog`` in each format, pinned: a
+    change to any check, record or rendering of the catalog shows here."""
+    import hashlib
+
+    _serve(monkeypatch, catalog_report)
+    code, out, _ = run_cli(["verify", "--catalog", "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_REPORT_SHA256[fmt]
 
 
 def test_json_output_memory_stays_flat():
@@ -215,7 +285,7 @@ def test_json_output_memory_stays_flat():
     sink = _Sink()
     tracemalloc.start()
     try:
-        _emit(payload, None, argparse.Namespace(format="json"), sink)
+        _emit(argparse.Namespace(format="json"), sink, lambda: payload, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

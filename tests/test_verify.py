@@ -1,6 +1,11 @@
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import theorem_B_reference
 
 from charprod import verify
 from charprod.charops import InducedContext, decompose, induce, inner_product, kernel_of, restrict
@@ -129,6 +134,72 @@ def test_theorem_B_reports_a_corrupted_induction_count(group_of):
         {"statement": "B", "instance": {"chi": i, "psi": j}, "status": "fail", "witness": witness}
         for i, j in pairs
     ]
+
+
+def _zero_biased(draw, shape, top):
+    """An int64 array of ``shape`` with entries in [0, top], half of them 0."""
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.integers(-top, top), min_size=size, max_size=size))
+    return np.maximum(np.array(values, dtype=np.int64), 0).reshape(shape)
+
+
+@st.composite
+def statement_B_sessions(draw):
+    """A stand-in session with what check_theorem_B reads: a drawn product
+    tensor, and per normal subgroup a drawn restriction matrix R with
+    col_support, single_mult, inducer_exists and the index drawn apart from
+    it.  col_support reads 1 only on a column with at most one positive
+    entry, as in every session, where it is R's column support."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    a = _zero_biased(draw, (n, n, n), 2)
+    normals = []
+    for idx in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, 5))
+        r = _zero_biased(draw, (n, m), 2)
+        support = (r > 0).sum(axis=0)
+        col_support = np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+        col_support = np.where((col_support == 1) & (support > 1), support, col_support)
+        normals.append({
+            "index": idx,
+            "member": SimpleNamespace(order=3 * idx + 1),
+            "R": r,
+            "col_support": col_support,
+            "single_mult": np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))),
+            "inducer_exists": np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+            "normal_index": draw(st.sampled_from([p, p * p])),
+        })
+    return SimpleNamespace(p=p, products=a, eta=(a > 0).sum(axis=2),
+                           table=SimpleNamespace(irreducibles=[None] * n), normal_data=normals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(session=statement_B_sessions())
+def test_theorem_B_matches_the_per_normal_reference(session):
+    """The one-product decision gives the records of the loop over normal
+    subgroups with both of its verdict branches, failures included."""
+    verdicts = theorem_B_reference(session)
+    expected = verify._pair_checks("B", session, lambda i, j: verdicts.get((i, j)))
+    got = check_theorem_B(None, "stub", session=session)
+    assert [c.to_json() for c in got] == [c.to_json() for c in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 6), pairs=st.integers(1, 8))
+def test_the_outside_branch_adds_no_pair(data, n, m, pairs):
+    """A pair k lies under gamma and gamma^G has a constituent outside its
+    product only when gamma's column support exceeds under[k, gamma] >= 1, so
+    gamma is bad and the pair already failed: on any 0/1 restriction pattern
+    and product masks the branch that reports it adds no pair."""
+    def mask(shape):
+        return _zero_biased(data.draw, shape, 1).astype(bool)
+
+    over, occurs, relevant = mask((n, m)), mask((pairs, n)), mask((pairs,))
+    under = occurs.astype(np.int64) @ over
+    col_support = over.sum(axis=0)
+    failed = (under[:, col_support != 1] > 0).any(axis=1) & relevant
+    outside = ((under > 0) & (col_support - under > 0)).any(axis=1) & relevant
+    assert not (outside & ~failed).any()
 
 
 def test_theorem_C_counterexample_fixtures(group_of):
