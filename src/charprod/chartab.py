@@ -7,11 +7,15 @@ the whole table.  The other central characters span the annihilator, over
 GF(q) with q = 1 (mod exponent) and q > 2 ceil(sqrt(|G|)), of the conjugate
 values of the linear ones (Schneider 1990).  That space is split into common
 eigenspaces of the class-sum matrices, each formed only when the split
-reaches it; degrees and eigenvalue multiplicities are lifted to integers (they
-lie below sqrt(|G|) < q/2) and the values re-assembled as exact cyclotomics
-through the discrete Fourier sum over the power map.  The finished table must
-have one row per class and pass exact row orthogonality, which for a square
-table implies the column relation; each distinct value is formatted once.
+reaches it, in ascending class size: the central classes first cut the space
+by central character into a few large pieces with few eigenvalues, and the
+small classes are the cheapest to form (|C_i| m products, against |G| m for
+all of them).  Degrees and eigenvalue multiplicities are lifted to integers
+(they lie below sqrt(|G|) < q/2) and the values re-assembled as exact
+cyclotomics through the discrete Fourier sum over the power map.  The
+finished table must have one row per class and pass exact row orthogonality,
+which for a square table implies the column relation; each distinct value is
+formatted once.
 
 The table of a quotient G/N of a p-group needs no split: it is the rows of
 G's table with N in their kernel, read at one class of G over each class of
@@ -141,9 +145,11 @@ class CharacterTable:
 def _split_eigenspaces(group, q, basis, pivots):
     """Common eigenspaces of the class matrices over GF(q) inside the space
     ``basis`` (an invariant one), split by applying the matrices in ascending
-    class index until every space is 1-dimensional.  A space is an echelon
-    basis (columns) with the rows at its ``pivots`` forming the identity, so a
-    class matrix acts on it by the image's pivot rows.
+    class size, ties by ascending index, until every space is 1-dimensional:
+    central classes split by central character first, and a class matrix
+    costs |C_i| m products to form.  A space is an echelon basis (columns)
+    with the rows at its ``pivots`` forming the identity, so a class matrix
+    acts on it by the image's pivot rows.
     Each class matrix makes one product, with the open bases side by side.
     A space whose image is lambda times its basis stays as it is; any other
     is solved for the action, which checks that it is invariant, and makes
@@ -151,7 +157,7 @@ def _split_eigenspaces(group, q, basis, pivots):
     m = group.num_classes
     fits(m * (q - 1) ** 2)
     spaces = [(basis, pivots)]
-    for i in range(1, m):
+    for i in (1 + np.argsort(group.class_sizes[1:], kind="stable")).tolist():
         wide = [basis for basis, pivots in spaces if len(pivots) > 1]
         if not wide:
             break

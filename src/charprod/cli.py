@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 from . import catalog, verify
 from .charops import decompose
@@ -197,8 +199,16 @@ def main(argv=None):
         return 2 if exc.code else 0
     try:
         if args.output:
-            with open(args.output, "w") as out:
-                return _COMMANDS[args.command](args, out)
+            # opened first, so a bad path fails at once, but emptied only when
+            # the command returns, so a failed run leaves the file as it was;
+            # links and devices are written through, as by open(path, "w")
+            with open(args.output, "a") as out, tempfile.TemporaryFile("w+") as staged:
+                code = _COMMANDS[args.command](args, staged)
+                staged.seek(0)
+                if out.seekable():
+                    out.truncate(0)
+                shutil.copyfileobj(staged, out)
+            return code
         return _COMMANDS[args.command](args, sys.stdout)
     except CharprodError as exc:
         print(f"charprod: {exc}", file=sys.stderr)

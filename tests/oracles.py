@@ -10,8 +10,10 @@ from cyclic subgroups (certified by decomposing the regular character).
 Cyclotomic values are computed one at a time on Python integers
 (``ExactCyclotomic``) instead of the engine's int64 coefficient arrays.
 Signs of real cyclotomic values are decided by interval arithmetic.
-One reference is the engine's own earlier route: ``unseeded_table`` splits
-all of GF(q)^m with no known rows, against which the seeded build is checked.
+Some references are the engine's own earlier routes: ``unseeded_table``
+splits all of GF(q)^m with no known rows, against which the seeded build is
+checked, and ``split_in_index_order`` applies the class matrices in class
+index order, against which the split in class-size order is checked.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from charprod.chartab import (
     _lift_values,
     _split_eigenspaces,
     _value_lift,
+    class_constants,
 )
 from charprod.cyclotomic import (
     Cyclotomic,
@@ -39,10 +42,20 @@ from charprod.cyclotomic import (
     divisors,
     euler_phi,
     factorize,
+    fits,
     gram,
     matmul_exact,
 )
-from charprod.modular import find_prime, inv_mod, nth_root_of_unity
+from charprod.errors import EigensplitStall
+from charprod.modular import (
+    charpoly_mod,
+    find_prime,
+    inv_mod,
+    nth_root_of_unity,
+    nullspace_mod,
+    poly_roots_mod,
+    solve_columns_mod,
+)
 from charprod.perm import Permutation
 
 
@@ -999,6 +1012,46 @@ def row_sort_key(chi):
     then by all coefficients, row-major (rows of a table have denominator 1,
     so this orders them as the values do)."""
     return (int(chi.num[0, 0]), tuple(chi.num.ravel().tolist()))
+
+
+def split_in_index_order(group, q, basis, pivots):
+    """The common eigenspaces of the class matrices inside ``basis``, split by
+    applying the matrices in ascending class index: the engine's split before
+    it took the classes in ascending size, kept as the reference for the
+    lines it finds (each up to a scalar)."""
+    m = group.num_classes
+    fits(m * (q - 1) ** 2)
+    spaces = [(basis, pivots)]
+    for i in range(1, m):
+        wide = [basis for basis, pivots in spaces if len(pivots) > 1]
+        if not wide:
+            break
+        images = matmul_exact(class_constants(group, i) % q, np.hstack(wide)) % q
+        refined, start = [], 0
+        for basis, pivots in spaces:
+            k = len(pivots)
+            if k == 1:
+                refined.append((basis, pivots))
+                continue
+            block = images[:, start:start + k]
+            start += k
+            if np.array_equal(block, block[pivots[0], 0] * basis % q):
+                refined.append((basis, pivots))
+                continue
+            action = solve_columns_mod(basis, pivots, block, q)
+            eye = np.eye(k, dtype=np.int64)
+            kernels = [nullspace_mod(action - lam * eye, q) for lam in poly_roots_mod(charpoly_mod(action, q), q)]
+            if not kernels:
+                raise EigensplitStall("a class matrix has no eigenvalue mod q on a joint eigenspace")
+            split = matmul_exact(basis, np.hstack([kernel for kernel, _ in kernels])) % q
+            done = 0
+            for _, free in kernels:
+                refined.append((split[:, done:done + free.size], pivots[free]))
+                done += free.size
+        spaces = refined
+    if any(len(pivots) != 1 for _, pivots in spaces):
+        raise EigensplitStall("class matrices left a joint eigenspace unsplit")
+    return [basis[:, 0] for basis, _ in spaces]
 
 
 def unseeded_table(group):

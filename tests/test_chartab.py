@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -36,6 +37,7 @@ from oracles import (
     orthogonality_defect_reference,
     root_of_unity,
     row_sort_key,
+    split_in_index_order,
     unseeded_table,
     value_json_reference,
     value_text_reference,
@@ -317,9 +319,6 @@ def test_scalar_actions_leave_their_space_alone(monkeypatch):
     5 of each, not 12, to split all of GF(q)^m, and 1 to split the span of
     its two central characters of degree 3 that the seeded build starts
     from; its table is unchanged."""
-    import hashlib
-    import json
-
     from charprod import catalog, chartab
 
     calls, solves = [], []
@@ -341,30 +340,57 @@ def test_scalar_actions_leave_their_space_alone(monkeypatch):
     del calls[:], solves[:]
     table = dixon_table(g)
     assert len(calls) == len(solves) == 1
-    text = json.dumps(table.to_json(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == "151da976c042a5076024fb32be5bb924402920816419e58f64d3a73b176d7d94"
+    assert _json_sha256(table) == "151da976c042a5076024fb32be5bb924402920816419e58f64d3a73b176d7d94"
     assert table.irreducibles == reference.irreducibles
+
+
+def _json_sha256(table):
+    return hashlib.sha256(json.dumps(table.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+def test_wreath_c9_c3_table_is_pinned():
+    """C9 wr C3, transitive on 27 points and not a direct product: 267
+    classes, 27 linear rows, and the JSON of the table built by applying the
+    class matrices in class index order."""
+    gens = "(1 2 3 4 5 6 7 8 9)\n" + "".join(f"({i} {i + 9} {i + 18})" for i in range(1, 10))
+    group = group_closure(_gens(gens))
+    table = dixon_table(group)
+    assert (group.order, group.num_classes, table.degrees.count(1)) == (2187, 267, 27)
+    assert _json_sha256(table) == "9da76922cc16fed96b95934556349814bc1036c85a9492caee0ab9dcb3cf3d3a"
+
+
+def test_order_2187_table_is_pinned(product_2187):
+    assert _json_sha256(product_2187[1]) == "52eea684bf91f36b012be6d62ffbfdac90bc99b0c5bdd0cfaab83b6331358228"
 
 
 def test_a_class_matrix_that_moves_an_eigenspace_fails_the_build(monkeypatch):
     """The second class matrix the split reaches, off by one in one entry, no
     longer keeps the eigenspaces of the first: the solve for its action must
-    refuse them rather than split them."""
+    refuse them rather than split them.  wreath3's split reaches six classes;
+    the second is read from a clean build."""
     from charprod import catalog, chartab
 
     real = chartab.class_constants
+    reached = []
+
+    def recorded(group, i):
+        reached.append(i)
+        return real(group, i)
 
     def corrupted(group, i):
         m = real(group, i)
-        if i == 2:
+        if i == reached[1]:
             m = m.copy()
             m[0, -1] += 1
         return m
 
+    spec = catalog.spec_for("wreath3")
+    monkeypatch.setattr(chartab, "class_constants", recorded)
+    dixon_table(catalog.parse_group(spec.generators))
+    assert len(reached) >= 2
     monkeypatch.setattr(chartab, "class_constants", corrupted)
-    g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
     with pytest.raises(ArithmeticError, match="target outside the span"):
-        dixon_table(g)
+        dixon_table(catalog.parse_group(spec.generators))
 
 
 def test_determinism_generator_order():
@@ -534,6 +560,56 @@ def test_seeded_tables_match_the_unseeded_split(gens):
         assert {canonical_key(row) for row in brute_force_table(group)} == {
             canonical_key(tuple(chi.values)) for chi in table.irreducibles
         }
+
+
+def _assert_split_matches_index_order(group):
+    """The split of a build finds, from the space the build starts it on, the
+    lines of the split in class index order, each scaled to omega(1) = 1; the
+    build forms the class matrices in ascending class size, ties by ascending
+    index."""
+    from charprod import chartab
+
+    real_constants, real_split = chartab.class_constants, chartab._split_eigenspaces
+    reached, started = [], []
+
+    def recorded_constants(g, i):
+        reached.append(i)
+        return real_constants(g, i)
+
+    def recorded_split(g, q, basis, pivots):
+        started.append((q, basis, pivots))
+        return real_split(g, q, basis, pivots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chartab, "class_constants", recorded_constants)
+        patch.setattr(chartab, "_split_eigenspaces", recorded_split)
+        _build_table(group)
+    keys = [(group.class_sizes[i], i) for i in reached]
+    assert 0 not in reached and keys == sorted(set(keys))
+    if not started:
+        assert len(_linear_logs(group)) == group.num_classes and not reached
+        return
+    (q, basis, pivots), = started
+
+    def lines(vectors):
+        return {tuple((v * inv_mod(int(v[0]), q) % q).tolist()) for v in vectors}
+
+    ordered = real_split(group, q, basis, pivots)
+    reference = split_in_index_order(group, q, basis, pivots)
+    assert len(ordered) == len(reference) == basis.shape[1]
+    assert lines(ordered) == lines(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@example(gens=_gens("(1 2 3 4 5)\n(1 2 3)"))  # perfect: A5
+@given(gens=generator_sets(max_degree=7))
+def test_split_in_size_order_finds_the_lines_of_index_order(gens):
+    _assert_split_matches_index_order(group_closure(gens))
+
+
+@pytest.mark.parametrize("gid", catalog.builtin_ids())
+def test_catalog_split_in_size_order_finds_the_lines_of_index_order(gid, group_of):
+    _assert_split_matches_index_order(group_of(gid))
 
 
 @pytest.mark.parametrize("gid", SMALL_IDS + ["heisenberg3", "extraspecial27_exp9"])

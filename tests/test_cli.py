@@ -8,6 +8,7 @@ import pytest
 
 import charprod
 from charprod.cli import main
+from charprod.errors import CharprodError
 
 
 def run_cli(argv, capsys):
@@ -169,6 +170,69 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert payload["groups"][0]["group"]["order"] == 4
+
+
+def test_a_failed_run_leaves_its_output_file(tmp_path, capsys):
+    out_path = tmp_path / "out.txt"
+    out_path.write_text("earlier output\n")
+    code, out, err = run_cli(["table", "no_such_group", "--output", str(out_path)], capsys)
+    assert code == 2 and out == "" and "unknown catalog id" in err
+    assert out_path.read_text() == "earlier output\n"
+
+
+@pytest.mark.parametrize("outcome", [0, 1, CharprodError("failed after writing")])
+def test_the_output_file_is_written_when_the_command_returns(outcome, tmp_path, capsys, monkeypatch):
+    """Exit codes 0 and 1 both write the file; a command that raises after
+    writing part of its output leaves the file as it was."""
+    from charprod import cli
+
+    def command(args, out):
+        out.write("part\n")
+        if isinstance(outcome, Exception):
+            raise outcome
+        out.write("rest\n")
+        return outcome
+
+    monkeypatch.setitem(cli._COMMANDS, "catalog", command)
+    out_path = tmp_path / "out.txt"
+    out_path.write_text("earlier output\n")
+    code, _, err = run_cli(["catalog", "--output", str(out_path)], capsys)
+    if isinstance(outcome, Exception):
+        assert code == 2 and "failed after writing" in err
+        assert out_path.read_text() == "earlier output\n"
+    else:
+        assert code == outcome and out_path.read_text() == "part\nrest\n"
+
+
+def test_an_output_path_that_cannot_be_opened_fails_first(tmp_path, capsys, monkeypatch):
+    from charprod import cli
+
+    def command(args, out):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._COMMANDS, "catalog", command)
+    code, _, err = run_cli(["catalog", "--output", str(tmp_path / "no_such_dir" / "out.txt")], capsys)
+    assert code == 2 and "No such file or directory" in err
+
+
+def test_a_shorter_output_replaces_all_of_a_longer_one(tmp_path, capsys):
+    out_path = tmp_path / "out.txt"
+    out_path.write_text("earlier output, longer than the table of C2\n" * 10)
+    assert main(["table", "cyclic2", "--output", str(out_path)]) == 0
+    _, out, _ = run_cli(["table", "cyclic2"], capsys)
+    assert out_path.read_text() == out
+
+
+def test_an_output_link_is_written_through(tmp_path, capsys):
+    """The output path is opened as open(path, "w") opens it: a symbolic
+    link stays a link, and its target gets the output."""
+    target = tmp_path / "target.txt"
+    target.write_text("earlier output\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(["table", "cyclic2", "--output", str(link)]) == 0
+    _, out, _ = run_cli(["table", "cyclic2"], capsys)
+    assert link.is_symlink() and target.read_text() == out
 
 
 def test_byte_identical_runs(capsys):
