@@ -32,7 +32,6 @@ from .errors import (
     IntegralityViolation,
     NoCorrespondent,
     NotACharacter,
-    NotASubgroup,
     NotNormal,
     NotUnique,
 )
@@ -253,10 +252,8 @@ def decompose(f, table):
 
 
 def _class_union_subgroup(group, class_indices):
-    members = group.class_members(class_indices).tolist()
-    sub = Subgroup(group, members)
-    if group._closure_indices(members)[0].sum() != len(members):
-        raise NotASubgroup("union of classes does not close under products")
+    sub = Subgroup(group, group.class_members(class_indices))
+    sub.closure()  # NotASubgroup when the union does not close
     return sub
 
 
@@ -321,9 +318,10 @@ class InducedContext:
         """Build the context for a subgroup of ``parent``, given as a Subgroup
         or as element indices.
 
-        Promoted groups are cached on the parent; the cache is a thread-safe
-        memo (one computation per element set, concurrent readers).  A given
-        ``subgroup_group`` must be the cached one when there is one.
+        A proper subgroup is promoted from its one closure over the parent's
+        indices.  A given ``subgroup_group`` must have the subgroup's elements
+        and be the cached group when there is one.  The cache is a thread-safe
+        memo: one computation per element set, whose first Subgroup serves all.
         """
         if isinstance(subgroup, Subgroup):
             if subgroup.parent is not parent:
@@ -333,29 +331,28 @@ class InducedContext:
         key = subgroup.element_set
         with parent._promotion_lock:
             cached = parent._promotions.get(key)
-            if cached is not None and subgroup_group not in (None, cached[0]):
+            if cached is not None and subgroup_group not in (None, cached[1]):
                 raise GroupMismatch("the subgroup was promoted earlier to another group")
             if cached is None:
-                group = subgroup_group
-                if group is None:
-                    if len(key) == parent.order:
-                        group = parent
-                    else:
-                        from .perm import group_closure
-
-                        gens = [parent.element(i) for i in subgroup.generators() or (0,)]
-                        group = group_closure(gens, cap=parent.order)
-                if group.order != len(key):
-                    raise NotASubgroup("the elements do not form a subgroup")
-                to_parent = parent.indices_of(group.images)
+                if subgroup_group is None and len(key) < parent.order:
+                    gens, to_parent = subgroup.closure()
+                    group = Group([parent.element(i) for i in gens or (0,)], parent.images[to_parent])
+                else:
+                    group = parent if subgroup_group is None else subgroup_group
+                    try:
+                        to_parent = parent.indices_of(group.images) if group.degree == parent.degree else None
+                    except KeyError:
+                        to_parent = None
+                    if to_parent is None or frozenset(to_parent.tolist()) != key:
+                        raise GroupMismatch("the given group does not have the subgroup's elements")
                 from_parent = np.full(parent.order, -1, dtype=np.intp)
                 from_parent[to_parent] = np.arange(group.order)
                 fusion = parent.class_of[to_parent[group.class_reps]]
                 for array in (fusion, to_parent, from_parent):
                     array.flags.writeable = False
-                cached = (group, fusion, to_parent, from_parent)
+                cached = (subgroup, group, fusion, to_parent, from_parent)
                 parent._promotions[key] = cached
-        return cls(parent, subgroup, *cached)
+        return cls(parent, *cached)
 
     @property
     def table(self):

@@ -8,8 +8,9 @@ element in breadth-first order.  A base (points whose images tell all
 elements apart) ranks every element by its base images, one point at a
 time, so a product or a conjugate is composed at the base points only and
 located by one table gather per base point; the hot loops do this for whole
-index arrays at once.  ``Permutation`` is only the text format of one
-element.
+index arrays at once.  A subgroup is enumerated once, over the parent's
+indices, already in the breadth-first order its own Group uses.
+``Permutation`` is only the text format of one element.
 """
 
 from __future__ import annotations
@@ -25,16 +26,6 @@ from .errors import CharprodError, ClosureCapExceeded, EmptyGeneratorSet, NotASu
 
 DEFAULT_CLOSURE_CAP = 10_000
 CAP_ENV_VAR = "CHARPROD_CLOSURE_CAP"
-
-
-def closure_cap(explicit=None):
-    """Resolve the element cap: explicit value, else env override, else default."""
-    if explicit is None:
-        explicit = os.environ.get(CAP_ENV_VAR) or DEFAULT_CLOSURE_CAP
-    try:
-        return int(explicit)
-    except ValueError:
-        raise CharprodError(f"the element cap must be an integer, not {explicit!r}") from None
 
 
 class Permutation:
@@ -186,23 +177,23 @@ def _pad(perm, degree):
 
 class Subgroup:
     """A subgroup of a parent Group as a sorted set of element indices, given
-    as any iterable of indices or as an index array.
+    as any iterable of indices or as an index array; repeats count once.
 
     ``is_normal`` is computed on first read, once, under the parent's lock:
     lattice members are intersections of kernels and never need the check."""
 
-    __slots__ = ("parent", "element_indices", "element_set", "_is_normal", "_generators")
+    __slots__ = ("parent", "element_indices", "element_set", "_is_normal", "_closure")
 
     def __init__(self, parent, element_indices):
         self.parent = parent
         if isinstance(element_indices, np.ndarray):
             element_indices = element_indices.tolist()
-        indices = self.element_indices = tuple(sorted(element_indices))
+        self.element_set = frozenset(element_indices)
+        indices = self.element_indices = tuple(sorted(self.element_set))
         if indices and not 0 <= indices[0] <= indices[-1] < parent.order:
             raise NotASubgroup(f"element indices must lie in [0, {parent.order})")
-        self.element_set = frozenset(self.element_indices)
         self._is_normal = None
-        self._generators = None
+        self._closure = None
 
     @property
     def is_normal(self):
@@ -216,11 +207,19 @@ class Subgroup:
     def order(self):
         return len(self.element_indices)
 
+    def closure(self):
+        """(generators, read-only breadth-first elements) of the set's one closure."""
+        if self._closure is None:
+            order, gens = self.parent._closure_indices(self.element_indices)
+            if len(order) != self.order:
+                raise NotASubgroup("the elements do not form a subgroup")
+            order.flags.writeable = False
+            self._closure = tuple(gens), order
+        return self._closure
+
     def generators(self):
         """A small deterministic generating set (ascending greedy scan)."""
-        if self._generators is None:
-            self._generators = tuple(self.parent._closure_indices(self.element_indices)[1])
-        return self._generators
+        return self.closure()[0]
 
     def __eq__(self, other):
         return (
@@ -366,28 +365,33 @@ class Group:
         return bool(inside[self.conjugates(indices, np.array(self._gen_indices)[:, None])].all())
 
     def _closure_indices(self, seed):
-        """Subgroup generated by a set of element indices: (membership mask,
-        the generators an ascending greedy scan of the seed keeps)."""
+        """Subgroup generated by a set of element indices: (its elements, the
+        generators an ascending greedy scan of the seed keeps).  Each kept
+        generator re-closes from the identity in ``group_closure``'s order."""
         inside = np.zeros(self.order, dtype=bool)
         inside[0] = True
-        gens = []
+        gens, order = [], np.zeros(1, dtype=np.intp)
         for s in sorted(set(seed)):
             if inside[s]:
                 continue
             gens.append(int(s))
-            frontier, step = np.flatnonzero(inside), np.array(gens)
-            while frontier.size:
-                found = self.products(frontier[:, None], step).ravel()
-                frontier = np.unique(found[~inside[found]])
-                inside[frontier] = True
-        return inside, gens
+            level, levels = order[:1], [order[:1]]
+            inside[1:] = False
+            while level.size:
+                found = self.products(level[:, None], gens).ravel()
+                _, first = np.unique(found, return_index=True)
+                level = found[np.sort(first[~inside[found[first]]])]
+                inside[level] = True
+                levels.append(level)
+            order = np.concatenate(levels)
+        return order, gens
 
     def subgroup(self, seed):
         """Smallest subgroup containing the seed indices."""
         for i in seed:
             if not 0 <= i < self.order:
                 raise IndexError(f"element index {i} out of range")
-        return Subgroup(self, np.flatnonzero(self._closure_indices(seed)[0]).tolist())
+        return Subgroup(self, self._closure_indices(seed)[0])
 
     def full_subgroup(self):
         return Subgroup(self, range(self.order))
@@ -400,16 +404,12 @@ class Group:
                 ia = self.inverses[a]
                 for b in self._gen_indices:
                     comms.add(self.mul(self.mul(ia, self.inverses[b]), self.mul(a, b)))
-            inside = self._closure_indices(comms)[0]
             gens = np.array(self._gen_indices)[:, None]
-            while True:
-                members = np.flatnonzero(inside)
-                conj = self.conjugates(members, gens)
-                extra = conj[~inside[conj]]
-                if not extra.size:
-                    break
-                inside = self._closure_indices(np.concatenate([members, extra]).tolist())[0]
-            self._derived = Subgroup(self, np.flatnonzero(inside).tolist())
+            members, extra = np.zeros(0, dtype=np.intp), np.array(sorted(comms), dtype=np.intp)
+            while extra.size:
+                members = self._closure_indices(np.concatenate([members, extra]).tolist())[0]
+                extra = np.setdiff1d(self.conjugates(members, gens), members)
+            self._derived = Subgroup(self, members)
         return self._derived
 
     def __repr__(self):
@@ -463,13 +463,13 @@ def _base_tables(images):
     return base, tables, by_rank
 
 
-def group_closure(generators, cap=None):
+def group_closure(generators):
     """Enumerate the group generated by ``generators`` breadth-first.
 
     Level by level: every element of a level, in order, times every
     generator, in order; new products join the next level in that order.
-    Raises ClosureCapExceeded when the enumeration passes the cap and
-    EmptyGeneratorSet when no generators are given.
+    Raises ClosureCapExceeded past the element cap ``CHARPROD_CLOSURE_CAP``
+    and EmptyGeneratorSet when no generators are given.
     """
     generators = list(generators)
     if not generators:
@@ -478,7 +478,11 @@ def group_closure(generators, cap=None):
     for g in generators:
         if g.degree != degree:
             raise ValueError("generators must share one degree")
-    cap = closure_cap(cap)
+    cap = os.environ.get(CAP_ENV_VAR) or DEFAULT_CLOSURE_CAP
+    try:
+        cap = int(cap)
+    except ValueError:
+        raise CharprodError(f"the element cap must be an integer, not {cap!r}") from None
     gens = np.array([g.images for g in generators], dtype=np.intp)
     level = np.arange(degree, dtype=np.intp)[None, :]
     levels, seen, count = [level], {level.tobytes()}, 1

@@ -12,8 +12,10 @@ Cyclotomic values are computed one at a time on Python integers
 Signs of real cyclotomic values are decided by interval arithmetic.
 Some references are the engine's own earlier routes: ``unseeded_table``
 splits all of GF(q)^m with no known rows, against which the seeded build is
-checked, and ``split_in_index_order`` applies the class matrices in class
-index order, against which the split in class-size order is checked.
+checked, ``split_in_index_order`` applies the class matrices in class
+index order, against which the split in class-size order is checked, and
+``promotion_reference`` closes a subgroup's generators afresh, against which
+the promotion from the parent's indices is checked.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from charprod.modular import (
     poly_roots_mod,
     solve_columns_mod,
 )
-from charprod.perm import Permutation
+from charprod.perm import Permutation, group_closure
 
 
 # -- exact cyclotomic arithmetic, one value at a time -----------------------------
@@ -482,6 +484,16 @@ def closure_reference(gens):
                 seen.add(nxt)
                 elements.append(nxt)
     return elements
+
+
+def promotion_reference(parent, subgroup):
+    """The earlier promotion of a proper subgroup, kept as the reference: the
+    breadth-first closure of its greedy generators as permutations, each
+    element then located in the parent by its image row.  Returns the Group
+    and its ``to_parent`` array."""
+    gens = [parent.element(i) for i in subgroup.generators() or (0,)]
+    group = group_closure(gens)
+    return group, parent.indices_of(group.images)
 
 
 def base_oracle(group):

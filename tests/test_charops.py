@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from charprod import catalog
 from charprod import charops as co
+from charprod import perm
 from charprod.charops import (
     InducedContext,
     center_of,
@@ -32,15 +33,16 @@ from charprod.errors import (
     NotASubgroup,
     NotNormal,
 )
-from charprod.perm import group_closure
+from charprod.perm import Group, Subgroup, direct_product, group_closure, parse_generators
 from charprod.structure import normal_lattice
-from charprod.verify import GroupSession
+from charprod.verify import STATEMENTS, GroupSession, run_suite
 
 from oracles import (
     exact_values,
     generator_sets,
     induce_by_summation,
     normal_lattice_oracle,
+    promotion_reference,
     stabilizer_and_orbit_oracle,
 )
 
@@ -429,6 +431,98 @@ def test_context_refuses_a_second_closure_of_a_promoted_subgroup():
     with pytest.raises(GroupMismatch, match="promoted"):
         InducedContext.build(g, sub, subgroup_group=again)
     assert InducedContext.build(g, sub, subgroup_group=ctx.group).group is ctx.group
+
+
+@pytest.mark.parametrize("other", ["(1 2)(3 4)\n(1 3)(2 4)", "(1 2 4 3)"])
+def test_context_refuses_a_given_group_with_other_elements(other):
+    """The rotations of dihedral8 are elements [0, 1, 3, 6]; a given group of
+    order 4 with other elements of the parent, or with elements outside it,
+    is refused before anything is cached."""
+    g = catalog.parse_group(catalog.spec_for("dihedral8").generators)
+    rotations = g.subgroup([g.element_index(perm.parse_permutation("(1 2 3 4)"))])
+    assert rotations.element_indices == (0, 1, 3, 6)
+    x = group_closure(parse_generators(other)[0])
+    assert x.order == 4
+    with pytest.raises(GroupMismatch):
+        InducedContext.build(g, rotations, subgroup_group=x)
+    assert g._promotions == {}
+
+
+def test_repeated_indices_count_once():
+    g = catalog.parse_group(catalog.spec_for("dihedral8").generators)
+    assert Subgroup(g, [0, 0]).order == 1
+    ctx = InducedContext.build(g, [0, 0, 0])
+    assert ctx.subgroup.order == ctx.group.order == 1
+
+
+def _assert_promotions_match_the_reference(contexts):
+    for ctx in contexts:
+        ref, to_parent = promotion_reference(ctx.parent, ctx.subgroup)
+        h = ctx.group
+        assert np.array_equal(h.images, ref.images)
+        assert np.array_equal(ctx.to_parent, to_parent)
+        assert [x.to_text() for x in h.generators] == [x.to_text() for x in ref.generators]
+        assert np.array_equal(h.class_of, ref.class_of)
+        assert np.array_equal(h.class_reps, ref.class_reps)
+        order, tensor = ctx.table.coefficient_tensor()
+        ref_order, ref_tensor = dixon_table(ref).coefficient_tensor()
+        assert order == ref_order and np.array_equal(tensor, ref_tensor)
+
+
+def _refuse_group_closure(*args, **kwargs):
+    raise AssertionError("group_closure called")
+
+
+def test_catalog_promotions_match_the_reference(monkeypatch):
+    """Every subgroup a catalog suite promotes is the group the earlier
+    promotion (a fresh closure of its generators) made, element for element,
+    class for class and row for row, and no promotion calls group_closure."""
+    groups = [(gid, catalog.parse_group(catalog.spec_for(gid).generators)) for gid in catalog.builtin_ids()]
+    promoted, build = [], InducedContext.build.__func__
+
+    def recording_build(cls, parent, subgroup, subgroup_group=None):
+        if not isinstance(subgroup, Subgroup):
+            subgroup = Subgroup(parent, subgroup)
+        fresh = subgroup_group is None and subgroup.element_set not in parent._promotions
+        ctx = build(cls, parent, subgroup, subgroup_group)
+        if fresh and ctx.group is not parent:
+            promoted.append(ctx)
+        return ctx
+
+    monkeypatch.setattr(InducedContext, "build", classmethod(recording_build))
+    monkeypatch.setattr(perm, "group_closure", _refuse_group_closure)
+    run_suite(groups, STATEMENTS)
+    assert len(promoted) > 100
+    _assert_promotions_match_the_reference(promoted)
+
+
+def test_lattice_promotions_of_the_order_2187_product_match_the_reference(group_of, monkeypatch):
+    g = direct_product(group_of("wreath3"), group_of("heisenberg3"))
+    members = normal_lattice(g, dixon_table(g)).members
+    monkeypatch.setattr(perm, "group_closure", _refuse_group_closure)
+    contexts = [InducedContext.build(g, member) for member in members]
+    assert len(contexts) == 284
+    _assert_promotions_match_the_reference([ctx for ctx in contexts if ctx.group is not g])
+
+
+def test_a_promoted_center_is_closed_once(monkeypatch):
+    """center_of closes the element set; the context and every later context
+    of that set reuse that one closure, generators included."""
+    g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
+    table = dixon_table(g)
+    chi = next(chi for chi, d in zip(table.irreducibles, table.degrees) if d == 3)
+    calls, closure = [], Group._closure_indices
+
+    def counting(self, seed):
+        calls.append(self)
+        return closure(self, seed)
+
+    monkeypatch.setattr(Group, "_closure_indices", counting)
+    center = center_of(chi)
+    ctx = InducedContext.build(g, center)
+    assert ctx.subgroup.generators() and len(calls) == 1
+    again = InducedContext.build(g, list(center.element_indices))
+    assert again.subgroup.generators() == ctx.subgroup.generators() and len(calls) == 1
 
 
 def test_building_a_context_builds_no_table():

@@ -120,10 +120,11 @@ def test_identity_only_generators():
     assert g.order == 1
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
     gens, _ = parse_generators("(1 2 3 4 5 6 7)\n(1 2)")
+    monkeypatch.setenv("CHARPROD_CLOSURE_CAP", "100")
     with pytest.raises(ClosureCapExceeded):
-        group_closure(gens, cap=100)
+        group_closure(gens)
 
 
 def test_no_generators():
@@ -308,6 +309,23 @@ def test_group_core_matches_permutation_arithmetic(gens, data):
     _assert_arithmetic_matches(g, elements, pairs)
     _assert_classes_match(g)
     assert np.stack([class_constants(g, i) for i in range(g.num_classes)]).tolist() == class_constants_oracle(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=generator_sets(), data=st.data())
+def test_subgroup_closure_lists_the_elements_in_group_closure_order(gens, data):
+    """The subgroup closure of any seed lists its elements as the breadth-first
+    closure of the generators it keeps does, and keeps each generator only
+    when the ones before it do not reach it."""
+    g = group_closure(gens)
+    seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+    elements, kept = g._closure_indices(seed)
+    assert kept == sorted(kept) and set(kept) <= set(seed)
+    generators = [g.element(i) for i in kept] or [Permutation.identity(g.degree)]
+    assert [g.element(i) for i in elements.tolist()] == closure_reference(generators)
+    assert set(elements.tolist()) == set(g.subgroup(seed).element_indices)
+    for i, s in enumerate(kept):
+        assert s not in g._closure_indices(kept[:i])[0]
 
 
 def _prefix_ranks(g, images):
