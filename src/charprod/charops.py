@@ -19,6 +19,7 @@ from .cyclotomic import (
     conjugate,
     embed,
     fits,
+    format_distinct,
     gram,
     int64_array,
     matmul_exact,
@@ -155,7 +156,8 @@ class ClassFunction:
         return hash((id(self.group), self.num.any(axis=1).tobytes()))
 
     def to_json(self):
-        return [value_json(self.order, row, self.den) for row in self.num.tolist()]
+        """``value_json`` of every value, each distinct value formatted once."""
+        return format_distinct(self.num, lambda v: value_json(self.order, v, self.den))
 
     def __repr__(self):
         shown = ", ".join(value_text(self.order, row, self.den) for row in self.num[:6].tolist())

@@ -5,12 +5,14 @@ The characters of G/G', inflated to G, are built exactly along the group's
 generators, one cyclic extension at a time; for an abelian group they are
 the whole table.  The other central characters span the annihilator, over
 GF(q) with q = 1 (mod exponent) and q > 2 ceil(sqrt(|G|)), of the conjugate
-values of the linear ones (Schneider 1990).  That space is split into common
-eigenspaces of the class-sum matrices, each formed only when the split
-reaches it, in ascending class size: the central classes first cut the space
-by central character into a few large pieces with few eigenvalues, and the
-small classes are the cheapest to form (|C_i| m products, against |G| m for
-all of them).  Degrees and eigenvalue multiplicities are lifted to integers
+values of the linear ones (Schneider 1990).  The split of that space into
+common eigenspaces of the class-sum matrices starts from the characters of
+the centre, built by the same cyclic extension: the joint eigenspace of the
+central class matrices for each of them is spanned by weighted sums over
+the orbits of Z(G) on the classes, with no central class matrix formed, and
+is cut by the known rows.  The other class matrices are formed only when
+the split reaches them, in ascending class size: the small classes are the
+cheapest to form (|C_i| m products, against |G| m for all of them).  Degrees and eigenvalue multiplicities are lifted to integers
 (they lie below sqrt(|G|) < q/2) and the values re-assembled as exact
 cyclotomics through the discrete Fourier sum over the power map.  The
 finished table must have one row per class and pass exact row orthogonality,
@@ -30,7 +32,17 @@ import math
 import numpy as np
 
 from .charops import ClassFunction
-from .cyclotomic import _reduction_matrix, embed, euler_phi, fits, gram, matmul_exact, value_json, value_text
+from .cyclotomic import (
+    _reduction_matrix,
+    embed,
+    euler_phi,
+    fits,
+    format_distinct,
+    gram,
+    matmul_exact,
+    value_json,
+    value_text,
+)
 from .errors import EigensplitStall, GroupMismatch, LiftInconsistent, NotAPGroup
 from .modular import (
     charpoly_mod,
@@ -127,37 +139,71 @@ class CharacterTable:
 
     def _value_texts(self, formatter):
         """formatter(order, coefficients) of every value, as nested lists
-        (irreducibles, classes), called once per distinct vector: in np.lexsort
-        order a vector is new where it differs from the one before it."""
+        (irreducibles, classes), called once per distinct value."""
         order, tensor = self._tensor
-        flat = tensor.reshape(-1, tensor.shape[-1])
-        ranks = np.lexsort(flat.T)
-        new = np.r_[True, (flat[ranks[1:]] != flat[ranks[:-1]]).any(axis=1)]
-        index = np.empty_like(ranks)
-        index[ranks] = np.cumsum(new) - 1
-        texts = np.array([formatter(order, v) for v in flat[ranks[new]].tolist()], dtype=object)
-        return texts[index.reshape(tensor.shape[:2])].tolist()
+        return format_distinct(tensor, lambda v: formatter(order, v))
 
     def __repr__(self):
         return f"CharacterTable(order={self.group.order}, irreducibles={self.size})"
 
 
-def _split_eigenspaces(group, q, basis, pivots):
-    """Common eigenspaces of the class matrices over GF(q) inside the space
-    ``basis`` (an invariant one), split by applying the matrices in ascending
-    class size, ties by ascending index, until every space is 1-dimensional:
-    central classes split by central character first, and a class matrix
-    costs |C_i| m products to form.  A space is an echelon basis (columns)
-    with the rows at its ``pivots`` forming the identity, so a class matrix
-    acts on it by the image's pivot rows.
+def _central_spaces(group, q, known):
+    """The start spaces of the split: over GF(q), the joint eigenspace E_lambda
+    of the central class matrices for each character lambda of Z(G), inside
+    the annihilator of the ``known`` rows (values mod q, one row per known
+    character), as (echelon basis, pivots) pairs of dimension at least 1.
+
+    A central z maps C_j onto the class z C_j, so its class matrix sends v to
+    j -> v(z C_j), and v lies in E_lambda iff v(z C_j) = lambda(z) v(C_j).  On
+    one orbit of Z on the classes, with least class j0 and stabilizer S, such
+    a v is v(C_j0) times the lambda-weighted orbit sum, which exists iff S
+    lies in ker lambda.  Those sums span E_lambda, and their rows at the orbit
+    representatives form the identity.  A known linear mu vanishes on
+    E_lambda unless mu restricted to Z is lambda, so only the blocks that do
+    not vanish are cut, by one null space each."""
+    m = group.num_classes
+    e = group.exponent
+    centre = group.class_reps[group.class_sizes == 1]
+    logs = _extension_logs(group, [0], centre.tolist())
+    moved = group.class_of[group.products(centre[:, None], group.class_reps)]
+    reps = np.flatnonzero(moved.min(axis=0) == np.arange(m))
+    # (lambda, orbit) pairs with no z in the stabilizer where lambda(z) != 1
+    chars, orbits = np.nonzero(~((logs != 0) @ (moved[:, reps] == reps)))
+    z = nth_root_of_unity(q, e)
+    powers = np.array([pow(z, t, q) for t in range(e)], dtype=np.int64)
+    sums = np.zeros((m, chars.size), dtype=np.int64)
+    sums[moved[:, reps[orbits]], np.arange(chars.size)] = powers[logs[chars]].T
+    cuts = matmul_exact(known, sums) % q
+    spaces = []
+    for cols in (chars == lam for lam in range(len(logs))):
+        basis, pivots, cut = sums[:, cols], reps[orbits[cols]], cuts[:, cols]
+        if cut.any():
+            kernel, free = nullspace_mod(cut[cut.any(axis=1)], q)
+            if not free.size:
+                continue
+            basis, pivots = matmul_exact(basis, kernel) % q, pivots[free]
+        spaces.append((basis, pivots))
+    return spaces
+
+
+def _split_eigenspaces(group, q, known):
+    """Common eigenspaces of the class matrices over GF(q) inside the
+    annihilator of the ``known`` rows, split from the joint eigenspaces of the
+    central class matrices (``_central_spaces``) by applying the other class
+    matrices in ascending class size, ties by ascending index, until every
+    space is 1-dimensional: no central class matrix is formed, and a class
+    matrix costs |C_i| m products to form.  A space is an echelon basis
+    (columns) with the rows at its ``pivots`` forming the identity, so a
+    class matrix acts on it by the image's pivot rows.
     Each class matrix makes one product, with the open bases side by side.
     A space whose image is lambda times its basis stays as it is; any other
     is solved for the action, which checks that it is invariant, and makes
     one product with its eigenspace kernels side by side."""
     m = group.num_classes
     fits(m * (q - 1) ** 2)
-    spaces = [(basis, pivots)]
-    for i in (1 + np.argsort(group.class_sizes[1:], kind="stable")).tolist():
+    spaces = _central_spaces(group, q, known)
+    order = np.argsort(group.class_sizes, kind="stable")
+    for i in order[group.class_sizes[order] > 1].tolist():
         wide = [basis for basis, pivots in spaces if len(pivots) > 1]
         if not wide:
             break
@@ -281,23 +327,31 @@ def dixon_table(group, use_cache=True):
 
 
 def _linear_logs(group):
-    """Irr(G/G') inflated to G, by cyclic extension along the generators: an
-    int64 array (|G:G'|, classes) whose row of a character holds the
-    logarithms of its values to the base zeta_e, e the exponent.
+    """Irr(G/G') inflated to G: the cyclic extension from G' along the
+    generators, over all classes."""
+    return _extension_logs(group, group.derived_subgroup().element_indices, group._gen_indices)
 
-    From H = G' with its one character, each generator g outside H extends H
-    to <H, g>, whose elements are h g^j for j < r, r the least exponent with
-    g^r in H.  Each character of H extends in exactly r ways: log chi(h g^j) =
-    log chi(h) + j a for the r solutions a of r a = log chi(g^r) (mod e).
-    Every H met contains G', so its characters are constant on the classes of
-    G and are kept on them."""
+
+def _extension_logs(group, members, gens):
+    """The characters of H/K inflated to H, for K the subgroup of the element
+    indices ``members`` and H = <K, gens>, by cyclic extension along
+    ``gens``: an int64 array (|H:K|, classes of G inside H, ascending) whose
+    row of a character holds the logarithms of its values to the base zeta_e,
+    e the exponent.  K must contain G' or lie in the centre; then so does
+    every H met, whose characters are therefore constant on the classes of G
+    and are kept on them.
+
+    From H = K with its one character, each g outside H extends H to <H, g>,
+    whose elements are h g^j for j < r, r the least exponent with g^r in H.
+    Each character of H extends in exactly r ways: log chi(h g^j) =
+    log chi(h) + j a for the r solutions a of r a = log chi(g^r) (mod e)."""
     e = group.exponent
-    members = np.array(group.derived_subgroup().element_indices, dtype=np.intp)
+    members = np.array(members, dtype=np.intp)
     inside = np.zeros(group.order, dtype=bool)
     inside[members] = True
     classes = np.unique(group.class_of[members])
     logs = np.zeros((1, classes.size), dtype=np.int64)
-    for g in group._gen_indices:
+    for g in gens:
         if inside[g]:
             continue
         powers = [0, g]
@@ -335,7 +389,7 @@ def _build_table(group):
         # zeta -> z, as in the value lift: the other central characters span
         # the null space of the known characters' conjugate values
         conj_powers = np.array([pow(z, -t % exponent, q) for t in range(exponent)], dtype=np.int64)
-        vectors = np.stack(_split_eigenspaces(group, q, *nullspace_mod(conj_powers[logs], q)))
+        vectors = np.stack(_split_eigenspaces(group, q, conj_powers[logs]))
         lift = _value_lift(group, q, z)
         if not vectors[:, 0].all():
             raise LiftInconsistent("central character vanishes on the identity class")

@@ -341,6 +341,19 @@ def value_json(order, num, den=1):
     return value_text(order, num, den)
 
 
+def format_distinct(coefficients, formatter):
+    """formatter(vector) of every coefficient vector along the last axis, as
+    nested lists of the leading shape, called once per distinct vector: in
+    np.lexsort order a vector is new where it differs from the one before it."""
+    flat = coefficients.reshape(-1, coefficients.shape[-1])
+    ranks = np.lexsort(flat.T)
+    new = np.r_[True, (flat[ranks[1:]] != flat[ranks[:-1]]).any(axis=1)]
+    index = np.empty_like(ranks)
+    index[ranks] = np.cumsum(new) - 1
+    texts = np.array([formatter(v) for v in flat[ranks[new]].tolist()], dtype=object)
+    return texts[index.reshape(coefficients.shape[:-1])].tolist()
+
+
 def _frac_text(num, den):
     g = math.gcd(num, den)
     num, den = num // g, den // g

@@ -558,12 +558,17 @@ def _verify_witness(table, chi_cf, h_ctx, alpha):
 
 
 def _descend(group, table, chi_cf, trail):
-    """Return (h_ctx, alpha, chain) with alpha linear on h_ctx.group,
-    alpha^group = chi_cf and (alpha^2)^group irreducible."""
+    """Return (h_ctx, alpha, chain, square_idx) with alpha linear on
+    h_ctx.group, alpha^group = chi_cf and (alpha^2)^group irreducible, the
+    row ``square_idx`` of ``table``: each level verifies its own witness
+    once."""
     deg = chi_cf.degree().as_integer()
     if deg == 1:
         ctx = InducedContext.build(group, group.full_subgroup())
-        return ctx, chi_cf, []
+        square_idx = _verify_witness(table, chi_cf, ctx, chi_cf)
+        if square_idx is None:
+            raise SearchExhausted("a linear character failed verification", trail)
+        return ctx, chi_cf, [], square_idx
 
     kernel = kernel_of(chi_cf)
     if kernel.order > 1:
@@ -575,16 +580,17 @@ def _descend(group, table, chi_cf, trail):
         rows = np.flatnonzero((inflated == chi_cf.num).all(axis=(1, 2)))
         if chi_cf.den != 1 or len(rows) != 1:
             raise CharprodError("character does not descend to the quotient (engine bug)")
-        sub_ctx, sub_alpha, sub_chain = _descend(qm.quotient, qtable, qtable.irreducibles[rows[0]], trail)
+        sub_ctx, sub_alpha, sub_chain, _ = _descend(qm.quotient, qtable, qtable.irreducibles[rows[0]], trail)
         h_ctx = InducedContext.build(group, np.flatnonzero(sub_ctx.from_parent[qm.projection] >= 0))
         reps = h_ctx.to_parent[h_ctx.group.class_reps]
         classes = sub_ctx.group.class_of[sub_ctx.from_parent[qm.projection[reps]]]
         alpha = ClassFunction.from_coefficients(h_ctx.group, sub_alpha.order, sub_alpha.num[classes], sub_alpha.den)
         step = {"step": "quotient", "kernel_order": kernel.order,
                 "quotient_order": qm.quotient.order}
-        if _verify_witness(table, chi_cf, h_ctx, alpha) is None:
+        square_idx = _verify_witness(table, chi_cf, h_ctx, alpha)
+        if square_idx is None:
             raise SearchExhausted("pullback through the quotient failed verification", trail)
-        return h_ctx, alpha, [step] + sub_chain
+        return h_ctx, alpha, [step] + sub_chain, square_idx
 
     z_sub = center_of(chi_cf)
     ctx_z = InducedContext.build(group, z_sub)
@@ -611,7 +617,7 @@ def _descend(group, table, chi_cf, trail):
             ctx_stab = InducedContext.build(group, stab)
             correspondent = clifford_correspondent(chi_cf, iota, ctx_y, ctx_stab)
             try:
-                sub_ctx, alpha, sub_chain = _descend(
+                sub_ctx, alpha, sub_chain, _ = _descend(
                     ctx_stab.group, ctx_stab.table, correspondent, trail
                 )
             except SearchExhausted:
@@ -619,7 +625,8 @@ def _descend(group, table, chi_cf, trail):
             h_ctx = InducedContext.build(
                 group, ctx_stab.to_parent[sub_ctx.to_parent], subgroup_group=sub_ctx.group
             )
-            if _verify_witness(table, chi_cf, h_ctx, alpha) is None:
+            square_idx = _verify_witness(table, chi_cf, h_ctx, alpha)
+            if square_idx is None:
                 trail.append({"step": "dead-branch", "y_order": y_member.order,
                               "iota": iota_idx, "stabilizer_order": stab.order})
                 continue
@@ -633,7 +640,7 @@ def _descend(group, table, chi_cf, trail):
                 "degree": deg,
                 "correspondent_degree": correspondent.degree().as_integer(),
             }
-            return h_ctx, alpha, [step] + sub_chain
+            return h_ctx, alpha, [step] + sub_chain, square_idx
     raise SearchExhausted("every descent branch died", trail)
 
 
@@ -661,10 +668,7 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None):
             raise HypothesisNotMet(f"p = 2 and eta(chi^2) = {_eta_sq} >= 2")
 
     trail = []
-    h_ctx, alpha, chain = _descend(group, table, chi_cf, trail)
-    square_idx = _verify_witness(table, chi_cf, h_ctx, alpha)
-    if square_idx is None:
-        raise SearchExhausted("final witness failed verification", trail)
+    h_ctx, alpha, chain, square_idx = _descend(group, table, chi_cf, trail)
     sub = h_ctx.subgroup
     return MonomialWitness(
         chi_index=chi_index,

@@ -12,8 +12,10 @@ Cyclotomic values are computed one at a time on Python integers
 Signs of real cyclotomic values are decided by interval arithmetic.
 Some references are the engine's own earlier routes: ``unseeded_table``
 splits all of GF(q)^m with no known rows, against which the seeded build is
-checked, ``split_in_index_order`` applies the class matrices in class
-index order, against which the split in class-size order is checked, and
+checked, ``split_in_index_order`` applies the class matrices, central ones
+included, in class index order to the annihilator of the known rows,
+against which the split from the central characters in class-size order is
+checked, and
 ``promotion_reference`` closes a subgroup's generators afresh, against which
 the promotion from the parent's indices is checked.
 """
@@ -33,7 +35,6 @@ from charprod.chartab import (
     CharacterTable,
     _lift_degree,
     _lift_values,
-    _split_eigenspaces,
     _value_lift,
     class_constants,
 )
@@ -1067,10 +1068,11 @@ def split_in_index_order(group, q, basis, pivots):
 
 
 def unseeded_table(group):
-    """The table by the Dixon-Schneider split of all of GF(q)^m, with no row
-    known before the split: the engine's build before linear characters
-    seeded it, kept as the reference for the seeded build.  The same lift,
-    row order and exact checks as ``dixon_table``."""
+    """The table by the Dixon-Schneider split of all of GF(q)^m in class index
+    order, with no row known before the split and no start from the central
+    characters: the engine's build before linear characters seeded it, kept
+    as the reference for the seeded build.  The same lift, row order and
+    exact checks as ``dixon_table``."""
     m = group.num_classes
     exponent = group.exponent
     if m == 1:
@@ -1078,7 +1080,7 @@ def unseeded_table(group):
 
     q = find_prime(exponent, 2 * math.isqrt(group.order - 1) + 2)
     z = nth_root_of_unity(q, exponent)
-    vectors = _split_eigenspaces(group, q, np.eye(m, dtype=np.int64), np.arange(m))
+    vectors = split_in_index_order(group, q, np.eye(m, dtype=np.int64), np.arange(m))
     lift = _value_lift(group, q, z)
 
     vectors = np.stack(vectors)

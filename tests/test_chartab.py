@@ -12,6 +12,7 @@ from charprod.charops import principal_character
 from charprod.chartab import (
     CharacterTable,
     _build_table,
+    _central_spaces,
     _finish_table,
     _lift_degree,
     _lift_values,
@@ -26,7 +27,7 @@ from charprod.chartab import (
 )
 from charprod.cyclotomic import euler_phi
 from charprod.errors import CharprodError, LiftInconsistent, NotAPGroup
-from charprod.modular import find_prime, inv_mod, nth_root_of_unity
+from charprod.modular import find_prime, inv_mod, nth_root_of_unity, nullspace_mod
 from charprod.perm import Permutation, group_closure, parse_generators
 from charprod.structure import QuotientMap, normal_lattice, quotient
 
@@ -83,15 +84,20 @@ def test_table_beyond_340_classes():
     assert verify_orthogonality(t)
 
 
-def test_forced_large_prime_raises_before_any_product(group_of):
+def test_forced_large_prime_raises_before_any_product(group_of, monkeypatch):
     g = group_of("heisenberg3")
     q = find_prime(g.exponent, 2 * math.isqrt(g.order - 1) + 2)
     lift = _value_lift(g, q, nth_root_of_unity(q, g.exponent))
     m = g.num_classes
     omega = np.ones(m, dtype=np.int64)
     big = 2**61 - 1
+
+    def no_product(*args):
+        raise AssertionError("a product ran before the bound was checked")
+
+    monkeypatch.setattr(g, "products", no_product)
     for call in (
-        lambda: _split_eigenspaces(g, big, np.eye(m, dtype=np.int64), np.arange(m)),
+        lambda: _split_eigenspaces(g, big, np.zeros((0, m), dtype=np.int64)),
         lambda: _lift_degree(omega, g, big, lift),
         lambda: _lift_values(omega, 1, big, lift),
     ):
@@ -188,7 +194,7 @@ def test_corrupted_central_character_fails_the_lift(gid, group_of, table_of):
     lift = _value_lift(g, q, nth_root_of_unity(q, g.exponent))
     rows = set()
     m = g.num_classes
-    for vec in _split_eigenspaces(g, q, np.eye(m, dtype=np.int64), np.arange(m)):
+    for vec in _split_eigenspaces(g, q, np.zeros((0, m), dtype=np.int64)):
         omega = vec * inv_mod(int(vec[0]), q) % q
         degree = _lift_degree(omega, g, q, lift)
         rows.add(_lift_values(omega, degree, q, lift).tobytes())
@@ -316,9 +322,10 @@ def test_coefficient_tensor_is_built_once_across_threads(table_of):
 def test_scalar_actions_leave_their_space_alone(monkeypatch):
     """A class matrix acting on a space as a scalar leaves it unsplit, with no
     solve for its action and no characteristic polynomial: heisenberg3 needs
-    5 of each, not 12, to split all of GF(q)^m, and 1 to split the span of
-    its two central characters of degree 3 that the seeded build starts
-    from; its table is unchanged."""
+    5 of each, not 12, to split all of GF(q)^m in class index order.  Its
+    seeded build needs none: its centre separates its two central characters
+    of degree 3, so the build starts on two lines; its table is unchanged."""
+    import oracles
     from charprod import catalog, chartab
 
     calls, solves = [], []
@@ -332,14 +339,15 @@ def test_scalar_actions_leave_their_space_alone(monkeypatch):
         solves.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(chartab, "charpoly_mod", counted)
-    monkeypatch.setattr(chartab, "solve_columns_mod", counted_solve)
+    for module in (chartab, oracles):
+        monkeypatch.setattr(module, "charpoly_mod", counted)
+        monkeypatch.setattr(module, "solve_columns_mod", counted_solve)
     g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
     reference = unseeded_table(g)
     assert len(calls) == len(solves) == 5
     del calls[:], solves[:]
     table = dixon_table(g)
-    assert len(calls) == len(solves) == 1
+    assert len(calls) == len(solves) == 0
     assert _json_sha256(table) == "151da976c042a5076024fb32be5bb924402920816419e58f64d3a73b176d7d94"
     assert table.irreducibles == reference.irreducibles
 
@@ -562,11 +570,10 @@ def test_seeded_tables_match_the_unseeded_split(gens):
         }
 
 
-def _assert_split_matches_index_order(group):
-    """The split of a build finds, from the space the build starts it on, the
-    lines of the split in class index order, each scaled to omega(1) = 1; the
-    build forms the class matrices in ascending class size, ties by ascending
-    index."""
+def _recorded_build(group):
+    """Build the table of ``group`` afresh, recording the classes whose class
+    matrices it forms, in order, and the (q, known rows) each split starts
+    from."""
     from charprod import chartab
 
     real_constants, real_split = chartab.class_constants, chartab._split_eigenspaces
@@ -576,25 +583,35 @@ def _assert_split_matches_index_order(group):
         reached.append(i)
         return real_constants(g, i)
 
-    def recorded_split(g, q, basis, pivots):
-        started.append((q, basis, pivots))
-        return real_split(g, q, basis, pivots)
+    def recorded_split(g, q, known):
+        started.append((q, known))
+        return real_split(g, q, known)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chartab, "class_constants", recorded_constants)
         patch.setattr(chartab, "_split_eigenspaces", recorded_split)
         _build_table(group)
+    return reached, started
+
+
+def _assert_split_matches_index_order(group):
+    """The split of a build finds the lines of the split of the annihilator of
+    its known rows in class index order, central classes included, each
+    scaled to omega(1) = 1; the build forms the class matrices of the classes
+    of size above 1 only, in ascending class size, ties by ascending index."""
+    reached, started = _recorded_build(group)
     keys = [(group.class_sizes[i], i) for i in reached]
-    assert 0 not in reached and keys == sorted(set(keys))
+    assert all(size > 1 for size, _ in keys) and keys == sorted(set(keys))
     if not started:
         assert len(_linear_logs(group)) == group.num_classes and not reached
         return
-    (q, basis, pivots), = started
+    (q, known), = started
 
     def lines(vectors):
         return {tuple((v * inv_mod(int(v[0]), q) % q).tolist()) for v in vectors}
 
-    ordered = real_split(group, q, basis, pivots)
+    basis, pivots = nullspace_mod(known, q)
+    ordered = _split_eigenspaces(group, q, known)
     reference = split_in_index_order(group, q, basis, pivots)
     assert len(ordered) == len(reference) == basis.shape[1]
     assert lines(ordered) == lines(reference)
@@ -610,6 +627,58 @@ def test_split_in_size_order_finds_the_lines_of_index_order(gens):
 @pytest.mark.parametrize("gid", catalog.builtin_ids())
 def test_catalog_split_in_size_order_finds_the_lines_of_index_order(gid, group_of):
     _assert_split_matches_index_order(group_of(gid))
+
+
+def _assert_start_spaces_are_the_central_eigenspaces(group):
+    """The spaces the split of a build starts from: echelon bases inside the
+    annihilator of the known rows, of dimensions summing to m - |known|, on
+    which every central class matrix acts as a scalar lambda(c) mod q, where
+    lambda is a homomorphism from Z(G) to the e-th roots of unity mod q,
+    another one on each space; and the build forms no class matrix of a
+    class of size 1."""
+    reached, started = _recorded_build(group)
+    assert all(group.class_sizes[i] > 1 for i in reached)
+    if not started:
+        return
+    (q, known), = started
+    m = group.num_classes
+    spaces = _central_spaces(group, q, known)
+    assert sum(len(pivots) for _, pivots in spaces) == m - len(known)
+    centre = np.flatnonzero(group.class_sizes == 1)
+    matrices = [class_constants(group, c) for c in centre]
+    characters = set()
+    for basis, pivots in spaces:
+        assert basis.shape == (m, len(pivots)) and basis.min() >= 0 and basis.max() < q
+        assert np.array_equal(basis[pivots], np.eye(len(pivots), dtype=np.int64))
+        assert not (known @ basis % q).any()
+        scalars = {}
+        for c, matrix in zip(centre.tolist(), matrices):
+            image = matrix @ basis % q
+            scalars[c] = int(image[pivots[0], 0])
+            assert np.array_equal(image, scalars[c] * basis % q)
+        assert all(pow(s, group.exponent, q) == 1 for s in scalars.values())
+        reps = group.class_reps[centre]
+        product = group.class_of[group.products(reps[:, None], reps[None, :])]
+        for a, b, ab in zip(np.repeat(centre, centre.size), np.tile(centre, centre.size), product.ravel()):
+            assert scalars[int(a)] * scalars[int(b)] % q == scalars[int(ab)]
+        characters.add(tuple(scalars.values()))
+    assert len(characters) == len(spaces)
+
+
+@settings(max_examples=40, deadline=None)
+@example(gens=_gens("(1 2 3 4 5)\n(1 2 3)"))  # perfect: A5
+@given(gens=generator_sets(max_degree=7))
+def test_start_spaces_are_the_central_eigenspaces(gens):
+    _assert_start_spaces_are_the_central_eigenspaces(group_closure(gens))
+
+
+@pytest.mark.parametrize("gid", catalog.builtin_ids())
+def test_catalog_start_spaces_are_the_central_eigenspaces(gid, group_of):
+    _assert_start_spaces_are_the_central_eigenspaces(group_of(gid))
+
+
+def test_order_2187_start_spaces_are_the_central_eigenspaces(product_2187):
+    _assert_start_spaces_are_the_central_eigenspaces(product_2187[0])
 
 
 @pytest.mark.parametrize("gid", SMALL_IDS + ["heisenberg3", "extraspecial27_exp9"])
@@ -648,15 +717,13 @@ def test_known_rows_left_out_of_the_annihilator_fail_the_build(kept, monkeypatch
     them again; the duplicated rows must fail the build, not make a table."""
     from charprod import catalog, chartab
 
-    real, seen = chartab.nullspace_mod, []
+    real, seen = chartab._split_eigenspaces, []
 
-    def dropping(matrix, q):
-        if not seen:
-            seen.append(matrix.shape)
-            matrix = matrix[:kept]
-        return real(matrix, q)
+    def dropping(group, q, known):
+        seen.append(known.shape)
+        return real(group, q, known[:kept])
 
-    monkeypatch.setattr(chartab, "nullspace_mod", dropping)
+    monkeypatch.setattr(chartab, "_split_eigenspaces", dropping)
     g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
     with pytest.raises(LiftInconsistent):
         dixon_table(g)

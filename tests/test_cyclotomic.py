@@ -2,6 +2,7 @@
 format, and the engine's coefficient-array arithmetic checked against the
 reference."""
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -256,6 +257,25 @@ def test_class_function_arithmetic_matches_the_reference(data, r):
     assert lifted.order == 2 * a.order
     assert lifted == a and hash(lifted) == hash(a)
     assert (a + b == a) == b.is_zero()
+
+
+_HEISENBERG = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_class_function_json_formats_each_value_as_alone(data):
+    """A class function's JSON, which formats each distinct value once, is the
+    list of its values formatted one at a time, ints and strings alike: on
+    heisenberg3 (11 classes) with values drawn from a pool of at most four,
+    over a denominator."""
+    e = data.draw(_array_orders)
+    pool = data.draw(coefficient_rows(e, data.draw(st.integers(1, 4))))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=11, max_size=11))
+    f = ClassFunction.from_coefficients(_HEISENBERG, e, pool[picks], data.draw(st.integers(1, 12)))
+    alone = [value_json(f.order, row, f.den) for row in f.num.tolist()]
+    assert json.dumps(f.to_json()) == json.dumps(alone)
+    assert alone == [value_json_reference(f.order, row, f.den) for row in f.num.tolist()]
 
 
 @lru_cache(maxsize=None)
