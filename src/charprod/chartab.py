@@ -17,7 +17,11 @@ cheapest to form (|C_i| m products, against |G| m for all of them).  Degrees and
 cyclotomics through the discrete Fourier sum over the power map.  The
 finished table must have one row per class and pass exact row orthogonality,
 which for a square table implies the column relation; each distinct value is
-formatted once.
+formatted once.  The row relation is decided on the values at the phi(e)
+embeddings modulo primes Q = 1 (mod e) with m (Q - 1)^2 < 2^53, as many as
+make their product exceed twice a bound on the residual's coefficients, so
+the decision is exact; a table that fails there gets its residuals from the
+exact products in the power basis.
 
 The table of a quotient G/N of a p-group needs no split: it is the rows of
 G's table with N in their kernel, read at one class of G over each class of
@@ -28,26 +32,31 @@ the same row sort and checks as a built table.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .charops import ClassFunction
 from .cyclotomic import (
+    FLOAT_EXACT,
+    _product,
     _reduction_matrix,
     embed,
     euler_phi,
     fits,
     format_distinct,
     gram,
+    gram_bound,
     matmul_exact,
     value_json,
     value_text,
 )
-from .errors import EigensplitStall, GroupMismatch, LiftInconsistent, NotAPGroup
+from .errors import CharprodError, EigensplitStall, GroupMismatch, LiftInconsistent, NotAPGroup
 from .modular import (
     charpoly_mod,
     find_prime,
     inv_mod,
+    is_prime,
     nth_root_of_unity,
     nullspace_mod,
     poly_roots_mod,
@@ -288,13 +297,74 @@ def _lift_values(omega, degree, q, lift):
     return matmul_exact(mult, reduction)
 
 
+@lru_cache(maxsize=None)
+def _split_prime(order, classes, k):
+    """The k-th prime Q = 1 (mod order), from k = 0 down, below the ceiling
+    classes (Q - 1)^2 < 2^53, and its evaluation matrix (phi(order), phi(order)):
+    column j holds z^(u_j t) mod Q for the power t, z a primitive order-th
+    root of unity mod Q and u_j the j-th unit mod order, so coefficients
+    times it are the values at the phi(order) embeddings zeta -> z^u_j."""
+    if k:
+        top = _split_prime(order, classes, k - 1)[0] - order
+    else:
+        top = 1 + math.isqrt((FLOAT_EXACT - 1) // classes) // order * order
+    q = next((q for q in range(top, 1, -order) if is_prime(q)), None)
+    if q is None:
+        raise CharprodError(f"no prime Q = 1 (mod {order}) is left with {classes} (Q - 1)^2 below 2^53")
+    z = nth_root_of_unity(q, order)
+    powers = np.array([pow(z, t, q) for t in range(order)], dtype=np.int64)
+    units = np.array([u for u in range(order) if math.gcd(u, order) == 1])
+    evaluation = powers[np.outer(np.arange(euler_phi(order)), units) % order]
+    evaluation.flags.writeable = False
+    return q, evaluation
+
+
+def _rows_hold_modulo_primes(group, order, tensor):
+    """True iff the row relation X W Y^T = |G| I of a square table holds, decided
+    on its images at the phi(order) embeddings modulo split primes.
+
+    Every power-basis coefficient of the residual lies below B, ``gram``'s
+    bound plus |G|.  Each prime Q = 1 (mod order) splits completely in
+    Z[zeta], so the evaluation at the embeddings maps Z[zeta] / Q onto
+    GF(Q)^phi isomorphically: a residual whose images all vanish mod Q has
+    every coefficient divisible by Q.  Taken over primes whose product
+    exceeds 2B, every coefficient is then 0.  Per prime: one evaluation of
+    the coefficients, and one product of (n, c) by (c, n) per embedding,
+    each below 2^53 by classes (Q - 1)^2 < 2^53, so a float64 one."""
+    classes = group.num_classes
+    sizes = group.class_sizes
+    inverse = group.inverse_class()
+    bound = gram_bound(tensor * sizes[:, None], tensor, order) + group.order
+    fits(bound)
+    modulus, k = 1, 0
+    while modulus <= 2 * bound:
+        q, evaluation = _split_prime(order, classes, k)
+        if classes * (q - 1) ** 2 >= FLOAT_EXACT:
+            raise CharprodError(f"{classes} (Q - 1)^2 reaches 2^53 at Q = {q}")
+        values = matmul_exact(tensor, evaluation) % q
+        xs = (values * (sizes % q)[:, None] % q).transpose(2, 0, 1).astype(np.float64, order="C")
+        ys = values[:, inverse].transpose(2, 1, 0).astype(np.float64, order="C")
+        target = np.eye(len(tensor), dtype=np.int64) * (group.order % q)
+        if any(not np.array_equal(_product(x, y) % q, target) for x, y in zip(xs, ys)):
+            return False
+        modulus, k = modulus * q, k + 1
+    return True
+
+
 def _orthogonality_defect(table):
     """The largest exact residual of each orthogonality relation that fails;
     empty dict if clean.  For values X, Y = X at the inverse classes and W the
     class sizes, the rows say X W Y^T = |G| I; a square X is then invertible,
-    so the columns Y^T X = |G| W^-1 hold and are not computed (Isaacs, ch. 2)."""
+    so the columns Y^T X = |G| W^-1 hold and are not computed (Isaacs, ch. 2).
+
+    A square table is first decided modulo split primes
+    (``_rows_hold_modulo_primes``), exact by a bound asserted at run time;
+    clean, it is done.  A table that fails there, or is not square, is
+    checked by exact ``gram`` products, which give the residuals."""
     group = table.group
     order, tensor = table.coefficient_tensor()
+    if len(tensor) == group.num_classes and _rows_hold_modulo_primes(group, order, tensor):
+        return {}
     conj = tensor[:, group.inverse_class()]
     defects = {}
 
@@ -310,7 +380,8 @@ def _orthogonality_defect(table):
 
 
 def verify_orthogonality(table):
-    """True iff both orthogonality relations hold exactly; rows alone if square."""
+    """True iff both orthogonality relations hold exactly; rows alone if
+    square, decided modulo split primes (``_orthogonality_defect``)."""
     return not _orthogonality_defect(table)
 
 

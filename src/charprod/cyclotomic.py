@@ -133,9 +133,10 @@ FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
 # most 4 x 65536 = 2^18 of them on the calling thread (its default
 # GEMM_MULTITHREAD_THRESHOLD); a larger one may wake its worker threads,
 # which then spin for up to about 0.1 s after the call: CPU time that the
-# eigenspace split and the orthogonality check would pay after every one
-# of their medium-sized products, for little wall time.  A single row of
-# more than 2^18 multiply-adds is still one call.
+# eigenspace split and the orthogonality check (one n x m x n product per
+# embedding and prime, through ``_product``) would pay after every one of
+# their medium-sized products, for little wall time.  A single row of more
+# than 2^18 multiply-adds is still one call.
 BLAS_BLOCK = 2**18
 
 
@@ -221,20 +222,33 @@ def multiply(x, y, order):
 
 def gram(x, y, order):
     """Coefficients (i, j, phi) at ``order`` of sum over c of x[i, c] y[j, c]
-    for values x (i, c, phi) and y (j, c, phi): the one sum over classes of
-    the engine.  Degree s sums slice a of x times slice b of y over a + b = s:
+    for values x (i, c, phi) and y (j, c, phi): the one exact sum over
+    classes of the engine, in phi^2 slice products.  The orthogonality check
+    of a square table decides its row relation modulo primes instead, in phi
+    products per prime, and calls this only for the residuals of a table
+    that fails.  Degree s sums slice a of x times slice b of y over a + b = s:
     one exact product per slice b against all slices a stacked, reduced
     modulo Phi_order once; exact by the checked bound on every partial sum."""
     ni, c, phi = x.shape
     nj = y.shape[0]
     red = _reduction_matrix(order, 2 * phi - 1)
-    fits(len(red) * phi * c * max_abs(x) * max_abs(y) * max_abs(red))
+    fits(gram_bound(x, y, order))
     prod = np.zeros((2 * phi - 1, ni, nj), dtype=np.int64)
     xs, ys = _operands(x.transpose(2, 0, 1), y.transpose(2, 1, 0))
     for b in range(phi):
         prod[b:b + phi] += _product(xs, ys[b])
     del xs, ys  # frees the cast operands before the reduction
     return matmul_exact(prod.reshape(2 * phi - 1, ni * nj).T, red).reshape(ni, nj, phi)
+
+
+def gram_bound(x, y, order):
+    """The bound ``gram`` checks for x (i, c, phi) and y (j, c, phi), on every
+    partial sum and every coefficient of its result: each degree sums at most
+    phi c products, and each coefficient sums 2 phi - 1 degrees times an
+    entry of the reduction matrix."""
+    _, c, phi = x.shape
+    red = _reduction_matrix(order, 2 * phi - 1)
+    return len(red) * phi * c * max_abs(x) * max_abs(y) * max_abs(red)
 
 
 @lru_cache(maxsize=None)

@@ -560,15 +560,14 @@ def _verify_witness(table, chi_cf, h_ctx, alpha):
 def _descend(group, table, chi_cf, trail):
     """Return (h_ctx, alpha, chain, square_idx) with alpha linear on
     h_ctx.group, alpha^group = chi_cf and (alpha^2)^group irreducible, the
-    row ``square_idx`` of ``table``: each level verifies its own witness
-    once."""
+    row ``square_idx`` of ``table``: each level above a linear chi_cf
+    verifies its own witness once.  A linear chi_cf is its own witness on
+    the whole group, which no check can refute (induction to the group itself
+    is the identity and the square of a linear character is linear), so it
+    comes back unchecked, with square_idx None."""
     deg = chi_cf.degree().as_integer()
     if deg == 1:
-        ctx = InducedContext.build(group, group.full_subgroup())
-        square_idx = _verify_witness(table, chi_cf, ctx, chi_cf)
-        if square_idx is None:
-            raise SearchExhausted("a linear character failed verification", trail)
-        return ctx, chi_cf, [], square_idx
+        return InducedContext.build(group, group.full_subgroup()), chi_cf, [], None
 
     kernel = kernel_of(chi_cf)
     if kernel.order > 1:
@@ -669,6 +668,11 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None):
 
     trail = []
     h_ctx, alpha, chain, square_idx = _descend(group, table, chi_cf, trail)
+    if square_idx is None:
+        # a linear chi: its one check gives the row of its square
+        square_idx = _verify_witness(table, chi_cf, h_ctx, alpha)
+        if square_idx is None:
+            raise SearchExhausted("a linear character failed verification", trail)
     sub = h_ctx.subgroup
     return MonomialWitness(
         chi_index=chi_index,

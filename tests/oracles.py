@@ -403,6 +403,46 @@ def orthogonality_defect_reference(table):
     return defects
 
 
+def prime_ideal_short_vector(order, q, z):
+    """A short nonzero coefficient vector a (power basis of Q(zeta_order)) of
+    an element in the prime (q, zeta - z) of Z[zeta]: sum_t a_t z^t = 0 mod q.
+    The first vector of an exact LLL reduction (delta 3/4, Fractions) of that
+    lattice of index q, so about q^(1/phi) in size."""
+    phi = euler_phi(order)
+    basis = [[q] + [0] * (phi - 1)] + [
+        [-pow(z, t, q)] + [int(t == s) for s in range(1, phi)] for t in range(1, phi)
+    ]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def orthogonalized():
+        stars, mu = [], [[Fraction(0)] * phi for _ in range(phi)]
+        for i, row in enumerate(basis):
+            star = [Fraction(x) for x in row]
+            for j in range(i):
+                mu[i][j] = dot(row, stars[j]) / dot(stars[j], stars[j])
+                star = [x - mu[i][j] * y for x, y in zip(star, stars[j])]
+            stars.append(star)
+        return stars, mu
+
+    k = 1
+    stars, mu = orthogonalized()
+    while k < phi:
+        for j in range(k - 1, -1, -1):
+            r = round(mu[k][j])
+            if r:
+                basis[k] = [x - r * y for x, y in zip(basis[k], basis[j])]
+                stars, mu = orthogonalized()
+        if dot(stars[k], stars[k]) >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(stars[k - 1], stars[k - 1]):
+            k += 1
+        else:
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            stars, mu = orthogonalized()
+            k = max(k - 1, 1)
+    return min(basis, key=lambda v: dot(v, v))
+
+
 def induce_by_summation(f, ctx):
     """Induction by the raw Frobenius sum over the whole parent group, on
     exact values: an independent cross-check of the engine's classwise form."""

@@ -19,6 +19,7 @@ from charprod.chartab import (
     _linear_logs,
     _orthogonality_defect,
     _split_eigenspaces,
+    _split_prime,
     _value_lift,
     class_constants,
     dixon_table,
@@ -36,6 +37,7 @@ from oracles import (
     canonical_key,
     generator_sets,
     orthogonality_defect_reference,
+    prime_ideal_short_vector,
     root_of_unity,
     row_sort_key,
     split_in_index_order,
@@ -185,6 +187,156 @@ def test_finish_table_needs_one_row_per_class(rows, table_of):
     tensor = t.coefficient_tensor()[1][rows]
     with pytest.raises(LiftInconsistent, match=f"^{len(tensor)} irreducibles for 11 classes$"):
         _finish_table(t.group, tensor)
+
+
+# -- the row relation decided modulo split primes ----------------------------------
+
+MODULAR_IDS = ["dihedral8", "heisenberg3", "cyclic16", "heisenberg3_x_cyclic9", "order2187"]
+
+
+@pytest.fixture(params=MODULAR_IDS)
+def square_table(request, table_of, product_2187):
+    return product_2187[1] if request.param == "order2187" else table_of(request.param)
+
+
+def _checked(table, monkeypatch):
+    """The orthogonality defect of ``table`` and the primes its modular check
+    took, in the order it took them."""
+    from charprod import chartab
+
+    real, taken = chartab._split_prime, {}
+
+    def recording(order, classes, k):
+        prime = real(order, classes, k)
+        taken[k] = prime[0]
+        return prime
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chartab, "_split_prime", recording)
+        defect = _orthogonality_defect(table)
+    return defect, [taken[k] for k in sorted(taken)]
+
+
+def _first_prime(table):
+    order, _ = table.coefficient_tensor()
+    return _split_prime(order, table.group.num_classes, 0)
+
+
+def _bumped(table, cell, delta):
+    order, tensor = table.coefficient_tensor()
+    bumped = tensor.copy()
+    bumped[cell] += delta
+    return CharacterTable(table.group, order, bumped)
+
+
+def test_clean_square_tables_are_decided_modulo_primes_alone(square_table, monkeypatch):
+    """A clean square table is certified by its images: no exact ``gram``."""
+    from charprod import chartab
+
+    def refuse(*args):
+        raise AssertionError("an exact gram on a clean table")
+
+    monkeypatch.setattr(chartab, "gram", refuse)
+    defect, primes = _checked(square_table, monkeypatch)
+    assert defect == {} and primes[0] == _first_prime(square_table)[0]
+
+
+@pytest.mark.parametrize("delta", ["+1", "-1", "+Q", "-Q"])
+def test_a_coefficient_off_by_one_or_the_first_prime_fails(delta, square_table, monkeypatch):
+    """Off by 1, the first prime sees it.  Off by that prime Q, every image
+    mod Q vanishes, but the bound grows with the coefficient, so the check
+    takes a second prime, which sees it.  Either way the exact residuals are
+    the two-relation reference's."""
+    order, tensor = square_table.coefficient_tensor()
+    q = _first_prime(square_table)[0]
+    step = 1 if delta[1:] == "1" else q
+    cell = (len(tensor) - 1, len(tensor) // 2, tensor.shape[-1] - 1)
+    perturbed = _bumped(square_table, cell, step if delta[0] == "+" else -step)
+    defect, primes = _checked(perturbed, monkeypatch)
+    assert set(defect) == {"rows", "columns"} and defect == orthogonality_defect_reference(perturbed)
+    assert primes[0] == q and len(primes) == (1 if step == 1 else 2)
+
+
+@pytest.mark.parametrize("gid", ["cyclic16", "heisenberg3_x_cyclic9", "order2187"])
+def test_a_value_off_by_an_element_of_one_prime_above_q_fails(gid, table_of, product_2187, monkeypatch):
+    """delta, a short element of the prime (Q, zeta - z) over the first prime
+    Q, vanishes at the embedding zeta -> z mod Q and at no other.  Every entry
+    of the residual it makes is a multiple of delta, so only the other
+    embeddings can see it; delta is small enough that Q alone covers the
+    bound."""
+    table = product_2187[1] if gid == "order2187" else table_of(gid)
+    order, tensor = table.coefficient_tensor()
+    q, evaluation = _first_prime(table)
+    delta = np.array(prime_ideal_short_vector(order, q, int(evaluation[1, 0])))
+    images = delta @ evaluation % q
+    assert images[0] == 0 and images[1:].all()
+    perturbed = _bumped(table, (len(tensor) - 1, len(tensor) // 2), delta)
+    defect, primes = _checked(perturbed, monkeypatch)
+    assert primes == [q]
+    assert set(defect) == {"rows", "columns"} and defect == orthogonality_defect_reference(perturbed)
+
+
+def test_a_doubled_row_fails_only_on_the_diagonal(square_table):
+    """Twice an irreducible is orthogonal to the others, so the only residual
+    of the rows is 4|G| - |G| on the diagonal."""
+    order, tensor = square_table.coefficient_tensor()
+    doubled = tensor.copy()
+    doubled[-1] *= 2
+    perturbed = CharacterTable(square_table.group, order, doubled)
+    defect = _orthogonality_defect(perturbed)
+    assert defect["rows"] == 3 * square_table.group.order and defect == orthogonality_defect_reference(perturbed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=generator_sets(), data=st.data())
+def test_random_tables_pass_and_perturbed_ones_fail_as_the_reference(gens, data):
+    """Tables of random permutation groups are clean; off by +-1 or by +- the
+    first prime of their check in one coefficient, they fail with the
+    reference's residuals, or, where the reference's exact products could
+    pass 64 bits (a prime near 2^25 at exponent 60), with its error."""
+    t = dixon_table(group_closure(gens))
+    assert _orthogonality_defect(t) == {} == orthogonality_defect_reference(t)
+    order, tensor = t.coefficient_tensor()
+    cell = tuple(data.draw(st.integers(0, n - 1)) for n in tensor.shape)
+    q = _first_prime(t)[0]
+    perturbed = _bumped(t, cell, data.draw(st.sampled_from([1, -1, q, -q])))
+    try:
+        reference = orthogonality_defect_reference(perturbed)
+    except CharprodError:
+        with pytest.raises(CharprodError, match="64 bits"):
+            _orthogonality_defect(perturbed)
+    else:
+        assert reference and _orthogonality_defect(perturbed) == reference
+
+
+def test_a_ceiling_below_every_prime_raises(table_of, monkeypatch):
+    """With the ceiling c (Q - 1)^2 < 99 for heisenberg3's 11 classes, no prime
+    Q = 1 (mod 3) is left below it."""
+    from charprod import chartab
+
+    t = table_of("heisenberg3")
+    chartab._split_prime.cache_clear()
+    monkeypatch.setattr(chartab, "FLOAT_EXACT", 11 * 3**2)
+    with pytest.raises(CharprodError, match=r"^no prime Q = 1 \(mod 3\) is left"):
+        _orthogonality_defect(t)
+
+
+def test_a_prime_at_the_ceiling_raises(table_of, monkeypatch):
+    """The ceiling is asserted for every prime the check takes, also for one
+    found earlier under a higher ceiling."""
+    from charprod import chartab
+
+    t = table_of("heisenberg3")
+    q = _first_prime(t)[0]
+    monkeypatch.setattr(chartab, "FLOAT_EXACT", 11 * (q - 1) ** 2)
+    with pytest.raises(CharprodError, match=r"reaches 2\^53"):
+        _orthogonality_defect(t)
+
+
+def test_coefficients_past_the_gram_bound_raise(table_of):
+    t = table_of("heisenberg3")
+    with pytest.raises(CharprodError, match="64 bits"):
+        _orthogonality_defect(_bumped(t, (1, 1, 0), 2**40))
 
 
 @pytest.mark.parametrize("gid", ["dihedral8", "cyclic9", "heisenberg3"])
@@ -356,15 +508,27 @@ def _json_sha256(table):
     return hashlib.sha256(json.dumps(table.to_json(), sort_keys=True).encode()).hexdigest()
 
 
-def test_wreath_c9_c3_table_is_pinned():
-    """C9 wr C3, transitive on 27 points and not a direct product: 267
-    classes, 27 linear rows, and the JSON of the table built by applying the
-    class matrices in class index order."""
+@pytest.fixture(scope="module")
+def wreath_c9_c3():
+    """C9 wr C3, transitive on 27 points and not a direct product."""
     gens = "(1 2 3 4 5 6 7 8 9)\n" + "".join(f"({i} {i + 9} {i + 18})" for i in range(1, 10))
-    group = group_closure(_gens(gens))
+    return group_closure(_gens(gens))
+
+
+def test_wreath_c9_c3_table_is_pinned(wreath_c9_c3):
+    """C9 wr C3: 267 classes, 27 linear rows, and the JSON of the table built
+    by applying the class matrices in class index order."""
+    group = wreath_c9_c3
     table = dixon_table(group)
     assert (group.order, group.num_classes, table.degrees.count(1)) == (2187, 267, 27)
     assert _json_sha256(table) == "9da76922cc16fed96b95934556349814bc1036c85a9492caee0ab9dcb3cf3d3a"
+
+
+def test_the_wreath_c9_c3_check_takes_two_primes(wreath_c9_c3, monkeypatch):
+    """Its bound, about 2^25.3, exceeds half of any prime below the ceiling
+    for 267 classes, so tier-1 runs the check over more than one prime."""
+    defect, primes = _checked(dixon_table(wreath_c9_c3), monkeypatch)
+    assert defect == {} and len(primes) >= 2
 
 
 def test_order_2187_table_is_pinned(product_2187):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from charprod import verify
 from charprod.charops import decompose, inner_product, restrict
+from charprod.cyclotomic import factorize
 from charprod.errors import CharprodError
 from charprod.modular import (
     charpoly_mod,
@@ -31,6 +32,19 @@ def test_prime_search():
     assert find_prime(9, 486) == 487
     q = find_prime(8, 33)
     assert q == 41 and is_prime(q) and q % 8 == 1
+
+
+def test_is_prime_agrees_with_trial_division():
+    """Miller-Rabin against the trial-division factorization below 10^5, on
+    strong pseudoprimes to the first bases and Carmichael numbers, and on
+    primes near the ceilings of the orthogonality check."""
+    assert [n for n in range(10**5) if is_prime(n) != (factorize(n) == ((n, 1),))] == []
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051, 318665857834031151167459, 561, 1105, 41041, 825265):
+        assert not is_prime(n)
+    for n in (6940207, 5807701, 2**31 - 1):
+        assert is_prime(n) and factorize(n) == ((n, 1),)
+    assert is_prime(2**61 - 1)
 
 
 def test_primitive_roots():

@@ -10,7 +10,7 @@ from oracles import theorem_B_reference
 from charprod import verify
 from charprod.charops import InducedContext, decompose, induce, inner_product, kernel_of, restrict
 from charprod.chartab import dixon_table
-from charprod.errors import CharprodError, HypothesisNotMet, NotAPGroup
+from charprod.errors import CharprodError, HypothesisNotMet, NotAPGroup, SearchExhausted
 from charprod.perm import group_closure, parse_generators
 from charprod.verify import (
     GroupSession,
@@ -254,6 +254,47 @@ def test_witness_linear(group_of, table_of):
     g = group_of("cyclic9")
     w = monomial_witness_search(g, 3)
     assert w.subgroup_order == g.order and w.chain == []
+
+
+@pytest.mark.parametrize("gid", ["cyclic9", "heisenberg3", "wreath3"])
+def test_a_linear_witness_keeps_its_square_index(gid, group_of, table_of, monkeypatch):
+    """A linear chi is its own witness on G, checked once, for the row of its
+    square; a check that fails there still ends the search."""
+    g, t = group_of(gid), table_of(gid)
+    real, calls = verify._verify_witness, []
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_verify_witness", counted)
+    for i in t.linear_indices():
+        chi = t.irreducibles[i]
+        w = monomial_witness_search(g, i, table=t)
+        assert (w.subgroup_index, w.chain) == (1, [])
+        assert w.square_induced_index == t.index_of(chi * chi)
+    assert len(calls) == len(t.linear_indices())
+    monkeypatch.setattr(verify, "_verify_witness", lambda *args: None)
+    with pytest.raises(SearchExhausted, match="a linear character failed verification"):
+        monomial_witness_search(g, 0, table=t)
+
+
+def test_a_descent_checks_no_linear_base(group_of, table_of, monkeypatch):
+    """Below the top, a chain ends on a linear character of a subgroup, which
+    is not checked again: heisenberg3's degree-3 witnesses take one check
+    each, at the top."""
+    g, t = group_of("heisenberg3"), table_of("heisenberg3")
+    real, calls = verify._verify_witness, []
+
+    def counted(*args):
+        calls.append(args[2].group.order)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_verify_witness", counted)
+    for i in [i for i, d in enumerate(t.degrees) if d == 3]:
+        calls.clear()
+        monomial_witness_search(g, i, table=t)
+        assert calls == [9]
 
 
 def test_witness_heisenberg3(group_of, table_of):
