@@ -80,32 +80,54 @@ class CharacterTable:
     (irreducibles, classes, phi(order)), deterministically indexed: the
     principal character first, the rest ascending by their flattened
     coefficients, so by degree first.  Each irreducible is a ClassFunction on
-    a view of its row; the identity column gives the degrees."""
+    a view of its row, made when ``irreducibles`` is first read, and the row
+    lookup is built from the tensor on the first lookup: the tables of the
+    normal subgroups the statements restrict to are read as tensors only.
+    The identity column gives the degrees."""
 
     def __init__(self, group, order, tensor):
         tensor.flags.writeable = False
         self.group = group
         self._tensor = order, tensor
-        self.irreducibles = tuple(ClassFunction.from_coefficients(group, order, row) for row in tensor)
         self.degrees = tuple(tensor[:, 0, 0].tolist())
-        self._row_lookup = {chi.value_key(): i for i, chi in enumerate(self.irreducibles)}
+        self._irreducibles = None
+        self._row_lookup = None
         self._conj_rows = None
 
     @property
     def size(self):
-        return len(self.irreducibles)
+        return self._tensor[1].shape[0]
+
+    @property
+    def irreducibles(self):
+        if self._irreducibles is None:
+            order, tensor = self._tensor
+            self._irreducibles = tuple(ClassFunction.from_coefficients(self.group, order, row) for row in tensor)
+        return self._irreducibles
+
+    def _keys(self, rows):
+        """ClassFunction.value_key of each row of coefficients at the table's
+        order over 1 (with no common factor to take out of a denominator 1)."""
+        order = self._tensor[0]
+        target = math.lcm(self.group.exponent, order)
+        return [(target, 1, row.tobytes()) for row in embed(rows, order, target)]
+
+    def _lookup(self):
+        if self._row_lookup is None:
+            self._row_lookup = {key: i for i, key in enumerate(self._keys(self._tensor[1]))}
+        return self._row_lookup
 
     def index_of(self, f):
         """Row index of an irreducible given as a ClassFunction, else None."""
-        return self._row_lookup.get(f.value_key())
+        return self._lookup().get(f.value_key())
 
     def conjugate_index(self, i):
         """Index of the complex conjugate of irreducible i."""
         if self._conj_rows is None:
-            order, tensor = self._tensor
-            # chi(g^-1) is the conjugate of chi(g); keys as ClassFunction.value_key
-            conj = tensor[:, self.group.inverse_class()]
-            self._conj_rows = tuple(self._row_lookup[order, 1, row.tobytes()] for row in conj)
+            # chi(g^-1) is the conjugate of chi(g)
+            lookup = self._lookup()
+            conj = self._tensor[1][:, self.group.inverse_class()]
+            self._conj_rows = tuple(lookup[key] for key in self._keys(conj))
         return self._conj_rows[i]
 
     def linear_indices(self):

@@ -397,7 +397,11 @@ class Group:
         return Subgroup(self, range(self.order))
 
     def derived_subgroup(self):
-        """Commutator subgroup: normal closure of generator commutators."""
+        """Commutator subgroup: normal closure of generator commutators.  A
+        group with one class per element is abelian, so it is trivial there
+        and no commutator is formed."""
+        if self._derived is None and self.num_classes == self.order:
+            self._derived = Subgroup(self, (0,))
         if self._derived is None:
             comms = set()
             for a in self._gen_indices:

@@ -7,11 +7,21 @@ Q with Q > 2B for an a-priori bound B on every lifted integer (multiplicities
 of genuine characters), so each residue determines its integer exactly.  The
 per-instance logic then works on those exact integers; subgroup membership is
 handled through class-index sets.
+
+Statements A and B decide all pairs of a table at once: class sets become
+0/1 masks over the classes, and a containment or equality of sets over all
+pairs is one exact integer product of masks, whose entries count the classes
+where the sets differ, so they are zero exactly when the sets contain or
+agree.  Statement C searches a witness only for a nonlinear chi: a linear
+chi is its own witness on G, since induction from G to G is the identity and
+the square of a linear irreducible is a linear irreducible, so its row is
+found by one key lookup.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,9 +41,10 @@ from .charops import (
     stabilizer_and_orbit,
 )
 from .chartab import dixon_table, quotient_table
-from .cyclotomic import conjugate, embed, factorize, fits, matmul_exact, multiply
+from .cyclotomic import conjugate, embed, factorize, fits, matmul_exact, multiply, value_json
 from .errors import (
     CharprodError,
+    GroupMismatch,
     HypothesisNotMet,
     NotAPGroup,
     NotNormal,
@@ -301,13 +312,13 @@ def _require_p_group(session, statement):
         raise NotAPGroup(f"statement {statement} requires a p-group")
 
 
-def _pair_checks(statement, session, verdict):
+def _pair_checks(statement, session, verdicts):
     """One record per ordered pair (chi, psi): a skipped duplicate when
     chi > psi, hypothesis-not-met when eta(chi psi) >= p, else a pass or, when
-    ``verdict(i, j)`` returns a witness, a failure."""
+    ``verdicts`` holds a witness for (chi, psi), a failure."""
     checks = []
     eta = session.eta
-    n = len(session.table.irreducibles)
+    n = len(eta)
     for i in range(n):
         for j in range(n):
             instance = {"chi": i, "psi": j}
@@ -316,41 +327,78 @@ def _pair_checks(statement, session, verdict):
             elif eta[i, j] >= session.p:
                 checks.append(CheckResult(statement, instance, HYPOTHESIS, {"eta": int(eta[i, j])}))
             else:
-                bad = verdict(i, j)
+                bad = verdicts.get((i, j))
                 checks.append(CheckResult(statement, instance, PASS if bad is None else FAIL, bad))
     return checks
+
+
+def _class_mask(class_sets, m):
+    """One boolean row of length m per class set."""
+    mask = np.zeros((len(class_sets), m), dtype=bool)
+    for row, classes in zip(mask, class_sets):
+        row[list(classes)] = True
+    return mask
 
 
 def check_theorem_A(group, group_id="group", session=None):
     """Z(chi psi) = Z(theta) and V(theta) <= V(chi psi) <= V(chi) & V(psi)
     for every constituent theta of every product with fewer than p distinct
-    constituents."""
+    constituents.
+
+    One array pass decides every pair chi <= psi in the hypothesis at once,
+    on 0/1 masks over the classes of Z(chi), supp chi and V(chi), read from
+    the session when the check runs, and of the lattice members in lattice
+    order.  Z(chi psi) is Z(chi) & Z(psi), and V(chi psi) is the first
+    member with no class of supp chi & supp psi outside it, the least normal
+    subgroup holding that support: its count of such classes is one 0/1
+    product against the complements of the members.  For each pair and each
+    theta, |Z(theta)| + |Z(chi psi)| - 2 |Z(theta) & Z(chi psi)| counts the
+    classes in one of the two centres only, and |V(theta) - V(chi psi)| the
+    classes of V(theta) outside V(chi psi): each is one 0/1 product, whose
+    entries are counts of at most m classes, exact in ``matmul_exact``, so
+    zero exactly when the two sets agree or contain.  A pair fails when
+    V(chi psi) escapes V(chi) & V(psi), else at its first failing
+    constituent theta, the Z test before the V test; only failing pairs get
+    a witness built."""
     session = session or GroupSession(group, group_id)
     _require_p_group(session, "A")
-    a = session.products
-    zsets, supports, vsets = session.zsets, session.supports, session.vsets
+    a, eta = session.products, session.eta
+    m = session.group.num_classes
+    zsets = session.zsets
+    z, support, v = (_class_mask(sets, m) for sets in (zsets, session.supports, session.vsets))
+    members = _class_mask(session.lattice.class_sets, m)
 
-    def verdict(i, j):
-        z_prod = zsets[i] & zsets[j]
-        v_prod = session.vclosure(supports[i] & supports[j])
-        bad = None
-        if not v_prod <= vsets[i] & vsets[j]:
+    pi, pj = np.triu_indices(len(eta))
+    keep = eta[pi, pj] < session.p
+    pi, pj = pi[keep], pj[keep]
+    # contained[k, N]: no class of supp chi & supp psi lies outside N
+    contained = matmul_exact(support[pi] & support[pj], ~members.T) == 0
+    if not contained.any(axis=1).all():
+        raise NotNormal("no lattice member contains the classes (engine bug)")
+    v_prod = members[contained.argmax(axis=1)]
+    z_prod = z[pi] & z[pj]
+    escapes = (v_prod & ~(v[pi] & v[pj])).any(axis=1)
+    # z_differs[k, theta], v_escapes[k, theta]: the two tests per constituent
+    occurs = a[pi, pj] > 0
+    z_differs = occurs & (z_prod.sum(axis=1)[:, None] + z.sum(axis=1) != 2 * matmul_exact(z_prod, z.T))
+    v_escapes = occurs & (matmul_exact(~v_prod, v.T) > 0)
+    fails = z_differs | v_escapes
+    verdicts = {}
+    for k in np.flatnonzero(escapes | fails.any(axis=1)).tolist():
+        i, j = int(pi[k]), int(pj[k])
+        if escapes[k]:
             bad = {"reason": "V(chi psi) escapes V(chi) & V(psi)"}
         else:
-            for t in np.nonzero(a[i, j])[0].tolist():
-                if zsets[t] != z_prod:
-                    bad = {"theta": t, "reason": "Z(chi psi) != Z(theta)",
-                           "z_product_classes": sorted(z_prod),
-                           "z_theta_classes": sorted(zsets[t])}
-                    break
-                if not vsets[t] <= v_prod:
-                    bad = {"theta": t, "reason": "V(theta) escapes V(chi psi)"}
-                    break
-        if bad is not None:
-            bad["eta"] = int(session.eta[i, j])
-        return bad
-
-    return _pair_checks("A", session, verdict)
+            t = int(fails[k].argmax())
+            if z_differs[k, t]:
+                bad = {"theta": t, "reason": "Z(chi psi) != Z(theta)",
+                       "z_product_classes": sorted(zsets[i] & zsets[j]),
+                       "z_theta_classes": sorted(zsets[t])}
+            else:
+                bad = {"theta": t, "reason": "V(theta) escapes V(chi psi)"}
+        bad["eta"] = int(eta[i, j])
+        verdicts[i, j] = bad
+    return _pair_checks("A", session, verdicts)
 
 
 def check_theorem_B(group, group_id="group", session=None):
@@ -371,7 +419,7 @@ def check_theorem_B(group, group_id="group", session=None):
     p = session.p
     a = session.products
     eta = session.eta
-    n = len(session.table.irreducibles)
+    n = len(eta)
     normals = session.normal_data
 
     pi, pj = np.triu_indices(n)
@@ -398,7 +446,7 @@ def check_theorem_B(group, group_id="group", session=None):
             "gamma": gamma,
             "eta_gamma_induced": int(data["col_support"][gamma]),
         }
-    return _pair_checks("B", session, lambda i, j: verdicts.get((i, j)))
+    return _pair_checks("B", session, verdicts)
 
 
 def check_theorem_C(group, group_id="group", session=None):
@@ -411,7 +459,7 @@ def check_theorem_C(group, group_id="group", session=None):
     a = session.products
     eta = session.eta
     table = session.table
-    n = len(table.irreducibles)
+    n = table.size
     linear = list(table.linear_indices())
     fixture = p is None
     for i in range(n):
@@ -561,10 +609,11 @@ def _descend(group, table, chi_cf, trail):
     """Return (h_ctx, alpha, chain, square_idx) with alpha linear on
     h_ctx.group, alpha^group = chi_cf and (alpha^2)^group irreducible, the
     row ``square_idx`` of ``table``: each level above a linear chi_cf
-    verifies its own witness once.  A linear chi_cf is its own witness on
-    the whole group, which no check can refute (induction to the group itself
-    is the identity and the square of a linear character is linear), so it
-    comes back unchecked, with square_idx None."""
+    verifies its own witness once.  A linear chi_cf, where a chain ends, is
+    its own witness on the whole group, which no check can refute (induction
+    to the group itself is the identity and the square of a linear character
+    is linear), so it comes back unchecked, with square_idx None; a search
+    for a linear chi does not descend at all."""
     deg = chi_cf.degree().as_integer()
     if deg == 1:
         return InducedContext.build(group, group.full_subgroup()), chi_cf, [], None
@@ -645,16 +694,28 @@ def _descend(group, table, chi_cf, trail):
 
 def monomial_witness_search(group, chi, table=None, _eta_sq=None):
     """Monomial witness for chi: H <= G and linear alpha with alpha^G = chi and
-    (alpha^2)^G irreducible, found by the Clifford descent with backtracking."""
+    (alpha^2)^G irreducible, found by the Clifford descent with backtracking.
+
+    A linear chi is its own witness (G, chi) with an empty chain, and the one
+    thing to find is the row of its square, by exact key lookup of chi * chi:
+    induction from G to G is the identity, so alpha^G = chi, and on a
+    finished table (one row per class, exact orthogonality) the square of a
+    linear irreducible is linear, so irreducible, and a row.  A table on
+    which it is not a row ends the search as a failed check would.  G's
+    generator texts and the table's value texts are made once per table."""
     p = group.p_group_prime()
     if p is None:
         raise NotAPGroup("monomial witness search runs on p-groups")
     table = table or dixon_table(group)
+    if table.group is not group:
+        raise GroupMismatch("the table belongs to another group")
     if isinstance(chi, int):
         if not 0 <= chi < table.size:
             raise CharprodError(f"character index {chi} outside [0, {table.size})")
         chi_index = chi
-        chi_cf = table.irreducibles[chi_index]
+        # a ClassFunction of this row only: the search reads no other row
+        order, tensor = table.coefficient_tensor()
+        chi_cf = ClassFunction.from_coefficients(group, order, tensor[chi_index])
     else:
         chi_cf = chi
         chi_index = table.index_of(chi_cf)
@@ -666,13 +727,21 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None):
         if _eta_sq >= 2:
             raise HypothesisNotMet(f"p = 2 and eta(chi^2) = {_eta_sq} >= 2")
 
-    trail = []
-    h_ctx, alpha, chain, square_idx = _descend(group, table, chi_cf, trail)
-    if square_idx is None:
-        # a linear chi: its one check gives the row of its square
-        square_idx = _verify_witness(table, chi_cf, h_ctx, alpha)
+    if table.degrees[chi_index] == 1:
+        square_idx = table.index_of(chi_cf * chi_cf)
         if square_idx is None:
-            raise SearchExhausted("a linear character failed verification", trail)
+            raise SearchExhausted("a linear character failed verification")
+        generators, values = _whole_group_texts(group, table)
+        return MonomialWitness(
+            chi_index=chi_index,
+            subgroup_order=group.order,
+            subgroup_index=1,
+            subgroup_generators=list(generators),
+            alpha_values=list(values[chi_index]),
+            chain=[],
+            square_induced_index=square_idx,
+        )
+    h_ctx, alpha, chain, square_idx = _descend(group, table, chi_cf, [])
     sub = h_ctx.subgroup
     return MonomialWitness(
         chi_index=chi_index,
@@ -683,6 +752,23 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None):
         chain=chain,
         square_induced_index=square_idx,
     )
+
+
+_WHOLE_GROUP_TEXTS = weakref.WeakKeyDictionary()
+
+
+def _whole_group_texts(group, table):
+    """(text of each generator of G as a subgroup of itself, ``value_json``
+    of every value of the table as nested lists), made once per table: the
+    subgroup and alpha texts of the witnesses (G, chi) of its linear chi."""
+    texts = _WHOLE_GROUP_TEXTS.get(table)
+    if texts is None:
+        sub = InducedContext.build(group, group.full_subgroup()).subgroup
+        texts = _WHOLE_GROUP_TEXTS[table] = (
+            [group.element(g).to_text() for g in sub.generators()],
+            table._value_texts(value_json),
+        )
+    return texts
 
 
 # -- suite orchestration ---------------------------------------------------------

@@ -709,6 +709,45 @@ def normal_powerset_oracle(group):
     return out
 
 
+# -- statement A, one pair at a time -----------------------------------------------
+
+
+def theorem_A_reference(session):
+    """Statement A's verdicts as the engine decided them one pair at a time:
+    {(chi, psi): witness} over the pairs chi <= psi in the hypothesis, with
+    frozenset class sets, V(chi psi) the first lattice member containing
+    supp chi & supp psi, and the constituents taken ascending, the Z test
+    before the V test."""
+    a = session.products
+    eta = session.eta
+    zsets, supports, vsets = session.zsets, session.supports, session.vsets
+    members = session.lattice.class_sets
+    verdicts = {}
+    for i in range(len(eta)):
+        for j in range(i, len(eta)):
+            if eta[i, j] >= session.p:
+                continue
+            z_prod = zsets[i] & zsets[j]
+            v_prod = next(cs for cs in members if supports[i] & supports[j] <= cs)
+            bad = None
+            if not v_prod <= vsets[i] & vsets[j]:
+                bad = {"reason": "V(chi psi) escapes V(chi) & V(psi)"}
+            else:
+                for t in np.nonzero(a[i, j])[0].tolist():
+                    if zsets[t] != z_prod:
+                        bad = {"theta": t, "reason": "Z(chi psi) != Z(theta)",
+                               "z_product_classes": sorted(z_prod),
+                               "z_theta_classes": sorted(zsets[t])}
+                        break
+                    if not vsets[t] <= v_prod:
+                        bad = {"theta": t, "reason": "V(theta) escapes V(chi psi)"}
+                        break
+            if bad is not None:
+                bad["eta"] = int(eta[i, j])
+                verdicts[i, j] = bad
+    return verdicts
+
+
 # -- statement B, one normal subgroup at a time -----------------------------------
 
 

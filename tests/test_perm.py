@@ -9,6 +9,7 @@ from charprod import catalog
 from charprod.chartab import class_constants
 from charprod.errors import CharprodError, ClosureCapExceeded, EmptyGeneratorSet, ParseError
 from charprod.perm import (
+    Group,
     Permutation,
     direct_product,
     group_closure,
@@ -190,6 +191,27 @@ def test_p_group_center_nontrivial(group_of):
         p = g.p_group_prime()
         singletons = int((g.class_sizes == 1).sum())
         assert singletons >= p
+
+
+def test_derived_subgroup_is_generated_by_all_commutators(monkeypatch):
+    """G' on every catalog group, built afresh, is the subgroup generated by
+    the commutators of all pairs of elements; an abelian group gets the
+    trivial subgroup with no product of elements taken."""
+    calls, real_mul = [], Group.mul
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return real_mul(self, i, j)
+
+    monkeypatch.setattr(Group, "mul", counted)
+    for gid in catalog.builtin_ids():
+        g = catalog.parse_group(catalog.spec_for(gid).generators)
+        calls.clear()
+        derived = g.derived_subgroup()
+        a, b = np.divmod(np.arange(g.order * g.order), g.order)
+        commutators = g.products(g.products(g.inverses[a], g.inverses[b]), g.products(a, b))
+        assert derived.element_set == g.subgroup(sorted(set(commutators.tolist()))).element_set
+        assert (not calls) == (g.num_classes == g.order)
 
 
 def test_p_group_detection(group_of):

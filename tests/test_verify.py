@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import theorem_B_reference
+from oracles import generator_sets, theorem_A_reference, theorem_B_reference
 
-from charprod import verify
+from charprod import catalog, verify
 from charprod.charops import InducedContext, decompose, induce, inner_product, kernel_of, restrict
-from charprod.chartab import dixon_table
+from charprod.chartab import CharacterTable, dixon_table
 from charprod.errors import CharprodError, HypothesisNotMet, NotAPGroup, SearchExhausted
 from charprod.perm import group_closure, parse_generators
 from charprod.verify import (
@@ -119,6 +119,90 @@ def test_theorem_A_reports_a_corrupted_center(group_of):
     ]
 
 
+def _theorem_A_matches_the_reference(session):
+    got = [c.to_json() for c in check_theorem_A(None, "stub", session=session)]
+    expected = [c.to_json() for c in verify._pair_checks("A", session, theorem_A_reference(session))]
+    assert got == expected
+    return got
+
+
+def _corrupt_class_sets(session, zsets=(), vsets=()):
+    """Replace the given (index, class set) entries of Z(chi) and V(chi)."""
+    session._value_sets()
+    session._zsets, session._vsets = list(session.zsets), list(session.vsets)
+    for index, classes in zsets:
+        session._zsets[index] = frozenset(classes)
+    for index, classes in vsets:
+        session._vsets[index] = frozenset(classes)
+
+
+def test_theorem_A_matches_the_pair_loop_on_the_catalog(group_of):
+    """The array pass gives the records of the loop over pairs on every
+    catalog p-group, as built and with its last irreducible's Z shrunk to the
+    identity class, then also its last V grown to all classes and its first
+    nonlinear V shrunk to the identity class (every failure reason occurs)."""
+    reasons = set()
+    for gid in catalog.builtin_ids():
+        g = group_of(gid)
+        if g.p_group_prime() is None:
+            continue
+        session = GroupSession(g, gid)
+        _theorem_A_matches_the_reference(session)
+        _corrupt_class_sets(session, zsets=[(-1, {0})])
+        _theorem_A_matches_the_reference(session)
+        nonlinear = [i for i, d in enumerate(session.table.degrees) if d > 1][:1]
+        _corrupt_class_sets(session, vsets=[(-1, range(g.num_classes))] + [(i, {0}) for i in nonlinear])
+        records = _theorem_A_matches_the_reference(session)
+        reasons |= {c["witness"]["reason"] for c in records if c["status"] == "fail"}
+    assert reasons == {"V(chi psi) escapes V(chi) & V(psi)", "Z(chi psi) != Z(theta)",
+                       "V(theta) escapes V(chi psi)"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=generator_sets(), data=st.data())
+def test_theorem_A_matches_the_pair_loop_on_random_groups(gens, data):
+    """Random subgroups of S_n, n <= 6: on a p-group the array pass gives the
+    loop's records, as built and with one drawn Z(chi) and V(chi) replaced;
+    any other group is refused."""
+    g = group_closure(gens)
+    if g.p_group_prime() is None:
+        with pytest.raises(NotAPGroup):
+            check_theorem_A(g, "random")
+        return
+    session = GroupSession(g, "random")
+    _theorem_A_matches_the_reference(session)
+    classes = st.sets(st.integers(0, g.num_classes - 1))
+    chi = st.integers(0, session.table.size - 1)
+    _corrupt_class_sets(session, zsets=[(data.draw(chi), data.draw(classes))],
+                        vsets=[(data.draw(chi), data.draw(classes))])
+    _theorem_A_matches_the_reference(session)
+
+
+@st.composite
+def statement_A_sessions(draw):
+    """A stand-in session with what check_theorem_A reads: a drawn product
+    tensor, drawn class sets Z(chi), supp chi and V(chi), and a drawn list
+    of lattice members ending in all classes, in drawn order."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = _zero_biased(draw, (n, n, n), 2)
+    classes = st.frozensets(st.integers(0, m - 1))
+    zsets, supports, vsets = (draw(st.lists(classes, min_size=n, max_size=n)) for _ in range(3))
+    members = draw(st.lists(classes, max_size=6)) + [frozenset(range(m))]
+    return SimpleNamespace(p=p, products=a, eta=(a > 0).sum(axis=2), zsets=zsets, supports=supports,
+                           vsets=vsets, lattice=SimpleNamespace(class_sets=members),
+                           group=SimpleNamespace(num_classes=m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(session=statement_A_sessions())
+def test_theorem_A_matches_the_pair_loop_on_drawn_sessions(session):
+    """On any class sets and lattice order the array pass takes the first
+    containing member as V(chi psi), the first failing constituent and the Z
+    test before the V test, as the loop over pairs does."""
+    _theorem_A_matches_the_reference(session)
+
+
 def test_theorem_B_reports_a_corrupted_induction_count(group_of):
     # the faithful phi of the center claimed to induce to two irreducibles:
     # every pair in the hypothesis whose product lies over it fails
@@ -179,7 +263,7 @@ def test_theorem_B_matches_the_per_normal_reference(session):
     """The one-product decision gives the records of the loop over normal
     subgroups with both of its verdict branches, failures included."""
     verdicts = theorem_B_reference(session)
-    expected = verify._pair_checks("B", session, lambda i, j: verdicts.get((i, j)))
+    expected = verify._pair_checks("B", session, verdicts)
     got = check_theorem_B(None, "stub", session=session)
     assert [c.to_json() for c in got] == [c.to_json() for c in expected]
 
@@ -257,26 +341,23 @@ def test_witness_linear(group_of, table_of):
 
 
 @pytest.mark.parametrize("gid", ["cyclic9", "heisenberg3", "wreath3"])
-def test_a_linear_witness_keeps_its_square_index(gid, group_of, table_of, monkeypatch):
-    """A linear chi is its own witness on G, checked once, for the row of its
-    square; a check that fails there still ends the search."""
+def test_a_linear_witness_keeps_its_square_index(gid, group_of, table_of):
+    """A linear chi is its own witness on G, with the row of its square; on
+    a table where that square is not a row the search ends as a failed
+    check would."""
     g, t = group_of(gid), table_of(gid)
-    real, calls = verify._verify_witness, []
-
-    def counted(*args):
-        calls.append(args[3])
-        return real(*args)
-
-    monkeypatch.setattr(verify, "_verify_witness", counted)
+    order, tensor = t.coefficient_tensor()
     for i in t.linear_indices():
         chi = t.irreducibles[i]
         w = monomial_witness_search(g, i, table=t)
         assert (w.subgroup_index, w.chain) == (1, [])
         assert w.square_induced_index == t.index_of(chi * chi)
-    assert len(calls) == len(t.linear_indices())
-    monkeypatch.setattr(verify, "_verify_witness", lambda *args: None)
+    # drop the row of the square of a linear chi other than the principal one
+    chi_index = t.linear_indices()[1]
+    square = t.index_of(t.irreducibles[chi_index] * t.irreducibles[chi_index])
+    short = CharacterTable(g, order, np.delete(tensor, square, axis=0))
     with pytest.raises(SearchExhausted, match="a linear character failed verification"):
-        monomial_witness_search(g, 0, table=t)
+        monomial_witness_search(g, chi_index - (square < chi_index), table=short)
 
 
 def test_a_descent_checks_no_linear_base(group_of, table_of, monkeypatch):
