@@ -253,9 +253,11 @@ class Group:
         self.order, self.degree = images.shape
         self.base, self._tables, self._by_rank = _base_tables(images)
         self._base_images = images[:, self.base]
-        inverse_images = np.empty_like(images)
-        inverse_images[np.arange(self.order)[:, None], images] = np.arange(self.degree)
-        self.inverses = self.locate(inverse_images[:, self.base])
+        # the inverse of x sends a base point to its position in x's image row
+        inverse_base = np.empty((self.order, len(self.base)), dtype=np.intp)
+        for column, point in enumerate(self.base):
+            inverse_base[:, column] = (images == point).argmax(axis=1)
+        self.inverses = self.locate(inverse_base)
         self._gen_indices = self.indices_of([g.images for g in self.generators]).tolist()
         self._orders = self._element_orders()
         self._inverse_class = None

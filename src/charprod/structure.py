@@ -2,13 +2,16 @@
 
 Every normal subgroup is an intersection of kernels of irreducible characters,
 so the lattice is computed from the table's kernels, held as integer bitmasks
-over the classes, and closed under intersection one kernel at a time.
-Members are unions of conjugacy classes and are handed out as frozen sets of
-class indices.  A quotient G/N is the regular action of G on the cosets of N,
-enumerated breadth-first with each element keyed by the coset it sends N to.
+over the classes, and closed under intersection one kernel at a time.  The
+lattice is one read-only boolean array of class masks (members x classes) with
+the member orders; a member's ``Subgroup`` is made only when it is read.  A
+quotient G/N is the regular action of G on the cosets of N, enumerated
+breadth-first with each element keyed by the coset it sends N to.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -18,12 +21,24 @@ from .perm import Group, Permutation, Subgroup, orbit_labels
 
 
 class NormalLattice:
-    """All normal subgroups, sorted by order then element set."""
+    """All normal subgroups, sorted by order then element set: ``masks`` is
+    the read-only members x classes boolean array and ``orders`` the
+    read-only member orders.  ``members`` makes each member's Subgroup when
+    it is first read; ``class_sets`` (frozensets of class indices) is made
+    from the masks on first read."""
 
-    def __init__(self, group, members, class_sets):
+    def __init__(self, group, masks, orders):
         self.group = group
-        self.members = tuple(members)
-        self.class_sets = tuple(class_sets)
+        self.masks = masks
+        self.orders = orders
+        self.members = _Members(group, masks)
+        self._class_sets = None
+
+    @property
+    def class_sets(self):
+        if self._class_sets is None:
+            self._class_sets = tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.masks)
+        return self._class_sets
 
     def to_json(self):
         out = []
@@ -45,10 +60,45 @@ class NormalLattice:
         return out
 
 
+class _Members(Sequence):
+    """The lattice members as Subgroups, each made once, under the group's
+    lock, when it is first read."""
+
+    def __init__(self, group, masks):
+        self._group = group
+        self._masks = masks
+        self._made = [None] * len(masks)
+
+    def __len__(self):
+        return len(self._made)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        member = self._made[i]
+        if member is None:
+            with self._group._promotion_lock:
+                member = self._made[i]
+                if member is None:
+                    member = self._made[i] = Subgroup(self._group, self._group.class_members(self._masks[i]))
+        return member
+
+
 def normal_lattice(group, table):
     """Every intersection of kernels of irreducibles, G included.  A kernel
     is an int bitmask over the classes; the lattice closes one kernel k at a
-    time, L <- L | {k & x : x in L}, from L = {G}."""
+    time, L <- L | {k & x : x in L}, from L = {G}.
+
+    Members are sorted by (order, ascending element tuple) with one
+    ``np.lexsort`` and no per-member object.  Of two sets A != B of equal
+    order, the one holding d = min(A ^ B) has the smaller tuple: both agree
+    below d, and the other one's next element lies above d.  Members are
+    unions of classes, and classes are numbered by their least element, so
+    d is the least element of the class of least index in the symmetric
+    difference of the class sets, and the set holding d is the one whose
+    class mask, read from class 0, first has a 1 where the other has a 0.
+    So the keys are the order, then the complemented class masks packed
+    class 0 first (the high bit of byte 0)."""
     _, tensor = table.coefficient_tensor()
     kernels = np.packbits((tensor == tensor[:, :1]).all(axis=2), axis=1, bitorder="little")
     m, width = group.num_classes, kernels.shape[1]
@@ -57,29 +107,35 @@ def normal_lattice(group, table):
         found |= {k & x for x in found}
     packed = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in found), np.uint8).reshape(-1, width)
     masks = np.unpackbits(packed, axis=1, count=m, bitorder="little").astype(bool)
-    members = [(Subgroup(group, group.class_members(mask)), frozenset(np.flatnonzero(mask).tolist())) for mask in masks]
-    members.sort(key=lambda pair: (pair[0].order, pair[0].element_indices))
-    return NormalLattice(group, [m for m, _ in members], [cs for _, cs in members])
+    orders = (masks * group.class_sizes).sum(axis=1)
+    keys = ~np.packbits(masks, axis=1)
+    rank = np.lexsort((*keys.T[::-1], orders))
+    masks, orders = masks[rank], orders[rank]
+    masks.flags.writeable = orders.flags.writeable = False
+    return NormalLattice(group, masks, orders)
 
 
 def normals_of_index(lattice, p):
     """Lattice members of index p."""
-    order = lattice.group.order
-    return [m for m in lattice.members if order // m.order == p and m.order * p == order]
+    index_p = np.flatnonzero(lattice.orders * p == lattice.group.order)
+    return [lattice.members[i] for i in index_p.tolist()]
 
 
 def chief_factor_above(lattice, z):
-    """All normal Y with Z < Y and |Y : Z| = p; chief factors of a p-group."""
-    p = lattice.group.p_group_prime()
+    """All normal Y with Z < Y and |Y : Z| = p; chief factors of a p-group.
+    A member holds Z when its class mask holds the classes of Z's elements."""
+    group = lattice.group
+    if z.parent is not group:
+        raise GroupMismatch("Z is not a subgroup of the lattice's group")
+    p = group.p_group_prime()
     if p is None:
         raise NotAPGroup("chief factors are only computed for p-groups")
     if not z.is_normal:
         raise NotNormal("Z must be normal")
-    out = []
-    for member in lattice.members:
-        if member.order == z.order * p and z.element_set < member.element_set:
-            out.append(member)
-    return out
+    inside = np.zeros(group.num_classes, dtype=bool)
+    inside[group.class_of[list(z.element_indices)]] = True
+    above = (lattice.orders == z.order * p) & lattice.masks[:, inside].all(axis=1)
+    return [lattice.members[i] for i in np.flatnonzero(above).tolist()]
 
 
 class QuotientMap:
@@ -109,7 +165,10 @@ def quotient(group, normal):
     The action is regular, so an element of G/N is fixed by the coset it
     sends N (coset 0) to: the breadth-first closure keys each element by that
     one image and keeps first occurrences in (element, generator) order, the
-    order ``group_closure`` enumerates."""
+    order ``group_closure`` enumerates.  Each new level is one flat gather
+    from the level before it."""
+    if normal.parent is not group:
+        raise GroupMismatch("the subgroup belongs to another group")
     if not normal.is_normal:
         raise NotNormal("quotient requires a normal subgroup")
     everything = np.arange(group.order)
@@ -123,11 +182,11 @@ def quotient(group, normal):
     seen[0] = True
     while len(level):
         # product r is element r // k of the level times generator r % k
-        keys = level[:, actions[:, 0]].ravel()
+        keys = level.take(actions[:, 0], axis=1).ravel()
         _, first = np.unique(keys, return_index=True)
         fresh = np.sort(first[~seen[keys[first]]])
         seen[keys[fresh]] = True
-        level = level[(fresh // k)[:, None], actions[fresh % k]]
+        level = level.take((fresh // k * n)[:, None] + actions[fresh % k])
         levels.append(level)
     if not seen.all():
         raise CharprodError("the coset action does not reach every coset (engine bug)")

@@ -172,6 +172,8 @@ class GroupSession:
         self._vsets = None
         self._normal_data = None
         self._vclosure_memo = {}
+        # kernel -> (quotient map, quotient table), shared by the witness searches
+        self._quotients = {}
 
     # product decomposition tensor ------------------------------------
 
@@ -502,7 +504,8 @@ def check_theorem_C(group, group_id="group", session=None):
                                       {"reason": "p = 2 and eta(chi^2) >= 2", "eta_chi2": eta_sq}))
             continue
         try:
-            witness = monomial_witness_search(group, i, table=table, _eta_sq=eta_sq)
+            witness = monomial_witness_search(group, i, table=table, _eta_sq=eta_sq,
+                                              _quotients=session._quotients)
             if has_deg:
                 checks.append(CheckResult("C", {"part": "iii", "chi": i}, PASS,
                                           witness.to_json()))
@@ -605,7 +608,7 @@ def _verify_witness(table, chi_cf, h_ctx, alpha):
     return table.index_of(square)
 
 
-def _descend(group, table, chi_cf, trail):
+def _descend(group, table, chi_cf, trail, quotients):
     """Return (h_ctx, alpha, chain, square_idx) with alpha linear on
     h_ctx.group, alpha^group = chi_cf and (alpha^2)^group irreducible, the
     row ``square_idx`` of ``table``: each level above a linear chi_cf
@@ -613,22 +616,27 @@ def _descend(group, table, chi_cf, trail):
     its own witness on the whole group, which no check can refute (induction
     to the group itself is the identity and the square of a linear character
     is linear), so it comes back unchecked, with square_idx None; a search
-    for a linear chi does not descend at all."""
+    for a linear chi does not descend at all.  ``quotients`` maps each
+    kernel to its (quotient map, quotient table), made once."""
     deg = chi_cf.degree().as_integer()
     if deg == 1:
         return InducedContext.build(group, group.full_subgroup()), chi_cf, [], None
 
     kernel = kernel_of(chi_cf)
     if kernel.order > 1:
-        qm = quotient(group, kernel)
-        qtable = quotient_table(table, qm)
+        if kernel not in quotients:
+            qm = quotient(group, kernel)
+            quotients[kernel] = qm, quotient_table(table, qm)
+        qm, qtable = quotients[kernel]
         order, tensor = qtable.coefficient_tensor()
         # the row of the quotient whose inflation is chi
         inflated = embed(tensor, order, chi_cf.order)[:, qm.class_map]
         rows = np.flatnonzero((inflated == chi_cf.num).all(axis=(1, 2)))
         if chi_cf.den != 1 or len(rows) != 1:
             raise CharprodError("character does not descend to the quotient (engine bug)")
-        sub_ctx, sub_alpha, sub_chain, _ = _descend(qm.quotient, qtable, qtable.irreducibles[rows[0]], trail)
+        sub_ctx, sub_alpha, sub_chain, _ = _descend(
+            qm.quotient, qtable, qtable.irreducibles[rows[0]], trail, quotients
+        )
         h_ctx = InducedContext.build(group, np.flatnonzero(sub_ctx.from_parent[qm.projection] >= 0))
         reps = h_ctx.to_parent[h_ctx.group.class_reps]
         classes = sub_ctx.group.class_of[sub_ctx.from_parent[qm.projection[reps]]]
@@ -666,7 +674,7 @@ def _descend(group, table, chi_cf, trail):
             correspondent = clifford_correspondent(chi_cf, iota, ctx_y, ctx_stab)
             try:
                 sub_ctx, alpha, sub_chain, _ = _descend(
-                    ctx_stab.group, ctx_stab.table, correspondent, trail
+                    ctx_stab.group, ctx_stab.table, correspondent, trail, quotients
                 )
             except SearchExhausted:
                 continue
@@ -692,7 +700,7 @@ def _descend(group, table, chi_cf, trail):
     raise SearchExhausted("every descent branch died", trail)
 
 
-def monomial_witness_search(group, chi, table=None, _eta_sq=None):
+def monomial_witness_search(group, chi, table=None, _eta_sq=None, _quotients=None):
     """Monomial witness for chi: H <= G and linear alpha with alpha^G = chi and
     (alpha^2)^G irreducible, found by the Clifford descent with backtracking.
 
@@ -702,7 +710,10 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None):
     finished table (one row per class, exact orthogonality) the square of a
     linear irreducible is linear, so irreducible, and a row.  A table on
     which it is not a row ends the search as a failed check would.  G's
-    generator texts and the table's value texts are made once per table."""
+    generator texts and the table's value texts are made once per table.
+    ``_quotients`` is a memo of quotients by kernel that a caller keeps across
+    its searches (``check_theorem_C`` keeps one per session); without it the
+    search keeps its own, which ends with it."""
     p = group.p_group_prime()
     if p is None:
         raise NotAPGroup("monomial witness search runs on p-groups")
@@ -741,7 +752,8 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None):
             chain=[],
             square_induced_index=square_idx,
         )
-    h_ctx, alpha, chain, square_idx = _descend(group, table, chi_cf, [])
+    quotients = {} if _quotients is None else _quotients
+    h_ctx, alpha, chain, square_idx = _descend(group, table, chi_cf, [], quotients)
     sub = h_ctx.subgroup
     return MonomialWitness(
         chi_index=chi_index,

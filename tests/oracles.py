@@ -59,7 +59,7 @@ from charprod.modular import (
     poly_roots_mod,
     solve_columns_mod,
 )
-from charprod.perm import Permutation, group_closure
+from charprod.perm import Permutation, Subgroup, group_closure
 
 
 # -- exact cyclotomic arithmetic, one value at a time -----------------------------
@@ -691,6 +691,28 @@ def pairwise_lattice_reference(group, table):
     members = [(tuple(group.class_members(list(cs)).tolist()), cs) for cs in found]
     members.sort(key=lambda pair: (len(pair[0]), pair[0]))
     return [m for m, _ in members], [cs for _, cs in members]
+
+
+def subgroup_sorted_lattice(group, table):
+    """The normal lattice as the engine first sorted it: the bitmask closure
+    of the kernels (G included), one Subgroup per member, sorted by (order,
+    ascending element tuple); (Subgroups, class sets as frozensets)."""
+    _, tensor = table.coefficient_tensor()
+    kernels = np.packbits((tensor == tensor[:, :1]).all(axis=2), axis=1, bitorder="little")
+    m, width = group.num_classes, kernels.shape[1]
+    found = {(1 << m) - 1}
+    for k in {int.from_bytes(row.tobytes(), "little") for row in kernels}:
+        found |= {k & x for x in found}
+    packed = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in found), np.uint8).reshape(-1, width)
+    masks = np.unpackbits(packed, axis=1, count=m, bitorder="little").astype(bool)
+    members = [(Subgroup(group, group.class_members(mask)), frozenset(np.flatnonzero(mask).tolist())) for mask in masks]
+    members.sort(key=lambda pair: (pair[0].order, pair[0].element_indices))
+    return [m for m, _ in members], [cs for _, cs in members]
+
+
+def chief_factor_scan(members, z, p):
+    """The members Y with Z < Y and |Y : Z| = p, by element sets, in order."""
+    return [y for y in members if y.order == z.order * p and z.element_set < y.element_set]
 
 
 def normal_powerset_oracle(group):

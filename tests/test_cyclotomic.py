@@ -380,6 +380,32 @@ def test_products_past_one_blas_block_are_assembled_from_row_blocks():
         assert matmul_exact(x, y).tolist() == (x.astype(object) @ y.astype(object)).tolist()
 
 
+def test_blocked_float_product_matches_python_integers(monkeypatch):
+    """A small BLAS_BLOCK drives ``_product`` through many float64 row
+    blocks: one row per block (a row of 9 x 4 multiply-adds is past 16),
+    seven rows per block with a short last block (9 per row against 64, y
+    1-D or one column), and a bound just below 2^53, where every partial sum
+    must still be exact."""
+    rng = np.random.default_rng(23)
+    top = 2**53 // 9 // 2**26
+    x = rng.integers(-top, top, size=(2, 8, 9))
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: calls.append(len(a)) or matmul(a, b, **kw))
+    for block, y, blocks in (
+        (16, rng.integers(-(2**26), 2**26, size=(9, 4)), [1] * 16),
+        (64, rng.integers(-(2**26), 2**26, size=9), [7, 7, 2]),
+        (64, rng.integers(-(2**26), 2**26, size=(9, 1)), [7, 7, 2]),
+    ):
+        monkeypatch.setattr(cyclotomic, "BLAS_BLOCK", block)
+        calls.clear()
+        operands = cyclotomic._operands(x, y)
+        assert operands[0].dtype == np.float64
+        got = cyclotomic._product(*operands)
+        assert calls == blocks
+        assert got.dtype == np.int64 and got.tolist() == (x.astype(object) @ y.astype(object)).tolist()
+
+
 def test_matmul_exact_refuses_a_bound_of_2_63():
     with pytest.raises(CharprodError, match="64 bits"):
         matmul_exact(np.array([[2**62]]), np.array([[2]]))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from charprod import catalog
 from charprod.charops import InducedContext, decompose, kernel_of, principal_character
 from charprod.chartab import dixon_table
 from charprod.errors import GroupMismatch, NotAPGroup, NotNormal
-from charprod.perm import group_closure
+from charprod.perm import Permutation, group_closure
 from charprod.structure import (
     chief_factor_above,
     normal_lattice,
@@ -14,7 +14,15 @@ from charprod.structure import (
     quotient,
 )
 
-from oracles import generator_sets, normal_lattice_oracle, normal_powerset_oracle, pairwise_lattice_reference
+from oracles import (
+    chief_factor_scan,
+    generator_sets,
+    inverse,
+    normal_lattice_oracle,
+    normal_powerset_oracle,
+    pairwise_lattice_reference,
+    subgroup_sorted_lattice,
+)
 
 CATALOG_IDS = catalog.builtin_ids()
 P_GROUP_IDS = [spec.id for spec in catalog.group_specs() if spec.prime]
@@ -94,6 +102,23 @@ def test_chief_factor_rejects_non_p_group(group_of, table_of):
     lat = lattice_of("sl23", group_of, table_of)
     with pytest.raises(NotAPGroup):
         chief_factor_above(lat, lat.members[0])
+
+
+def _normal_subgroup_of_a_copy(g):
+    """The derived subgroup of an equal but distinct Group object."""
+    return group_closure(g.generators).derived_subgroup()
+
+
+def test_chief_factor_rejects_a_subgroup_of_another_group(group_of, table_of):
+    foreign = _normal_subgroup_of_a_copy(group_of("dihedral8"))
+    with pytest.raises(GroupMismatch):
+        chief_factor_above(lattice_of("dihedral8", group_of, table_of), foreign)
+
+
+def test_quotient_rejects_a_subgroup_of_another_group(group_of):
+    g = group_of("dihedral8")
+    with pytest.raises(GroupMismatch):
+        quotient(g, _normal_subgroup_of_a_copy(g))
 
 
 def test_quotient_examples(group_of, table_of):
@@ -209,3 +234,37 @@ def test_bitset_lattice_matches_the_pairwise_closure(gid, group_of, table_of):
 def test_bitset_lattice_matches_the_pairwise_closure_on_random_groups(gens):
     g = group_closure(gens)
     _assert_pairwise_lattice(g, dixon_table(g))
+
+
+def _assert_inverses(group):
+    expected = [inverse(group.element(i)).images for i in range(group.order)]
+    assert [tuple(row) for row in group.images[group.inverses].tolist()] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=generator_sets())
+@example(gens=[Permutation([1, 2, 3, 0, 4, 5]), Permutation([0, 1, 2, 3, 5, 4])])
+@example(gens=[Permutation([1, 0, 2, 3, 4, 5]), Permutation([0, 1, 3, 2, 4, 5]), Permutation([0, 1, 2, 3, 5, 4])])
+def test_lattice_chief_factors_and_inverses_match_the_references_on_random_groups(gens):
+    """The lattice lists the members of the Subgroup-then-sort reference in
+    its order, chief_factor_above picks what the element-set scan picks, and
+    inverses are right on the group, on its regular representation G/1 and
+    on the trivial group G/G, whose base is empty.  The two examples, C4 x C2
+    and C2^3, have normal subgroups of order p|Z| that do not contain Z."""
+    g = group_closure(gens)
+    table = dixon_table(g)
+    lattice = normal_lattice(g, table)
+    members, class_sets = subgroup_sorted_lattice(g, table)
+    assert [m.element_indices for m in lattice.members] == [m.element_indices for m in members]
+    assert list(lattice.class_sets) == class_sets
+    assert lattice.orders.tolist() == [m.order for m in members]
+    p = g.p_group_prime()
+    if p is not None:
+        for z in members:
+            got = chief_factor_above(lattice, z)
+            assert [y.element_indices for y in got] == [y.element_indices for y in chief_factor_scan(members, z, p)]
+    regular = quotient(g, lattice.members[0]).quotient
+    trivial = quotient(g, lattice.members[-1]).quotient
+    assert regular.degree == g.order and trivial.order == 1 and trivial.base == []
+    for h in (g, regular, trivial):
+        _assert_inverses(h)

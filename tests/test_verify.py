@@ -334,6 +334,18 @@ def test_eta_bound(group_of):
         assert all(c.witness == {"reason": "chi is linear"} for c in skipped)
 
 
+def test_statement_C_makes_each_quotient_once_per_session(group_of, monkeypatch):
+    """The witness searches of one session share their quotient maps: on
+    heisenberg3 x C9, five distinct (group, kernel) quotients and no repeat."""
+    calls = []
+    made = verify.quotient
+    monkeypatch.setattr(verify, "quotient", lambda g, n: calls.append((g, n.element_set)) or made(g, n))
+    g = group_of("heisenberg3_x_cyclic9")
+    session = GroupSession(g, "heisenberg3_x_cyclic9")
+    check_theorem_C(g, "heisenberg3_x_cyclic9", session=session)
+    assert len(calls) == len(set(calls)) == len(session._quotients) == 5
+
+
 def test_witness_linear(group_of, table_of):
     g = group_of("cyclic9")
     w = monomial_witness_search(g, 3)
