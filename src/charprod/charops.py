@@ -321,9 +321,13 @@ class InducedContext:
         or as element indices.
 
         A proper subgroup is promoted from its one closure over the parent's
-        indices.  A given ``subgroup_group`` must have the subgroup's elements
-        and be the cached group when there is one.  The cache is a thread-safe
-        memo: one computation per element set, whose first Subgroup serves all.
+        indices, with the parent's inverses and element orders; a later one
+        with the same presentation (``Group._closure_indices``) is a twin of
+        the first, sharing its class arrays, orders, inverses, exponent and,
+        when first read, table.  A given ``subgroup_group`` must have the
+        subgroup's elements and be the cached group when there is one.  The
+        cache is a thread-safe memo: one computation per element set, whose
+        first Subgroup serves all.
         """
         if isinstance(subgroup, Subgroup):
             if subgroup.parent is not parent:
@@ -336,9 +340,15 @@ class InducedContext:
             if cached is not None and subgroup_group not in (None, cached[1]):
                 raise GroupMismatch("the subgroup was promoted earlier to another group")
             if cached is None:
+                from_parent = np.full(parent.order, -1, dtype=np.intp)
                 if subgroup_group is None and len(key) < parent.order:
-                    gens, to_parent = subgroup.closure()
-                    group = Group([parent.element(i) for i in gens or (0,)], parent.images[to_parent])
+                    gens, to_parent, table = subgroup.closure()
+                    from_parent[to_parent] = np.arange(len(to_parent))
+                    presentation = (len(gens), from_parent[table].tobytes())
+                    twin = parent._presentations.get(presentation)
+                    group = Group(None, parent.images[to_parent], list(range(1, len(gens) + 1)) or [0],
+                                  from_parent[parent.inverses[to_parent]], parent._orders[to_parent], twin)
+                    parent._presentations.setdefault(presentation, group)
                 else:
                     group = parent if subgroup_group is None else subgroup_group
                     try:
@@ -347,8 +357,7 @@ class InducedContext:
                         to_parent = None
                     if to_parent is None or frozenset(to_parent.tolist()) != key:
                         raise GroupMismatch("the given group does not have the subgroup's elements")
-                from_parent = np.full(parent.order, -1, dtype=np.intp)
-                from_parent[to_parent] = np.arange(group.order)
+                    from_parent[to_parent] = np.arange(group.order)
                 fusion = parent.class_of[to_parent[group.class_reps]]
                 for array in (fusion, to_parent, from_parent):
                     array.flags.writeable = False

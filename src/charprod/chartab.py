@@ -409,13 +409,17 @@ def verify_orthogonality(table):
 
 def dixon_table(group, use_cache=True):
     """The exact table of irreducible characters of ``group``, built once per
-    group under the group's lock; ``use_cache=False`` rebuilds it."""
+    group under the group's lock; ``use_cache=False`` rebuilds it.  A twin
+    (``InducedContext.build``) wraps the tensor of the first group's table,
+    built first if need be, under the first group's lock only."""
     cached = group._character_table
     if use_cache and cached is not None:
         return cached
-    with group._promotion_lock:
+    first = group._twin_of if use_cache else None
+    with (group if first is None else first)._promotion_lock:
         if not use_cache or group._character_table is None:
-            group._character_table = _build_table(group)
+            shared = None if first is None else dixon_table(first).coefficient_tensor()
+            group._character_table = _build_table(group) if shared is None else CharacterTable(group, *shared)
         return group._character_table
 
 

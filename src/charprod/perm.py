@@ -208,13 +208,13 @@ class Subgroup:
         return len(self.element_indices)
 
     def closure(self):
-        """(generators, read-only breadth-first elements) of the set's one closure."""
+        """(generators, read-only breadth-first elements, presentation) of the set's one closure."""
         if self._closure is None:
-            order, gens = self.parent._closure_indices(self.element_indices)
+            order, gens, table = self.parent._closure_indices(self.element_indices)
             if len(order) != self.order:
                 raise NotASubgroup("the elements do not form a subgroup")
             order.flags.writeable = False
-            self._closure = tuple(gens), order
+            self._closure = tuple(gens), order, table
         return self._closure
 
     def generators(self):
@@ -245,35 +245,57 @@ class Group:
     read-only arrays that are the conjugacy classes.  Index arguments of the
     batched methods (``products``, ``conjugates``) are integer arrays that
     broadcast against each other.
+
+    A group made from index arrays passes no generators, only their indices
+    and what it reads off its parent or ``twin`` (``InducedContext.build``).
     """
 
-    def __init__(self, generators, images):
-        self.generators = tuple(generators)
+    def __init__(self, generators, images, gen_indices=None, inverses=None, orders=None, twin=None):
+        self._generators = None if generators is None else tuple(generators)
         self.images = images
         self.order, self.degree = images.shape
         self.base, self._tables, self._by_rank = _base_tables(images)
         self._base_images = images[:, self.base]
-        # the inverse of x sends a base point to its position in x's image row
-        inverse_base = np.empty((self.order, len(self.base)), dtype=np.intp)
-        for column, point in enumerate(self.base):
-            inverse_base[:, column] = (images == point).argmax(axis=1)
-        self.inverses = self.locate(inverse_base)
-        self._gen_indices = self.indices_of([g.images for g in self.generators]).tolist()
-        self._orders = self._element_orders()
-        self._inverse_class = None
+        if gen_indices is None:
+            gen_indices = self.indices_of([g.images for g in self._generators]).tolist()
+        self._gen_indices = gen_indices
+        if twin is not None:
+            inverses, orders = twin.inverses, twin._orders
+        if inverses is None:
+            # the inverse of x sends a base point to its position in x's image row
+            inverse_base = np.empty((self.order, len(self.base)), dtype=np.intp)
+            for column, point in enumerate(self.base):
+                inverse_base[:, column] = (images == point).argmax(axis=1)
+            inverses = self.locate(inverse_base)
+        self.inverses = inverses
+        self._orders = self._element_orders() if orders is None else orders
         # one lock makes the table, the lattice, every context and the
         # normality cache compute-once
         self._promotion_lock = threading.RLock()
         self._promotions = {}
+        self._presentations = {}
+        self._twin_of = twin
         self._character_table = None
         self._normal_lattice = None
         self._derived = None
+        self._inverse_class = None
+        if twin is not None:
+            self.class_of, self.class_reps, self.class_sizes, self.exponent = (
+                twin.class_of, twin.class_reps, twin.class_sizes, twin.exponent)
+            return
         steps = self.conjugates(np.arange(self.order), np.array(self._gen_indices)[:, None])
         self.class_of, self.class_reps = orbit_labels(steps)
         self.class_sizes = np.bincount(self.class_of)
-        for shared in (self.class_of, self.class_sizes, self.class_reps):
+        for shared in (self.class_of, self.class_sizes, self.class_reps, self.inverses, self._orders):
             shared.flags.writeable = False
         self.exponent = math.lcm(*np.unique(self._orders).tolist())
+
+    @property
+    def generators(self):
+        """The generators as Permutations, for text output."""
+        if self._generators is None:
+            self._generators = tuple(self.element(i) for i in self._gen_indices)
+        return self._generators
 
     # -- element arithmetic ----------------------------------------------
 
@@ -368,25 +390,34 @@ class Group:
 
     def _closure_indices(self, seed):
         """Subgroup generated by a set of element indices: (its elements, the
-        generators an ascending greedy scan of the seed keeps).  Each kept
-        generator re-closes from the identity in ``group_closure``'s order."""
+        generators an ascending greedy scan of the seed keeps, its
+        presentation).  Each kept generator re-closes from the identity in
+        ``group_closure``'s order.  The presentation, the last closure's
+        products, is the (elements, generators) table of x_i g_j.  In the
+        subgroup's own indices the kept generators are 1..k, the first level
+        after the identity 0, and every element is a word in them, so the
+        table fixes the whole multiplication on indices.  The table pipeline
+        reads a group only by index arithmetic and ``_gen_indices``, so equal
+        presentations give equal class arrays, orders, inverses, exponent and
+        coefficient tensor."""
         inside = np.zeros(self.order, dtype=bool)
         inside[0] = True
-        gens, order = [], np.zeros(1, dtype=np.intp)
+        gens, order, rows = [], np.zeros(1, dtype=np.intp), [np.zeros((1, 0), dtype=np.intp)]
         for s in sorted(set(seed)):
             if inside[s]:
                 continue
             gens.append(int(s))
-            level, levels = order[:1], [order[:1]]
+            level, levels, rows = order[:1], [order[:1]], []
             inside[1:] = False
             while level.size:
-                found = self.products(level[:, None], gens).ravel()
+                rows.append(self.products(level[:, None], gens))
+                found = rows[-1].ravel()
                 _, first = np.unique(found, return_index=True)
                 level = found[np.sort(first[~inside[found[first]]])]
                 inside[level] = True
                 levels.append(level)
             order = np.concatenate(levels)
-        return order, gens
+        return order, gens, np.concatenate(rows)
 
     def subgroup(self, seed):
         """Smallest subgroup containing the seed indices."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .charops import ClassFunction
 from .errors import CharprodError, GroupMismatch, NotAPGroup, NotNormal
-from .perm import Group, Permutation, Subgroup, orbit_labels
+from .perm import Group, Subgroup, orbit_labels
 
 
 class NormalLattice:
@@ -191,10 +191,10 @@ def quotient(group, normal):
     if not seen.all():
         raise CharprodError("the coset action does not reach every coset (engine bug)")
     images = np.concatenate(levels)
-    quot = Group([Permutation(row) for row in actions.tolist()], images)
-    # element i of G/N sends coset 0 to coset images[i, 0]
+    # element i of G/N sends coset 0 to images[i, 0], generator j to actions[j, 0]
     element_of = np.empty(n, dtype=np.intp)
     element_of[images[:, 0]] = np.arange(n)
+    quot = Group(None, images, element_of[actions[:, 0]].tolist())
     projection = element_of[coset_of]
     class_map = quot.class_of[projection[group.class_reps]]
     return QuotientMap(group, quot, projection, class_map)

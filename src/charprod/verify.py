@@ -259,14 +259,19 @@ class GroupSession:
     @property
     def normal_data(self):
         """Per lattice member: context, restriction-multiplicity matrix and
-        the derived vectors the checks need."""
+        the derived vectors the checks need.  Twins (``InducedContext.build``)
+        share the first one's modular table; a twin's own table is not read."""
         if self._normal_data is None:
             out = []
             q = self.q
+            shared = {}
             for idx, member in enumerate(self.lattice.members):
                 ctx = InducedContext.build(self.group, member)
                 fits(ctx.group.num_classes * (q - 1) ** 2)
-                mod_sub = _ModularTable(ctx.table, q, self.z, self.group.exponent)
+                first = ctx.group._twin_of or ctx.group
+                mod_sub = shared.get(first)
+                if mod_sub is None:
+                    mod_sub = shared[first] = _ModularTable(dixon_table(first), q, self.z, self.group.exponent)
                 fused = self.mod.values[:, ctx.fusion]
                 weighted = fused * ctx.group.class_sizes[None, :] % q
                 r = matmul_exact(weighted, mod_sub.conj_values.T) % q * inv_mod(ctx.group.order, q) % q

@@ -536,6 +536,75 @@ def test_building_a_context_builds_no_table():
     assert InducedContext.build(g, center).table is table
 
 
+_SHARED = ("class_of", "class_reps", "class_sizes", "inverses", "_orders")
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens=generator_sets())
+def test_promotions_with_one_presentation_share_classes_and_table(gens):
+    """Every cyclic subgroup and every lattice member of a random permutation
+    group: a twin shares the first group's class arrays, orders, inverses and
+    exponent, and every promoted subgroup has the class arrays and tensor of
+    a fresh closure of its generators and of a table built afresh."""
+    g = group_closure(gens)
+    subgroups = [g.subgroup([x]) for x in range(g.order)] + list(normal_lattice(g, dixon_table(g)).members)
+    contexts = [InducedContext.build(g, sub) for sub in subgroups]
+    for ctx in contexts:
+        h = ctx.group
+        if h is g:
+            continue
+        first = h._twin_of
+        if first is not None:
+            assert first._twin_of is None and first.images.shape == h.images.shape
+            assert all(getattr(h, name) is getattr(first, name) for name in _SHARED)
+            assert h.exponent == first.exponent and h._gen_indices == first._gen_indices
+        ref, to_parent = promotion_reference(g, ctx.subgroup)
+        assert np.array_equal(h.images, ref.images) and np.array_equal(ctx.to_parent, to_parent)
+        assert all(np.array_equal(getattr(h, name), getattr(ref, name)) for name in _SHARED)
+        assert h.exponent == ref.exponent
+        order, tensor = ctx.table.coefficient_tensor()
+        for table in (dixon_table(ref), dixon_table(h, use_cache=False)):
+            assert table.coefficient_tensor()[0] == order
+            assert np.array_equal(table.coefficient_tensor()[1], tensor)
+
+
+def _klein_and_cyclic_contexts():
+    g = catalog.parse_group(catalog.spec_for("dihedral8").generators)
+    members = normal_lattice(g, dixon_table(g)).members
+    contexts = [InducedContext.build(g, m) for m in members if m.order == 4]
+    cyclic = [ctx for ctx in contexts if ctx.group.num_classes == 4 and len(ctx.subgroup.generators()) == 1]
+    klein = [ctx for ctx in contexts if len(ctx.subgroup.generators()) == 2]
+    assert len(cyclic) == 1 and len(klein) == 2
+    return g, cyclic[0], klein
+
+
+def test_cyclic_and_klein_subgroups_of_dihedral8_share_nothing():
+    """C4 and the two Klein four-groups of D8: C4 is presented on one
+    generator and the Klein groups on two, so C4 gets its own key and shares
+    no array or table with them; the second Klein group is the first's twin."""
+    g, cyclic, (first, second) = _klein_and_cyclic_contexts()
+    keys = {id(group): key for key, group in g._presentations.items()}
+    assert keys[id(cyclic.group)] != keys[id(first.group)] and id(second.group) not in keys
+    assert cyclic.group._twin_of is None and first.group._twin_of is None
+    assert second.group._twin_of is first.group
+    for klein in (first, second):
+        assert all(getattr(cyclic.group, name) is not getattr(klein.group, name) for name in _SHARED)
+        assert cyclic.table.coefficient_tensor()[1] is not klein.table.coefficient_tensor()[1]
+    assert second.table.coefficient_tensor()[1] is first.table.coefficient_tensor()[1]
+
+
+def test_a_twin_renders_its_own_class_representatives():
+    _, _, (first, second) = _klein_and_cyclic_contexts()
+    assert second.group._twin_of is first.group
+    texts = []
+    for ctx in (second, first):
+        h = ctx.group
+        reps = [c["representative"] for c in ctx.table.to_json()["classes"]]
+        assert reps == [h.element(r).to_text() for r in h.class_reps.tolist()]
+        texts.append(reps)
+    assert texts[0] != texts[1]
+
+
 @pytest.mark.parametrize("gid", ["dihedral8", "sl23", "heisenberg3"])
 def test_context_embedding_invariants(group_of, gid):
     g = group_of(gid)

@@ -435,6 +435,54 @@ def test_table_is_built_once_across_threads(monkeypatch):
     assert len(tables) == 8 and all(t is tables[0] for t in tables)
 
 
+def test_twin_and_first_tables_are_built_once_across_threads(monkeypatch):
+    """Threads reading the tables of two Klein four-groups of D8, the second
+    promoted as the first's twin, build one table: each group keeps one
+    table object, and the twin's wraps the first's tensor."""
+    import sys
+    import threading
+    import time
+
+    from charprod import catalog, chartab
+    from charprod.charops import InducedContext
+    from charprod.structure import normal_lattice
+
+    g = catalog.parse_group(catalog.spec_for("dihedral8").generators)
+    members = [m for m in normal_lattice(g, dixon_table(g)).members if len(m.generators()) == 2 and m.order == 4]
+    first, twin = (InducedContext.build(g, m).group for m in members)
+    assert twin._twin_of is first
+    builds, build = [], chartab._build_table
+
+    def slow_build(group):
+        builds.append(group)
+        time.sleep(0.05)
+        return build(group)
+
+    monkeypatch.setattr(chartab, "_build_table", slow_build)
+    start = threading.Barrier(8)
+    tables = {first: [], twin: []}
+
+    def worker(group):
+        start.wait(timeout=30)
+        tables[group].append(dixon_table(group))
+
+    threads = [threading.Thread(target=worker, args=(h,)) for h in (twin, first) * 4]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [first]
+    for group, seen in tables.items():
+        assert len(seen) == 4 and all(t is seen[0] and t.group is group for t in seen)
+    assert tables[twin][0].coefficient_tensor()[1] is tables[first][0].coefficient_tensor()[1]
+
+
 def test_coefficient_tensor_is_built_once_across_threads(table_of):
     """The tensor a table is made from is its only representation: every
     thread reads that tensor, read-only, and every irreducible's coefficients

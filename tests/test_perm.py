@@ -337,12 +337,14 @@ def test_group_core_matches_permutation_arithmetic(gens, data):
 @given(gens=generator_sets(), data=st.data())
 def test_subgroup_closure_lists_the_elements_in_group_closure_order(gens, data):
     """The subgroup closure of any seed lists its elements as the breadth-first
-    closure of the generators it keeps does, and keeps each generator only
-    when the ones before it do not reach it."""
+    closure of the generators it keeps does, keeps each generator only when
+    the ones before it do not reach it, and gives the products of its elements
+    by those generators as its presentation."""
     g = group_closure(gens)
     seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
-    elements, kept = g._closure_indices(seed)
+    elements, kept, presentation = g._closure_indices(seed)
     assert kept == sorted(kept) and set(kept) <= set(seed)
+    assert np.array_equal(presentation, g.products(elements[:, None], kept).reshape(len(elements), len(kept)))
     generators = [g.element(i) for i in kept] or [Permutation.identity(g.degree)]
     assert [g.element(i) for i in elements.tolist()] == closure_reference(generators)
     assert set(elements.tolist()) == set(g.subgroup(seed).element_indices)
