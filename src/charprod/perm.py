@@ -208,7 +208,7 @@ class Subgroup:
         return len(self.element_indices)
 
     def closure(self):
-        """(generators, read-only breadth-first elements, presentation) of the set's one closure."""
+        """(generators, read-only breadth-first elements, presentation) of the set's one queue closure."""
         if self._closure is None:
             order, gens, table = self.parent._closure_indices(self.element_indices)
             if len(order) != self.order:
@@ -389,35 +389,48 @@ class Group:
         return bool(inside[self.conjugates(indices, np.array(self._gen_indices)[:, None])].all())
 
     def _closure_indices(self, seed):
-        """Subgroup generated by a set of element indices: (its elements, the
-        generators an ascending greedy scan of the seed keeps, its
-        presentation).  Each kept generator re-closes from the identity in
-        ``group_closure``'s order.  The presentation, the last closure's
-        products, is the (elements, generators) table of x_i g_j.  In the
-        subgroup's own indices the kept generators are 1..k, the first level
-        after the identity 0, and every element is a word in them, so the
-        table fixes the whole multiplication on indices.  The table pipeline
-        reads a group only by index arithmetic and ``_gen_indices``, so equal
-        presentations give equal class arrays, orders, inverses, exponent and
-        coefficient tensor."""
-        inside = np.zeros(self.order, dtype=bool)
-        inside[0] = True
-        gens, order, rows = [], np.zeros(1, dtype=np.intp), [np.zeros((1, 0), dtype=np.intp)]
+        """Subgroup generated by a set of element indices: (its elements in
+        ``group_closure``'s order, the generators an ascending greedy scan of
+        the seed keeps, its presentation).
+
+        Each kept generator s gets one column x -> x s over the group, as a
+        list.  The scan keeps s when the closure H so far misses it, then
+        grows H from its frontier only: the coset H s, then each new element
+        times every kept generator (the set reached holds 1 and is closed
+        under the generators, so it is the subgroup).  One FIFO pass from the
+        identity then lists the elements, appending each unseen x g_j in
+        (queue position of x, j) order.  Breadth-first level L+1 is the
+        unseen products x g_j, first occurrences in (position of x in level
+        L, j) order, and the queue takes level L in order, so it lists every
+        level in that order.  The presentation is the (elements, generators)
+        table of x_i g_j.  In the subgroup's own indices the kept generators
+        are 1..k and every element is a word in them, so the table fixes the
+        multiplication on indices; the table pipeline reads a group only by
+        index arithmetic and ``_gen_indices``, so equal presentations give
+        equal class arrays, orders, inverses, exponent and coefficient
+        tensor."""
+        gens, columns, inside = [], [], {0}
         for s in sorted(set(seed)):
-            if inside[s]:
+            if s in inside:
                 continue
             gens.append(int(s))
-            level, levels, rows = order[:1], [order[:1]], []
-            inside[1:] = False
-            while level.size:
-                rows.append(self.products(level[:, None], gens))
-                found = rows[-1].ravel()
-                _, first = np.unique(found, return_index=True)
-                level = found[np.sort(first[~inside[found[first]]])]
-                inside[level] = True
-                levels.append(level)
-            order = np.concatenate(levels)
-        return order, gens, np.concatenate(rows)
+            columns.append(self.locate(self.images[:, self._base_images[s]]).tolist())
+            grown = [columns[-1][x] for x in inside]
+            inside.update(grown)
+            for x in grown:
+                for column in columns:
+                    y = column[x]
+                    if y not in inside:
+                        inside.add(y)
+                        grown.append(y)
+        order, rows, seen = [0], [], {0}
+        for x in order:
+            rows.append([column[x] for column in columns])
+            for y in rows[-1]:
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+        return np.array(order, dtype=np.intp), gens, np.array(rows, dtype=np.intp).reshape(len(order), len(gens))
 
     def subgroup(self, seed):
         """Smallest subgroup containing the seed indices."""
@@ -442,10 +455,10 @@ class Group:
                 for b in self._gen_indices:
                     comms.add(self.mul(self.mul(ia, self.inverses[b]), self.mul(a, b)))
             gens = np.array(self._gen_indices)[:, None]
-            members, extra = np.zeros(0, dtype=np.intp), np.array(sorted(comms), dtype=np.intp)
-            while extra.size:
-                members = self._closure_indices(np.concatenate([members, extra]).tolist())[0]
-                extra = np.setdiff1d(self.conjugates(members, gens), members)
+            kept, extra = [], sorted(comms)
+            while extra:
+                members, kept, _ = self._closure_indices(kept + extra)
+                extra = np.setdiff1d(self.conjugates(members, gens), members).tolist()
             self._derived = Subgroup(self, members)
         return self._derived
 

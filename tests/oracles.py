@@ -15,7 +15,8 @@ splits all of GF(q)^m with no known rows, against which the seeded build is
 checked, ``split_in_index_order`` applies the class matrices, central ones
 included, in class index order to the annihilator of the known rows,
 against which the split from the central characters in class-size order is
-checked, and
+checked, ``level_closure_reference`` closes a subgroup one breadth-first
+level per array call, against which the queue closure is checked, and
 ``promotion_reference`` closes a subgroup's generators afresh, against which
 the promotion from the parent's indices is checked.
 """
@@ -525,6 +526,33 @@ def closure_reference(gens):
                 seen.add(nxt)
                 elements.append(nxt)
     return elements
+
+
+def level_closure_reference(group, seed):
+    """The earlier subgroup closure, kept as the reference for
+    ``Group._closure_indices``: the same greedy scan of the ascending seed,
+    but each kept generator re-closes from the identity one breadth-first
+    level at a time (the products of a level by the generators, first
+    occurrences of the unseen ones in (position, generator) order).  Returns
+    (elements, kept generators, presentation)."""
+    inside = np.zeros(group.order, dtype=bool)
+    inside[0] = True
+    gens, order, rows = [], np.zeros(1, dtype=np.intp), [np.zeros((1, 0), dtype=np.intp)]
+    for s in sorted(set(seed)):
+        if inside[s]:
+            continue
+        gens.append(int(s))
+        level, levels, rows = order[:1], [order[:1]], []
+        inside[1:] = False
+        while level.size:
+            rows.append(group.products(level[:, None], gens))
+            found = rows[-1].ravel()
+            _, first = np.unique(found, return_index=True)
+            level = found[np.sort(first[~inside[found[first]]])]
+            inside[level] = True
+            levels.append(level)
+        order = np.concatenate(levels)
+    return order, gens, np.concatenate(rows)
 
 
 def promotion_reference(parent, subgroup):

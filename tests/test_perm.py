@@ -17,6 +17,7 @@ from charprod.perm import (
     parse_generators,
     parse_permutation,
 )
+from charprod.structure import normal_lattice
 
 from oracles import (
     base_oracle,
@@ -27,6 +28,7 @@ from oracles import (
     conjugacy_oracle,
     generator_sets,
     inverse,
+    level_closure_reference,
     orbit_labels_oracle,
     order,
     power,
@@ -350,6 +352,53 @@ def test_subgroup_closure_lists_the_elements_in_group_closure_order(gens, data):
     assert set(elements.tolist()) == set(g.subgroup(seed).element_indices)
     for i, s in enumerate(kept):
         assert s not in g._closure_indices(kept[:i])[0]
+
+
+def _assert_closure_matches_the_level_reference(g, seed):
+    got, want = g._closure_indices(seed), level_closure_reference(g, seed)
+    assert got[1] == want[1]
+    for array, expected in ((got[0], want[0]), (got[2], want[2])):
+        assert array.dtype == expected.dtype and array.shape == expected.shape
+        assert np.array_equal(array, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gens=generator_sets(), data=st.data())
+def test_queue_closure_equals_the_level_closure(gens, data):
+    """The queue closure returns the elements, kept generators and
+    presentation of the level-by-level closure, array for array, for seeds
+    of up to 12 indices with repeats, the empty seed and the identity."""
+    g = group_closure(gens)
+    seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=12))
+    for s in (seed, [], [0]):
+        _assert_closure_matches_the_level_reference(g, s)
+
+
+def test_queue_closure_grows_the_whole_subgroup_before_the_next_seed_element():
+    """In A4, <(1 2 3)> has order 3 and <(1 2 3), (2 3 4)> is all of A4.  A
+    frontier grown from one element of the coset H s misses (1 2 4), and the
+    scan would keep it as a third generator."""
+    g = group_closure([parse_permutation(t, 4) for t in ("(1 4)(2 3)", "(1 4 3)", "(1 2 3)")])
+    seed = [g.element_index(parse_permutation(t, 4)) for t in ("(1 2 3)", "(2 3 4)", "(1 4 2)", "(1 2 4)")]
+    assert g._closure_indices(seed)[1] == sorted(seed[:2])
+    _assert_closure_matches_the_level_reference(g, seed)
+
+
+@pytest.mark.parametrize("gid", catalog.builtin_ids())
+def test_queue_closure_promotes_every_proper_normal_subgroup_like_the_level_closure(gid, group_of, table_of):
+    """Seeds that are whole subgroups, as in promotion: every proper lattice
+    member of every catalog group, its element indices ascending."""
+    g = group_of(gid)
+    for member in normal_lattice(g, table_of(gid)).members[:-1]:
+        _assert_closure_matches_the_level_reference(g, member.element_indices)
+
+
+def test_queue_closure_promotes_the_order_2187_lattice_like_the_level_closure(product_2187):
+    g, t = product_2187
+    members = normal_lattice(g, t).members
+    assert len(members) == 284
+    for member in members:
+        _assert_closure_matches_the_level_reference(g, member.element_indices)
 
 
 def _prefix_ranks(g, images):
