@@ -26,15 +26,15 @@ print()
 d8 = next(r for r in report.reports if r.group_id == "dihedral8")
 square = next(
     c for c in d8.checks
-    if c.statement == "A" and c.instance == {"chi": 4, "psi": 4}
+    if c["statement"] == "A" and c["instance"] == {"chi": 4, "psi": 4}
 )
-print("D8 (chi_4, chi_4) under statement A:", square.status, square.witness)
+print("D8 (chi_4, chi_4) under statement A:", square["status"], square["witness"])
 
 # SL(2,3) is not a p-group; statement C runs in fixture mode and reports the
 # raw value [chi^2, chi] = 2 for the degree-3 character.
 sl = next(r for r in report.reports if r.group_id == "sl23")
 fixture = next(
     c for c in sl.checks
-    if c.statement == "C" and c.instance == {"part": "i", "chi": 6}
+    if c["statement"] == "C" and c["instance"] == {"part": "i", "chi": 6}
 )
-print("SL(2,3) degree-3 chi under statement C(i):", fixture.witness)
+print("SL(2,3) degree-3 chi under statement C(i):", fixture["witness"])

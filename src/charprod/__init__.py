@@ -59,7 +59,6 @@ from .structure import (
 )
 from .catalog import GroupSpec, builtin, builtin_ids, load_manifest, parse_group
 from .verify import (
-    CheckResult,
     GroupReport,
     MonomialWitness,
     SuiteReport,

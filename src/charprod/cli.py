@@ -103,8 +103,8 @@ def _cmd_verify(args, out):
                 f"hypothesis-not-met {s['hypothesis_not_met']}, skipped {s['skipped']}"
             )
             for c in group_report.failures:
-                yield (f"  FAIL {c.statement} {json.dumps(c.instance, sort_keys=True)} "
-                       f"{json.dumps(c.witness, sort_keys=True)}")
+                yield (f"  FAIL {c['statement']} {json.dumps(c['instance'], sort_keys=True)} "
+                       f"{json.dumps(c.get('witness'), sort_keys=True)}")
         total = report.summary
         yield (
             f"total: pass {total['pass']}, fail {total['fail']}, "

@@ -12,16 +12,19 @@ Statements A and B decide all pairs of a table at once: class sets become
 0/1 masks over the classes, and a containment or equality of sets over all
 pairs is one exact integer product of masks, whose entries count the classes
 where the sets differ, so they are zero exactly when the sets contain or
-agree.  Statement C searches a witness only for a nonlinear chi: a linear
-chi is its own witness on G, since induction from G to G is the identity and
-the square of a linear irreducible is a linear irreducible, so its row is
-found by one key lookup.
+agree.  The product tensor is formed for the pairs chi <= psi only, as
+chi psi = psi chi, and each pair's record is made once, as the dict the
+report writes.  Statement C searches a witness only for a nonlinear chi: a
+linear chi is its own witness on G, since induction from G to G is the
+identity and the square of a linear irreducible is a linear irreducible, so
+the rows of all their squares are read off once per table.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,7 +44,7 @@ from .charops import (
     stabilizer_and_orbit,
 )
 from .chartab import dixon_table, quotient_table
-from .cyclotomic import conjugate, embed, factorize, fits, matmul_exact, multiply, value_json
+from .cyclotomic import _reduction_matrix, embed, factorize, fits, matmul_exact, value_json
 from .errors import (
     CharprodError,
     GroupMismatch,
@@ -62,20 +65,6 @@ SKIPPED = "skipped"
 
 
 @dataclass
-class CheckResult:
-    statement: str
-    instance: dict
-    status: str
-    witness: dict | None = None
-
-    def to_json(self):
-        out = {"statement": self.statement, "instance": self.instance, "status": self.status}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-@dataclass
 class GroupReport:
     group_id: str
     order: int
@@ -84,24 +73,18 @@ class GroupReport:
 
     @property
     def summary(self):
-        counts = {PASS: 0, FAIL: 0, HYPOTHESIS: 0, SKIPPED: 0}
-        for c in self.checks:
-            counts[c.status] += 1
-        return {
-            "pass": counts[PASS],
-            "fail": counts[FAIL],
-            "hypothesis_not_met": counts[HYPOTHESIS],
-            "skipped": counts[SKIPPED],
-        }
+        counts = Counter(c["status"] for c in self.checks)
+        return {"pass": counts[PASS], "fail": counts[FAIL], "hypothesis_not_met": counts[HYPOTHESIS],
+                "skipped": counts[SKIPPED]}
 
     @property
     def failures(self):
-        return [c for c in self.checks if c.status == FAIL]
+        return [c for c in self.checks if c["status"] == FAIL]
 
     def to_json(self):
         return {
             "group": {"id": self.group_id, "order": self.order, "p": self.prime},
-            "checks": [c.to_json() for c in self.checks],
+            "checks": self.checks,
             "summary": self.summary,
         }
 
@@ -180,27 +163,31 @@ class GroupSession:
     @property
     def products(self):
         """a[i, j, t] = multiplicity of irreducible t in the product of
-        irreducibles i and j; exact by the bound argument."""
+        irreducibles i and j; exact by the bound argument.  As chi psi =
+        psi chi, a[i, j] = a[j, i]: one exact product makes the rows of the
+        pairs i <= j, written at (i, j) and (j, i) of the tensor and eta, and
+        the bound, the degree identity and the principal constituent of
+        chi conj(chi) are checked on those rows, so on every pair."""
         if self._products is None:
-            v = self.mod.values
-            q = self.q
-            w = self.group.class_sizes
+            v, q = self.mod.values, self.q
             n_irr, m = v.shape
             fits(m * (q - 1) ** 2)
-            pv = v[:, None, :] * v[None, :, :] % q * w[None, None, :] % q
-            flat = pv.reshape(n_irr * n_irr, m)
-            a = matmul_exact(flat, self.mod.conj_values.T) % q * inv_mod(self.group.order, q) % q
-            a = a.reshape(n_irr, n_irr, n_irr)
-            if int(a.max()) > self.bound:
+            pi, pj = np.triu_indices(n_irr)
+            pv = v[pi] * v[pj] % q * self.group.class_sizes % q
+            rows = matmul_exact(pv, self.mod.conj_values.T) % q * inv_mod(self.group.order, q) % q
+            if int(rows.max()) > self.bound:
                 raise CharprodError("product multiplicity exceeded its a-priori bound")
             degs = self.mod.degrees
-            if not np.array_equal(matmul_exact(a, degs), np.outer(degs, degs)):
+            if not np.array_equal(matmul_exact(rows, degs), degs[pi] * degs[pj]):
                 raise CharprodError("product decompositions fail the degree identity")
+            a = np.empty((n_irr, n_irr, n_irr), dtype=np.int64)
+            a[pi, pj] = a[pj, pi] = rows
             conj = [self.table.conjugate_index(i) for i in range(n_irr)]
-            if any(int(a[i, conj[i], 0]) != 1 for i in range(n_irr)):
+            if (a[np.arange(n_irr), conj, 0] != 1).any():
                 raise CharprodError("principal character missing from chi * conj(chi)")
-            self._products = a
-            self._eta = (a > 0).sum(axis=2)
+            eta = np.empty((n_irr, n_irr), dtype=np.int64)
+            eta[pi, pj] = eta[pj, pi] = (rows > 0).sum(axis=1)
+            self._products, self._eta = a, eta
         return self._products
 
     @property
@@ -211,13 +198,14 @@ class GroupSession:
     # class-set data ----------------------------------------------------
 
     def _value_sets(self):
-        """Per irreducible: the classes where |chi|^2 = chi(1)^2, and the
-        classes where chi does not vanish."""
+        """Per irreducible: the classes where |chi| = chi(1), and the classes
+        where chi does not vanish.  |chi(g)| = chi(1) exactly when the chi(1)
+        eigenvalues of g, powers of zeta as g^e = 1, all agree, so when
+        chi(g) = chi(1) zeta^k: an exact division and ``_root_exponents``."""
         if self._zsets is None:
             order, tensor = self.table.coefficient_tensor()
-            norms = multiply(tensor, conjugate(tensor, order), order)
-            dsq = self.mod.degrees ** 2
-            on_center = (norms[:, :, 0] == dsq[:, None]) & ~norms[:, :, 1:].any(axis=2)
+            degs = self.mod.degrees[:, None, None]
+            on_center = (tensor % degs == 0).all(axis=2) & (_root_exponents(tensor // degs, order) >= 0)
             supported = tensor.any(axis=2)
             self._zsets = [frozenset(np.flatnonzero(row).tolist()) for row in on_center]
             self._supports = [frozenset(np.flatnonzero(row).tolist()) for row in supported]
@@ -305,13 +293,12 @@ class GroupSession:
 # -- statement checks ----------------------------------------------------------
 
 
-def _not_p_group_record(statement):
-    return CheckResult(
-        statement,
-        {"scope": "group"},
-        HYPOTHESIS,
-        {"reason": "group order is not a prime power"},
-    )
+def _record(statement, instance, status, witness=None):
+    """One check as the report writes it: the witness only when there is one."""
+    out = {"statement": statement, "instance": instance, "status": status}
+    if witness is not None:
+        out["witness"] = witness
+    return out
 
 
 def _require_p_group(session, statement):
@@ -323,19 +310,18 @@ def _pair_checks(statement, session, verdicts):
     """One record per ordered pair (chi, psi): a skipped duplicate when
     chi > psi, hypothesis-not-met when eta(chi psi) >= p, else a pass or, when
     ``verdicts`` holds a witness for (chi, psi), a failure."""
+    p = session.p
     checks = []
-    eta = session.eta
-    n = len(eta)
-    for i in range(n):
-        for j in range(n):
-            instance = {"chi": i, "psi": j}
-            if i > j:
-                checks.append(CheckResult(statement, instance, SKIPPED, {"duplicate_of": [j, i]}))
-            elif eta[i, j] >= session.p:
-                checks.append(CheckResult(statement, instance, HYPOTHESIS, {"eta": int(eta[i, j])}))
-            else:
-                bad = verdicts.get((i, j))
-                checks.append(CheckResult(statement, instance, PASS if bad is None else FAIL, bad))
+    for i, row in enumerate(session.eta.tolist()):
+        checks.extend({"statement": statement, "instance": {"chi": i, "psi": j}, "status": SKIPPED,
+                       "witness": {"duplicate_of": [j, i]}} for j in range(i))
+        for j in range(i, len(row)):
+            record = {"statement": statement, "instance": {"chi": i, "psi": j}, "status": PASS}
+            if row[j] >= p:
+                record["status"], record["witness"] = HYPOTHESIS, {"eta": row[j]}
+            elif (i, j) in verdicts:
+                record["status"], record["witness"] = FAIL, verdicts[i, j]
+            checks.append(record)
     return checks
 
 
@@ -466,10 +452,13 @@ def check_theorem_C(group, group_id="group", session=None):
     a = session.products
     eta = session.eta
     table = session.table
-    n = table.size
     linear = list(table.linear_indices())
     fixture = p is None
-    for i in range(n):
+
+    def record(part, i, status, witness=None):
+        checks.append(_record("C", {"part": part, "chi": i}, status, witness))
+
+    for i in range(table.size):
         self_mult = int(a[i, i, i])
         lin_vals = {int(l): int(a[i, i, l]) for l in linear}
         eta_sq = int(eta[i, i])
@@ -477,51 +466,37 @@ def check_theorem_C(group, group_id="group", session=None):
         has_deg = any(table.degrees[int(t)] == deg for t in np.nonzero(a[i, i])[0])
 
         if fixture:
-            checks.append(CheckResult("C", {"part": "i", "chi": i}, HYPOTHESIS,
-                                      {"fixture": True, "inner_chi2_chi": self_mult}))
-            checks.append(CheckResult("C", {"part": "ii", "chi": i}, HYPOTHESIS,
-                                      {"fixture": True, "linear_multiplicities": lin_vals}))
-            checks.append(CheckResult("C", {"part": "iii", "chi": i}, HYPOTHESIS,
-                                      {"fixture": True, "eta_chi2": eta_sq,
-                                       "has_degree_constituent": has_deg}))
+            record("i", i, HYPOTHESIS, {"fixture": True, "inner_chi2_chi": self_mult})
+            record("ii", i, HYPOTHESIS, {"fixture": True, "linear_multiplicities": lin_vals})
+            record("iii", i, HYPOTHESIS, {"fixture": True, "eta_chi2": eta_sq, "has_degree_constituent": has_deg})
             continue
 
         if i == 0:
-            checks.append(CheckResult("C", {"part": "i", "chi": i}, HYPOTHESIS,
-                                      {"reason": "chi is the principal character"}))
+            record("i", i, HYPOTHESIS, {"reason": "chi is the principal character"})
         elif self_mult == 0:
-            checks.append(CheckResult("C", {"part": "i", "chi": i}, PASS))
+            record("i", i, PASS)
         else:
-            checks.append(CheckResult("C", {"part": "i", "chi": i}, FAIL,
-                                      {"inner_chi2_chi": self_mult}))
+            record("i", i, FAIL, {"inner_chi2_chi": self_mult})
 
         if p == 2 or deg == 1:
-            checks.append(CheckResult("C", {"part": "ii", "chi": i}, HYPOTHESIS,
-                                      {"reason": "requires odd p and chi(1) > 1"}))
+            record("ii", i, HYPOTHESIS, {"reason": "requires odd p and chi(1) > 1"})
         elif all(v == 0 for v in lin_vals.values()):
-            checks.append(CheckResult("C", {"part": "ii", "chi": i}, PASS))
+            record("ii", i, PASS)
         else:
-            checks.append(CheckResult("C", {"part": "ii", "chi": i}, FAIL,
-                                      {"linear_multiplicities": lin_vals}))
+            record("ii", i, FAIL, {"linear_multiplicities": lin_vals})
 
         if p == 2 and eta_sq >= p:
-            checks.append(CheckResult("C", {"part": "iii", "chi": i}, HYPOTHESIS,
-                                      {"reason": "p = 2 and eta(chi^2) >= 2", "eta_chi2": eta_sq}))
+            record("iii", i, HYPOTHESIS, {"reason": "p = 2 and eta(chi^2) >= 2", "eta_chi2": eta_sq})
             continue
         try:
-            witness = monomial_witness_search(group, i, table=table, _eta_sq=eta_sq,
-                                              _quotients=session._quotients)
-            if has_deg:
-                checks.append(CheckResult("C", {"part": "iii", "chi": i}, PASS,
-                                          witness.to_json()))
-            else:
-                checks.append(CheckResult("C", {"part": "iii", "chi": i}, FAIL,
-                                          {"reason": "no constituent of degree chi(1)",
-                                           "eta_chi2": eta_sq}))
+            witness = monomial_witness_search(group, i, table=table, _eta_sq=eta_sq, _quotients=session._quotients)
         except SearchExhausted as exc:
-            checks.append(CheckResult("C", {"part": "iii", "chi": i}, FAIL,
-                                      {"reason": "monomial witness search exhausted",
-                                       "trail": exc.trail}))
+            record("iii", i, FAIL, {"reason": "monomial witness search exhausted", "trail": exc.trail})
+            continue
+        if has_deg:
+            record("iii", i, PASS, witness.to_json())
+        else:
+            record("iii", i, FAIL, {"reason": "no constituent of degree chi(1)", "eta_chi2": eta_sq})
     return checks
 
 
@@ -532,14 +507,9 @@ def check_lemma_counting(group, group_id="group", session=None):
     checks = []
     p = session.p
     for data in session.normal_data:
-        counts = data["col_support"]
-        for k in range(counts.shape[0]):
-            count = int(counts[k])
+        for k, count in enumerate(data["col_support"].tolist()):
             instance = {"normal": data["index"], "normal_order": data["member"].order, "phi": k}
-            if count == 1 or count >= p:
-                checks.append(CheckResult("lemma", instance, PASS, {"count": count}))
-            else:
-                checks.append(CheckResult("lemma", instance, FAIL, {"count": count}))
+            checks.append(_record("lemma", instance, PASS if count == 1 or count >= p else FAIL, {"count": count}))
     return checks
 
 
@@ -555,22 +525,20 @@ def check_eta_bound(group, group_id="group", session=None):
     for i, deg in enumerate(table.degrees):
         instance = {"chi": i}
         if deg == 1:
-            checks.append(CheckResult("bound", instance, SKIPPED, {"reason": "chi is linear"}))
+            checks.append(_record("bound", instance, SKIPPED, {"reason": "chi is linear"}))
             continue
         n_exp = dict(factorize(deg)).get(p, 0)
         if p**n_exp != deg:
-            checks.append(CheckResult("bound", instance, FAIL,
-                                      {"reason": "degree is not a power of p", "degree": deg}))
+            checks.append(_record("bound", instance, FAIL,
+                                  {"reason": "degree is not a power of p", "degree": deg}))
             continue
         jbar = table.conjugate_index(i)
         value = int(eta[i, jbar])
         principal_mult = int(a[i, jbar, 0])
         required = 2 * n_exp * (p - 1) + 1
         witness = {"eta": value, "required": required, "principal_multiplicity": principal_mult}
-        if principal_mult == 1 and value >= required:
-            checks.append(CheckResult("bound", instance, PASS, witness))
-        else:
-            checks.append(CheckResult("bound", instance, FAIL, witness))
+        holds = principal_mult == 1 and value >= required
+        checks.append(_record("bound", instance, PASS if holds else FAIL, witness))
     return checks
 
 
@@ -710,12 +678,13 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None, _quotients=Non
     (alpha^2)^G irreducible, found by the Clifford descent with backtracking.
 
     A linear chi is its own witness (G, chi) with an empty chain, and the one
-    thing to find is the row of its square, by exact key lookup of chi * chi:
-    induction from G to G is the identity, so alpha^G = chi, and on a
-    finished table (one row per class, exact orthogonality) the square of a
-    linear irreducible is linear, so irreducible, and a row.  A table on
-    which it is not a row ends the search as a failed check would.  G's
-    generator texts and the table's value texts are made once per table.
+    thing to find is the row of its square: induction from G to G is the
+    identity, so alpha^G = chi, and on a finished table (one row per class,
+    exact orthogonality) the square of a linear irreducible is linear, so
+    irreducible, and a row.  A table on which it is not a row ends the
+    search as a failed check would.  The squares of all linear chi, G's
+    generator texts and the table's value texts are made once per table
+    (``_whole_group_witnesses``).
     ``_quotients`` is a memo of quotients by kernel that a caller keeps across
     its searches (``check_theorem_C`` keeps one per session); without it the
     search keeps its own, which ends with it."""
@@ -744,10 +713,10 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None, _quotients=Non
             raise HypothesisNotMet(f"p = 2 and eta(chi^2) = {_eta_sq} >= 2")
 
     if table.degrees[chi_index] == 1:
-        square_idx = table.index_of(chi_cf * chi_cf)
+        generators, values, squares = _whole_group_witnesses(group, table)
+        square_idx = squares[chi_index]
         if square_idx is None:
             raise SearchExhausted("a linear character failed verification")
-        generators, values = _whole_group_texts(group, table)
         return MonomialWitness(
             chi_index=chi_index,
             subgroup_order=group.order,
@@ -771,21 +740,51 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None, _quotients=Non
     )
 
 
-_WHOLE_GROUP_TEXTS = weakref.WeakKeyDictionary()
+_WHOLE_GROUP_WITNESSES = weakref.WeakKeyDictionary()
 
 
-def _whole_group_texts(group, table):
+def _whole_group_witnesses(group, table):
     """(text of each generator of G as a subgroup of itself, ``value_json``
-    of every value of the table as nested lists), made once per table: the
-    subgroup and alpha texts of the witnesses (G, chi) of its linear chi."""
-    texts = _WHOLE_GROUP_TEXTS.get(table)
-    if texts is None:
+    of every value of the table as nested lists, {chi: row of chi^2, or None
+    when it is not a row} over the linear chi), made once per table: what
+    the witnesses (G, chi) of its linear chi are made of."""
+    memo = _WHOLE_GROUP_WITNESSES.get(table)
+    if memo is None:
         sub = InducedContext.build(group, group.full_subgroup()).subgroup
-        texts = _WHOLE_GROUP_TEXTS[table] = (
+        memo = _WHOLE_GROUP_WITNESSES[table] = (
             [group.element(g).to_text() for g in sub.generators()],
             table._value_texts(value_json),
+            _linear_squares(table),
         )
-    return texts
+    return memo
+
+
+def _linear_squares(table):
+    """{chi: row of chi^2, or None} over the linear chi of a table.  A value
+    of a linear chi is a root of unity zeta^k at the table's order e, row k
+    of ``_reduction_matrix(e, e)``, and its square is row 2k mod e, so each
+    square is one gather and one key lookup.  A row with a value that is no
+    root of unity, which no finished table has, is squared exactly."""
+    order, tensor = table.coefficient_tensor()
+    linear = list(table.linear_indices())
+    rows = tensor[linear]
+    k = _root_exponents(rows, order)
+    keys = table._keys(_reduction_matrix(order, order)[2 * k % order])
+    for r in np.flatnonzero((k < 0).any(axis=1)).tolist():
+        chi = ClassFunction.from_coefficients(table.group, order, rows[r])
+        keys[r] = (chi * chi).value_key()
+    return {chi: table._lookup().get(key) for chi, key in zip(linear, keys)}
+
+
+def _root_exponents(values, order):
+    """Per value (last axis: its coefficients at ``order``), the k with
+    value = zeta^k, or -1 when it is no power of zeta: an exact match of its
+    coefficient bytes against those of the rows of
+    ``_reduction_matrix(order, order)``, one dict lookup per value."""
+    exponent_of = {row.tobytes(): k for k, row in enumerate(_reduction_matrix(order, order))}
+    flat = np.ascontiguousarray(values, dtype=np.int64).reshape(-1, values.shape[-1])
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
+    return np.array([exponent_of.get(key, -1) for key in keys], dtype=np.int64).reshape(values.shape[:-1])
 
 
 # -- suite orchestration ---------------------------------------------------------
@@ -807,7 +806,8 @@ def _run_group(group_id, group, statements):
         if statement not in statements:
             continue
         if session.p is None and statement != "C":
-            report.checks.append(_not_p_group_record(statement))
+            report.checks.append(_record(statement, {"scope": "group"}, HYPOTHESIS,
+                                         {"reason": "group order is not a prime power"}))
             continue
         report.checks.extend(_CHECKERS[statement](group, group_id, session=session))
     return report

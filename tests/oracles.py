@@ -18,7 +18,13 @@ against which the split from the central characters in class-size order is
 checked, ``level_closure_reference`` closes a subgroup one breadth-first
 level per array call, against which the queue closure is checked, and
 ``promotion_reference`` closes a subgroup's generators afresh, against which
-the promotion from the parent's indices is checked.
+the promotion from the parent's indices is checked.  ``products_reference``
+forms the product of every ordered pair of irreducibles, against which the
+product over the pairs chi <= psi is checked, ``center_sets_reference``
+takes Z(chi) from exact norms, against which the reading of chi(g) as
+chi(1) times a root of unity is checked, and ``pair_records_reference``
+writes statement A's and B's records one ordered pair at a time, as
+record objects were once made and then written as dicts.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from charprod.chartab import (
 from charprod.cyclotomic import (
     Cyclotomic,
     _poly_mul,
+    conjugate,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -49,8 +56,9 @@ from charprod.cyclotomic import (
     fits,
     gram,
     matmul_exact,
+    multiply,
 )
-from charprod.errors import EigensplitStall
+from charprod.errors import CharprodError, EigensplitStall
 from charprod.modular import (
     charpoly_mod,
     find_prime,
@@ -757,6 +765,60 @@ def normal_powerset_oracle(group):
         if all(mul[a][b] in members for a in members for b in members):
             out.add(frozenset(classes))
     return out
+
+
+# -- the product tensor and the pair records, one ordered pair at a time ------------
+
+
+def products_reference(session):
+    """(a, eta) as ``GroupSession.products`` made them from every ordered
+    pair: a[i, j, t] the multiplicity of irreducible t in chi_i chi_j, from
+    the session's modular table, with the bound, the degree identity and
+    the principal constituent of chi conj(chi) checked on all n^2 rows, in
+    that order, raising the engine's CharprodError."""
+    v, q = session.mod.values, session.q
+    n, m = v.shape
+    pv = v[:, None, :] * v[None, :, :] % q * session.group.class_sizes[None, None, :] % q
+    flat = matmul_exact(pv.reshape(n * n, m), session.mod.conj_values.T)
+    a = (flat % q * inv_mod(session.group.order, q) % q).reshape(n, n, n)
+    if int(a.max()) > session.bound:
+        raise CharprodError("product multiplicity exceeded its a-priori bound")
+    degs = session.mod.degrees
+    if not np.array_equal(matmul_exact(a, degs), np.outer(degs, degs)):
+        raise CharprodError("product decompositions fail the degree identity")
+    if any(int(a[i, session.table.conjugate_index(i), 0]) != 1 for i in range(n)):
+        raise CharprodError("principal character missing from chi * conj(chi)")
+    return a, (a > 0).sum(axis=2)
+
+
+def center_sets_reference(table):
+    """Per irreducible, the classes where |chi(g)|^2 = chi(1)^2, by the
+    exact norm chi(g) conj(chi(g)) of every value."""
+    order, tensor = table.coefficient_tensor()
+    norms = multiply(tensor, conjugate(tensor, order), order)
+    on_center = (norms[:, :, 0] == (np.array(table.degrees) ** 2)[:, None]) & ~norms[:, :, 1:].any(axis=2)
+    return [frozenset(np.flatnonzero(row).tolist()) for row in on_center]
+
+
+def pair_records_reference(statement, session, verdicts):
+    """Statement A's or B's records one ordered pair (chi, psi) at a time: a
+    skipped duplicate when chi > psi, hypothesis-not-met when eta(chi psi)
+    >= p, else a pass, or a failure with the witness ``verdicts`` holds."""
+    eta = session.eta
+    records = []
+    for i in range(len(eta)):
+        for j in range(len(eta)):
+            record = {"statement": statement, "instance": {"chi": i, "psi": j}}
+            if i > j:
+                record.update(status="skipped", witness={"duplicate_of": [j, i]})
+            elif eta[i, j] >= session.p:
+                record.update(status="hypothesis-not-met", witness={"eta": int(eta[i, j])})
+            elif verdicts.get((i, j)) is None:
+                record.update(status="pass")
+            else:
+                record.update(status="fail", witness=verdicts[i, j])
+            records.append(record)
+    return records
 
 
 # -- statement A, one pair at a time -----------------------------------------------

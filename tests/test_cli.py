@@ -75,6 +75,22 @@ def test_verify_json_round_trip(capsys):
     assert payload["groups"][0]["summary"]["fail"] == 0
 
 
+def test_verify_prints_each_failure(capsys, monkeypatch):
+    """A failed check's record is printed with its instance and witness, and
+    the run exits 1."""
+    from charprod import verify
+
+    record = {"statement": "bound", "instance": {"chi": 4}, "status": "fail", "witness": {"required": 3, "eta": 1}}
+    monkeypatch.setitem(verify._CHECKERS, "bound", lambda *args, **kwargs: [record])
+    code, out, _ = run_cli(["verify", "dihedral8", "--statements", "bound"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "dihedral8: pass 0, fail 1, hypothesis-not-met 0, skipped 0",
+        '  FAIL bound {"chi": 4} {"eta": 1, "required": 3}',
+        "total: pass 0, fail 1, hypothesis-not-met 0, skipped 0",
+    ]
+
+
 def test_verify_unknown_statement(capsys):
     code, _, err = run_cli(["verify", "dihedral8", "--statements", "Z"], capsys)
     assert code == 2 and "unknown statements" in err

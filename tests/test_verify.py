@@ -1,14 +1,23 @@
 import json
+import re
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import generator_sets, theorem_A_reference, theorem_B_reference
+from oracles import (
+    center_sets_reference,
+    generator_sets,
+    pair_records_reference,
+    products_reference,
+    theorem_A_reference,
+    theorem_B_reference,
+)
 
 from charprod import catalog, verify
-from charprod.charops import InducedContext, decompose, induce, inner_product, kernel_of, restrict
+from charprod.charops import ClassFunction, InducedContext, decompose, induce, inner_product, kernel_of, restrict
 from charprod.chartab import CharacterTable, dixon_table
 from charprod.errors import CharprodError, HypothesisNotMet, NotAPGroup, SearchExhausted
 from charprod.perm import group_closure, parse_generators
@@ -25,37 +34,37 @@ from charprod.verify import (
 
 
 def by_instance(checks):
-    return {(c.statement, tuple(sorted(c.instance.items()))): c for c in checks}
+    return {(c["statement"], tuple(sorted(c["instance"].items()))): c for c in checks}
 
 
 def test_abelian_theorem_A_all_pass(group_of):
     checks = check_theorem_A(group_of("elemab_3_2"), "elemab_3_2")
-    active = [c for c in checks if c.status not in ("skipped",)]
-    assert active and all(c.status == "pass" for c in active)
+    active = [c for c in checks if c["status"] not in ("skipped",)]
+    assert active and all(c["status"] == "pass" for c in active)
 
 
 def test_theorem_A_d8_square_hypothesis(group_of, table_of):
     checks = check_theorem_A(group_of("dihedral8"), "dihedral8")
     lookup = by_instance(checks)
     square = lookup[("A", (("chi", 4), ("psi", 4)))]
-    assert square.status == "hypothesis-not-met"
-    assert square.witness == {"eta": 4}
+    assert square["status"] == "hypothesis-not-met"
+    assert square["witness"] == {"eta": 4}
 
 
 def test_theorem_A_skips_symmetric_duplicates(group_of):
     checks = check_theorem_A(group_of("dihedral8"), "dihedral8")
     lookup = by_instance(checks)
     skipped = lookup[("A", (("chi", 3), ("psi", 1)))]
-    assert skipped.status == "skipped"
-    assert skipped.witness == {"duplicate_of": [1, 3]}
+    assert skipped["status"] == "skipped"
+    assert skipped["witness"] == {"duplicate_of": [1, 3]}
     n = 5
-    assert sum(1 for c in checks if c.status == "skipped") == n * (n - 1) // 2
+    assert sum(1 for c in checks if c["status"] == "skipped") == n * (n - 1) // 2
 
 
 def test_theorem_A_heisenberg_pass(group_of):
     checks = check_theorem_A(group_of("heisenberg3"), "heisenberg3")
-    assert not [c for c in checks if c.status == "fail"]
-    active = [c for c in checks if c.status == "pass"]
+    assert not [c for c in checks if c["status"] == "fail"]
+    active = [c for c in checks if c["status"] == "pass"]
     assert len(active) == 65
 
 
@@ -66,13 +75,13 @@ def test_theorem_A_rejects_non_p_group(group_of):
     report = run_suite(["sl23"], ("A", "B", "lemma", "bound"))
     checks = report.reports[0].checks
     assert len(checks) == 4
-    assert all(c.status == "hypothesis-not-met" for c in checks)
+    assert all(c["status"] == "hypothesis-not-met" for c in checks)
 
 
 def test_theorem_B_passes(group_of):
     for gid in ("dihedral8", "heisenberg3", "modular16"):
         checks = check_theorem_B(group_of(gid), gid)
-        assert not [c for c in checks if c.status == "fail"]
+        assert not [c for c in checks if c["status"] == "fail"]
 
 
 def test_theorem_B_contrast_fixture(group_of, table_of):
@@ -109,7 +118,7 @@ def test_theorem_A_reports_a_corrupted_center(group_of):
     session._zsets[9] = frozenset({0})
     checks = check_theorem_A(g, gid, session=session)
     assert len(checks) == 121
-    assert [c.to_json() for c in checks if c.status == "fail"] == [
+    assert [c for c in checks if c["status"] == "fail"] == [
         {"statement": "A", "instance": {"chi": 9, "psi": 9}, "status": "fail",
          "witness": {"theta": 10, "reason": "Z(chi psi) != Z(theta)", "z_product_classes": [0],
                      "z_theta_classes": [0, 9, 10], "eta": 1}},
@@ -120,9 +129,8 @@ def test_theorem_A_reports_a_corrupted_center(group_of):
 
 
 def _theorem_A_matches_the_reference(session):
-    got = [c.to_json() for c in check_theorem_A(None, "stub", session=session)]
-    expected = [c.to_json() for c in verify._pair_checks("A", session, theorem_A_reference(session))]
-    assert got == expected
+    got = check_theorem_A(None, "stub", session=session)
+    assert got == pair_records_reference("A", session, theorem_A_reference(session))
     return got
 
 
@@ -214,7 +222,7 @@ def test_theorem_B_reports_a_corrupted_induction_count(group_of):
     assert len(checks) == 121
     witness = {"normal": 1, "normal_order": 3, "gamma": 1, "eta_gamma_induced": 2}
     pairs = [(i, 9) for i in range(9)] + [(10, 10)]
-    assert [c.to_json() for c in checks if c.status == "fail"] == [
+    assert [c for c in checks if c["status"] == "fail"] == [
         {"statement": "B", "instance": {"chi": i, "psi": j}, "status": "fail", "witness": witness}
         for i, j in pairs
     ]
@@ -262,10 +270,8 @@ def statement_B_sessions(draw):
 def test_theorem_B_matches_the_per_normal_reference(session):
     """The one-product decision gives the records of the loop over normal
     subgroups with both of its verdict branches, failures included."""
-    verdicts = theorem_B_reference(session)
-    expected = verify._pair_checks("B", session, verdicts)
-    got = check_theorem_B(None, "stub", session=session)
-    assert [c.to_json() for c in got] == [c.to_json() for c in expected]
+    expected = pair_records_reference("B", session, theorem_B_reference(session))
+    assert check_theorem_B(None, "stub", session=session) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -286,32 +292,116 @@ def test_the_outside_branch_adds_no_pair(data, n, m, pairs):
     assert not (outside & ~failed).any()
 
 
+@settings(max_examples=200, deadline=None)
+@given(statement=st.sampled_from(["A", "B"]), data=st.data())
+def test_pair_records_match_the_per_pair_loop(statement, data):
+    """On a drawn stand-in session of either statement and drawn failing
+    pairs in its hypothesis, the records are the per-pair loop's, with the
+    same JSON bytes (so no numpy integer leaks into a record), and the
+    report counts and lists them as the loop's records."""
+    session = data.draw(statement_A_sessions() if statement == "A" else statement_B_sessions())
+    n = len(session.eta)
+    pairs = [(i, j) for i in range(n) for j in range(i, n) if session.eta[i, j] < session.p]
+    failing = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    verdicts = {pair: {"reason": "drawn", "eta": int(session.eta[pair])} for pair in failing}
+    got = verify._pair_checks(statement, session, verdicts)
+    expected = pair_records_reference(statement, session, verdicts)
+    assert json.dumps(got) == json.dumps(expected)
+    report = verify.GroupReport("stub", 1, session.p, got)
+    counts = Counter(r["status"] for r in expected)
+    assert counts["fail"] == len(failing)
+    assert report.summary == {"pass": counts["pass"], "fail": counts["fail"],
+                              "hypothesis_not_met": counts["hypothesis-not-met"], "skipped": counts["skipped"]}
+    assert report.failures == [r for r in expected if r["status"] == "fail"]
+    assert report.to_json()["checks"] == expected
+
+
+def _session_matches_the_references(session):
+    """The products and eta of the ordered-pair formula, and Z(chi) by
+    exact norms."""
+    a, eta = products_reference(session)
+    assert np.array_equal(session.products, a) and np.array_equal(session.eta, eta)
+    assert session.products.dtype == session.eta.dtype == np.int64
+    assert session.zsets == center_sets_reference(session.table)
+
+
+def test_products_and_centers_match_the_references_on_the_catalog(group_of):
+    for gid in catalog.builtin_ids():
+        _session_matches_the_references(GroupSession(group_of(gid), gid))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=generator_sets())
+def test_products_and_centers_match_the_references_on_random_groups(gens):
+    _session_matches_the_references(GroupSession(group_closure(gens), "random"))
+
+
+@st.composite
+def product_sessions(draw):
+    """A stand-in session with what ``GroupSession.products`` reads: a drawn
+    modular table (values, conjugate values and degrees below a small prime
+    q), class sizes, a group order prime to q, a bound and a conjugation
+    map.  Most draws fail a check, so each check's refusal is exercised,
+    on single irreducibles and on pairs."""
+    q = draw(st.sampled_from([5, 7, 11]))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    below_q = st.integers(0, q - 1)
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(below_q, min_size=size, max_size=size)), dtype=np.int64).reshape(shape)
+
+    conj = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return SimpleNamespace(
+        q=q, bound=draw(st.one_of(st.just(q), st.integers(0, q))), _products=None, _eta=None,
+        mod=SimpleNamespace(values=array(n, m), conj_values=array(n, m), degrees=array(n)),
+        group=SimpleNamespace(class_sizes=array(m), order=draw(st.integers(1, q - 1))),
+        table=SimpleNamespace(conjugate_index=conj.__getitem__),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(session=product_sessions())
+def test_products_decide_as_the_ordered_pair_formula(session):
+    """Any modular table gives the formula's tensor and eta, or the same
+    refusal: the checks on the rows chi <= psi refuse what the checks on
+    every ordered pair refuse."""
+    try:
+        expected = products_reference(session)
+    except CharprodError as exc:
+        with pytest.raises(CharprodError, match=re.escape(str(exc))):
+            GroupSession.products.fget(session)
+        return
+    a = GroupSession.products.fget(session)
+    assert np.array_equal(a, expected[0]) and np.array_equal(session._eta, expected[1])
+
+
 def test_theorem_C_counterexample_fixtures(group_of):
     sl_checks = check_theorem_C(group_of("sl23"), "sl23")
     lookup = by_instance(sl_checks)
     part_i = lookup[("C", (("chi", 6), ("part", "i")))]
-    assert part_i.status == "hypothesis-not-met"
-    assert part_i.witness["fixture"] and part_i.witness["inner_chi2_chi"] == 2
+    assert part_i["status"] == "hypothesis-not-met"
+    assert part_i["witness"]["fixture"] and part_i["witness"]["inner_chi2_chi"] == 2
 
     d8_checks = check_theorem_C(group_of("dihedral8"), "dihedral8")
     lookup = by_instance(d8_checks)
     part_ii = lookup[("C", (("chi", 4), ("part", "ii")))]
     part_iii = lookup[("C", (("chi", 4), ("part", "iii")))]
-    assert part_ii.status == "hypothesis-not-met"
-    assert part_iii.status == "hypothesis-not-met"
-    assert part_iii.witness["eta_chi2"] == 4
+    assert part_ii["status"] == "hypothesis-not-met"
+    assert part_iii["status"] == "hypothesis-not-met"
+    assert part_iii["witness"]["eta_chi2"] == 4
 
 
 def test_theorem_C_abelian(group_of):
     checks = check_theorem_C(group_of("elemab_2_2"), "elemab_2_2")
-    part_i = [c for c in checks if c.instance["part"] == "i"]
-    assert all(c.status == "pass" for c in part_i if c.instance["chi"] != 0)
+    part_i = [c for c in checks if c["instance"]["part"] == "i"]
+    assert all(c["status"] == "pass" for c in part_i if c["instance"]["chi"] != 0)
 
 
 def test_lemma_counting(group_of, table_of):
     gid = "dihedral8"
     checks = check_lemma_counting(group_of(gid), gid)
-    assert all(c.status == "pass" for c in checks)
+    assert all(c["status"] == "pass" for c in checks)
     g = group_of(gid)
     t = table_of(gid)
     session = GroupSession(g, gid)
@@ -324,14 +414,14 @@ def test_lemma_counting(group_of, table_of):
 def test_eta_bound(group_of):
     for gid, expected in (("heisenberg3", {(3, 9)}), ("dihedral8", {(2, 4)})):
         checks = check_eta_bound(group_of(gid), gid)
-        assert all(c.status in ("pass", "skipped") for c in checks)
+        assert all(c["status"] in ("pass", "skipped") for c in checks)
         seen = {
-            (group_of(gid).p_group_prime() ** 1, c.witness["eta"])
-            for c in checks if c.status == "pass"
+            (group_of(gid).p_group_prime() ** 1, c["witness"]["eta"])
+            for c in checks if c["status"] == "pass"
         }
         assert seen == expected
-        skipped = [c for c in checks if c.status == "skipped"]
-        assert all(c.witness == {"reason": "chi is linear"} for c in skipped)
+        skipped = [c for c in checks if c["status"] == "skipped"]
+        assert all(c["witness"] == {"reason": "chi is linear"} for c in skipped)
 
 
 def test_statement_C_makes_each_quotient_once_per_session(group_of, monkeypatch):
@@ -352,24 +442,71 @@ def test_witness_linear(group_of, table_of):
     assert w.subgroup_order == g.order and w.chain == []
 
 
+def _square_by_product(table, chi):
+    """Row of chi^2 by the exact product of row chi's class function."""
+    order, tensor = table.coefficient_tensor()
+    row = ClassFunction.from_coefficients(table.group, order, tensor[chi])
+    return table.index_of(row * row)
+
+
+def _linear_witnesses(g, table):
+    """{chi: square_induced_index, or None when the search fails} over the
+    linear chi of a table, each witness being (G, chi)."""
+    out = {}
+    for i in table.linear_indices():
+        try:
+            w = monomial_witness_search(g, i, table=table)
+        except SearchExhausted as exc:
+            assert "a linear character failed verification" in str(exc)
+            out[i] = None
+            continue
+        assert (w.subgroup_index, w.chain) == (1, [])
+        out[i] = w.square_induced_index
+    return out
+
+
+def test_every_catalog_linear_witness_keeps_its_square_index(group_of, table_of):
+    """A linear chi is its own witness on G, with the row of its square as
+    the exact product chi * chi finds it, on every catalog p-group."""
+    for gid in catalog.builtin_ids():
+        g = group_of(gid)
+        if g.p_group_prime() is not None:
+            t = table_of(gid)
+            expected = {i: _square_by_product(t, i) for i in t.linear_indices()}
+            assert None not in expected.values() and _linear_witnesses(g, t) == expected
+
+
 @pytest.mark.parametrize("gid", ["cyclic9", "heisenberg3", "wreath3"])
 def test_a_linear_witness_keeps_its_square_index(gid, group_of, table_of):
     """A linear chi is its own witness on G, with the row of its square; on
-    a table where that square is not a row the search ends as a failed
-    check would."""
+    a table where the square of one linear chi is not a row, that search
+    ends as a failed check would, and the other linear chi keep their
+    witnesses (odd p: squaring permutes the linear characters)."""
     g, t = group_of(gid), table_of(gid)
+    assert _linear_witnesses(g, t) == {i: _square_by_product(t, i) for i in t.linear_indices()}
     order, tensor = t.coefficient_tensor()
-    for i in t.linear_indices():
-        chi = t.irreducibles[i]
-        w = monomial_witness_search(g, i, table=t)
-        assert (w.subgroup_index, w.chain) == (1, [])
-        assert w.square_induced_index == t.index_of(chi * chi)
-    # drop the row of the square of a linear chi other than the principal one
     chi_index = t.linear_indices()[1]
-    square = t.index_of(t.irreducibles[chi_index] * t.irreducibles[chi_index])
+    square = _square_by_product(t, chi_index)
     short = CharacterTable(g, order, np.delete(tensor, square, axis=0))
-    with pytest.raises(SearchExhausted, match="a linear character failed verification"):
-        monomial_witness_search(g, chi_index - (square < chi_index), table=short)
+    got = _linear_witnesses(g, short)
+    assert got == {i: _square_by_product(short, i) for i in short.linear_indices()}
+    assert [i for i, s in got.items() if s is None] == [chi_index - (square < chi_index)]
+
+
+@pytest.mark.parametrize("factor", [-1, 2])
+def test_a_linear_row_off_the_roots_of_unity_is_squared_exactly(factor, group_of, table_of):
+    """A linear row's values off the identity times -1 (no cube roots of
+    unity, with the same squares) or 2: the searches decide as the exact
+    products do."""
+    g, t = group_of("heisenberg3"), table_of("heisenberg3")
+    order, tensor = t.coefficient_tensor()
+    chi_index = t.linear_indices()[1]
+    changed = tensor.copy()
+    changed[chi_index, 1:] *= factor
+    table = CharacterTable(g, order, changed)
+    got = _linear_witnesses(g, table)
+    assert got == {i: _square_by_product(table, i) for i in table.linear_indices()}
+    assert (got[chi_index] == _square_by_product(t, chi_index)) == (factor == -1)
 
 
 def test_a_descent_checks_no_linear_base(group_of, table_of, monkeypatch):
@@ -550,8 +687,8 @@ def test_suite_deterministic_under_generator_permutation():
     two = group_closure(parse_generators("(1 3)\n(1 2 3 4)")[0])
     ra = run_suite([("d8", one)], ("A", "B", "C", "lemma", "bound"))
     rb = run_suite([("d8", two)], ("A", "B", "C", "lemma", "bound"))
-    multiset_a = sorted((c.statement, c.status) for c in ra.reports[0].checks)
-    multiset_b = sorted((c.statement, c.status) for c in rb.reports[0].checks)
+    multiset_a = sorted((c["statement"], c["status"]) for c in ra.reports[0].checks)
+    multiset_b = sorted((c["statement"], c["status"]) for c in rb.reports[0].checks)
     assert multiset_a == multiset_b
 
 
