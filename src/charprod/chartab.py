@@ -5,20 +5,22 @@ The characters of G/G', inflated to G, are built exactly along the group's
 generators, one cyclic extension at a time; for an abelian group they are
 the whole table.  The other central characters span the annihilator, over
 GF(q) with q = 1 (mod exponent) and q > 2 ceil(sqrt(|G|)), of the conjugate
-values of the linear ones (Schneider 1990).  The split of that space into
-common eigenspaces of the class-sum matrices starts from the characters of
-the centre, built by the same cyclic extension: the joint eigenspace of the
-central class matrices for each of them is spanned by weighted sums over
-the orbits of Z(G) on the classes, with no central class matrix formed, and
-is cut by the known rows.  The other class matrices are formed only when
-the split reaches them, in ascending class size: the small classes are the
-cheapest to form (|C_i| m products, against |G| m for all of them).  Degrees and eigenvalue multiplicities are lifted to integers
-(they lie below sqrt(|G|) < q/2) and the values re-assembled as exact
-cyclotomics through the discrete Fourier sum over the power map.  The
-finished table must have one row per class and pass exact row orthogonality,
-which for a square table implies the column relation; each distinct value is
-formatted once.  The row relation is decided on the values at the phi(e)
-embeddings modulo primes Q = 1 (mod e) with m (Q - 1)^2 < 2^53, as many as
+values of the linear ones (Schneider 1990): the vectors that sum to 0 over
+each coset of G'.  The split of that space into common eigenspaces of the
+class-sum matrices starts from the characters of the centre, built by the
+same cyclic extension: the joint eigenspace of the central class matrices
+for each of them is spanned by weighted sums over the orbits of Z(G) on the
+classes, with no central class matrix formed, and is cut to the annihilator
+with no elimination.  The other class matrices are read only when the split
+reaches them, in ascending class size, and only at the rows the split reads,
+the pivots of its open spaces: |C_i| products a row.  Degrees and eigenvalue
+multiplicities are lifted to integers (they lie below sqrt(|G|) < q/2) and
+the values re-assembled as exact cyclotomics through the discrete Fourier
+sum over the power map.  The finished table must have one row per class and
+pass exact row orthogonality, which for a square table implies the column
+relation; each distinct value is formatted once.  The row relation is
+decided, once the table's columns are checked Galois-stable, at one
+embedding modulo primes Q = 1 (mod e) with m (Q - 1)^2 < 2^53, as many as
 make their product exceed twice a bound on the residual's coefficients, so
 the decision is exact; a table that fails there gets its residuals from the
 exact products in the power basis.
@@ -60,18 +62,24 @@ from .modular import (
     nth_root_of_unity,
     nullspace_mod,
     poly_roots_mod,
-    solve_columns_mod,
 )
 
 
-def class_constants(group, i):
+def class_constants(group, i, rows=None):
     """The class matrix M_i[j, k] = #{x in C_i : x^(-1) z_k in C_j} for a fixed
     z_k in C_k, that is #{(x, y) in C_i x C_j : xy = z_k}; its right
-    eigenvectors are the central characters."""
+    eigenvectors are the central characters.  With ``rows``, only the rows
+    M_i[rows], by the triple count
+    |C_k| M_i[j, k] = #{(x, y, z) in C_i x C_j x C_k : xy = z}
+                    = |C_j| #{u in C_i : u z_j in C_k},
+    since conjugation carries the triples with y = z_j onto those with any
+    other y in C_j: |C_i| products per row, against |C_i| m for all rows."""
     m = group.num_classes
-    y = group.products(group.inverses[group.class_members(i)][:, None], group.class_reps[None, :])
-    cells = group.class_of[y] * m + np.arange(m)
-    return np.bincount(cells.ravel(), minlength=m * m).reshape(m, m)
+    rows = np.arange(m) if rows is None else np.asarray(rows, dtype=np.intp)
+    y = group.products(group.class_members(i)[:, None], group.class_reps[rows][None, :])
+    cells = np.arange(rows.size) * m + group.class_of[y]
+    counts = np.bincount(cells.ravel(), minlength=rows.size * m).reshape(rows.size, m)
+    return counts * group.class_sizes[rows, None] // group.class_sizes
 
 
 class CharacterTable:
@@ -181,17 +189,32 @@ class CharacterTable:
 def _central_spaces(group, q, known):
     """The start spaces of the split: over GF(q), the joint eigenspace E_lambda
     of the central class matrices for each character lambda of Z(G), inside
-    the annihilator of the ``known`` rows (values mod q, one row per known
-    character), as (echelon basis, pivots) pairs of dimension at least 1.
+    the annihilator of the known linear characters, given by the logarithms
+    of their values (rows of ``_extension_logs``), as (echelon basis,
+    pivots) pairs of dimension at least 1.
 
     A central z maps C_j onto the class z C_j, so its class matrix sends v to
     j -> v(z C_j), and v lies in E_lambda iff v(z C_j) = lambda(z) v(C_j).  On
     one orbit of Z on the classes, with least class j0 and stabilizer S, such
     a v is v(C_j0) times the lambda-weighted orbit sum, which exists iff S
     lies in ker lambda.  Those sums span E_lambda, and their rows at the orbit
-    representatives form the identity.  A known linear mu vanishes on
-    E_lambda unless mu restricted to Z is lambda, so only the blocks that do
-    not vanish are cut, by one null space each."""
+    representatives form the identity.
+
+    The annihilator needs no elimination.  The known characters are distinct
+    characters of G/N, N the intersection of their kernels, and the cosets of
+    N are the distinct columns of ``known``; as many characters as cosets
+    span every function on G/N, so by Fourier inversion on G/N, v is
+    orthogonal to them iff v sums to 0 over the classes of each coset.  The
+    coset sums of an orbit sum are lambda(z) c at the coset of z C_j0 for z
+    in Z, where c, the number of its classes in the coset of C_j0, divides
+    |G| and is a unit mod q, and 0 elsewhere; or 0 everywhere, when lambda is
+    not trivial on Z & N.  So within E_lambda the orbit sums over one orbit
+    of Z on G/N have proportional coset sums, led by the same coset, and
+    those over different orbits have disjoint supports: the kernel is
+    spanned by the orbit sums with no coset sum and by s_o - r s_o0 for every
+    other orbit o of a group led by o0, where r is the ratio of their coset
+    sums at the lead.  That is the basis the null space of the coset sums
+    would give, in the same order."""
     m = group.num_classes
     e = group.exponent
     centre = group.class_reps[group.class_sizes == 1]
@@ -204,54 +227,77 @@ def _central_spaces(group, q, known):
     powers = np.array([pow(z, t, q) for t in range(e)], dtype=np.int64)
     sums = np.zeros((m, chars.size), dtype=np.int64)
     sums[moved[:, reps[orbits]], np.arange(chars.size)] = powers[logs[chars]].T
-    cuts = matmul_exact(known, sums) % q
+    # lead[o]: the first coset where the coset sums of orbit sum o are not 0
+    cuts, lead = np.zeros((0, chars.size), dtype=np.int64), np.full(chars.size, -1)
+    if len(known):
+        cosets = {}
+        coset_of = [cosets.setdefault(column.tobytes(), len(cosets)) for column in known.T]
+        if not len(cosets) == len(known) == len({row.tobytes() for row in known}):
+            raise LiftInconsistent("the known linear characters do not span the functions on their cosets")
+        cuts = np.zeros((len(cosets), chars.size), dtype=np.int64)
+        np.add.at(cuts, coset_of, sums)
+        cuts %= q
+        lead = np.where(cuts.any(axis=0), (cuts != 0).argmax(axis=0), -1)
+    # head[o]: the first orbit sum of the same lambda and lead
+    _, first, group_of = np.unique(chars * (len(cuts) + 1) + lead + 1, return_index=True, return_inverse=True)
+    head = first[group_of]
+    cols = np.arange(chars.size)
+    free = (head != cols) | (lead < 0)
+    ratio = np.zeros(chars.size, dtype=np.int64)
+    led = free & (lead >= 0)
+    inverses = [inv_mod(v, q) for v in cuts[lead[led], head[led]].tolist()]
+    ratio[led] = cuts[lead[led], cols[led]] * np.array(inverses, dtype=np.int64) % q
+    basis = (sums - sums[:, head] * ratio) % q
     spaces = []
-    for cols in (chars == lam for lam in range(len(logs))):
-        basis, pivots, cut = sums[:, cols], reps[orbits[cols]], cuts[:, cols]
-        if cut.any():
-            kernel, free = nullspace_mod(cut[cut.any(axis=1)], q)
-            if not free.size:
-                continue
-            basis, pivots = matmul_exact(basis, kernel) % q, pivots[free]
-        spaces.append((basis, pivots))
+    for lam in range(len(logs)):
+        kept = free & (chars == lam)
+        if kept.any():
+            spaces.append((basis[:, kept], reps[orbits[kept]]))
     return spaces
 
 
 def _split_eigenspaces(group, q, known):
     """Common eigenspaces of the class matrices over GF(q) inside the
-    annihilator of the ``known`` rows, split from the joint eigenspaces of the
-    central class matrices (``_central_spaces``) by applying the other class
+    annihilator of the known linear characters (the logarithms of their
+    values), split from the joint eigenspaces of the central class
+    matrices (``_central_spaces``) by applying the other class
     matrices in ascending class size, ties by ascending index, until every
-    space is 1-dimensional: no central class matrix is formed, and a class
-    matrix costs |C_i| m products to form.  A space is an echelon basis
-    (columns) with the rows at its ``pivots`` forming the identity, so a
-    class matrix acts on it by the image's pivot rows.
-    Each class matrix makes one product, with the open bases side by side.
-    A space whose image is lambda times its basis stays as it is; any other
-    is solved for the action, which checks that it is invariant, and makes
-    one product with its eigenspace kernels side by side."""
+    space is 1-dimensional.  A space is an echelon basis B (columns) with
+    the rows at its ``pivots`` forming the identity.
+
+    Every open space is invariant under the next class matrix M_i: the
+    class matrices commute, so M_i maps each joint eigenspace of those
+    applied before into itself, and the annihilator, spanned by the central
+    characters of the unknown irreducibles, which are joint eigenvectors.
+    Then M_i B = B A for the action A, and A = (M_i B)[pivots] = M_i[pivots] B,
+    as B[pivots] = I.  So per class step only the rows of M_i at the open
+    spaces' stacked pivots are formed (``class_constants`` with ``rows``, |C_i|
+    products a row), in one product against the open bases side by side,
+    and each space's action is its diagonal block of that product.  A
+    scalar action leaves its space as it is; any other makes one product of
+    the basis with its eigenspace kernels side by side."""
     m = group.num_classes
     fits(m * (q - 1) ** 2)
     spaces = _central_spaces(group, q, known)
     order = np.argsort(group.class_sizes, kind="stable")
     for i in order[group.class_sizes[order] > 1].tolist():
-        wide = [basis for basis, pivots in spaces if len(pivots) > 1]
+        wide = [(basis, pivots) for basis, pivots in spaces if len(pivots) > 1]
         if not wide:
             break
-        images = matmul_exact(class_constants(group, i) % q, np.hstack(wide)) % q
+        rows = class_constants(group, i, np.concatenate([pivots for _, pivots in wide])) % q
+        actions = matmul_exact(rows, np.hstack([basis for basis, _ in wide])) % q
         refined, start = [], 0
         for basis, pivots in spaces:
             k = len(pivots)
             if k == 1:
                 refined.append((basis, pivots))
                 continue
-            block = images[:, start:start + k]
+            action = actions[start:start + k, start:start + k]
             start += k
-            if np.array_equal(block, block[pivots[0], 0] * basis % q):
+            eye = np.eye(k, dtype=np.int64)
+            if np.array_equal(action, action[0, 0] * eye):
                 refined.append((basis, pivots))
                 continue
-            action = solve_columns_mod(basis, pivots, block, q)
-            eye = np.eye(k, dtype=np.int64)
             kernels = [nullspace_mod(action - lam * eye, q) for lam in poly_roots_mod(charpoly_mod(action, q), q)]
             if not kernels:
                 raise EigensplitStall("a class matrix has no eigenvalue mod q on a joint eigenspace")
@@ -322,10 +368,9 @@ def _lift_values(omega, degree, q, lift):
 @lru_cache(maxsize=None)
 def _split_prime(order, classes, k):
     """The k-th prime Q = 1 (mod order), from k = 0 down, below the ceiling
-    classes (Q - 1)^2 < 2^53, and its evaluation matrix (phi(order), phi(order)):
-    column j holds z^(u_j t) mod Q for the power t, z a primitive order-th
-    root of unity mod Q and u_j the j-th unit mod order, so coefficients
-    times it are the values at the phi(order) embeddings zeta -> z^u_j."""
+    classes (Q - 1)^2 < 2^53, and the powers z^t mod Q for t < phi(order), z
+    a primitive order-th root of unity mod Q: coefficients times them are the
+    values at the embedding zeta -> z."""
     if k:
         top = _split_prime(order, classes, k - 1)[0] - order
     else:
@@ -334,40 +379,76 @@ def _split_prime(order, classes, k):
     if q is None:
         raise CharprodError(f"no prime Q = 1 (mod {order}) is left with {classes} (Q - 1)^2 below 2^53")
     z = nth_root_of_unity(q, order)
-    powers = np.array([pow(z, t, q) for t in range(order)], dtype=np.int64)
-    units = np.array([u for u in range(order) if math.gcd(u, order) == 1])
-    evaluation = powers[np.outer(np.arange(euler_phi(order)), units) % order]
-    evaluation.flags.writeable = False
-    return q, evaluation
+    powers = np.array([pow(z, t, q) for t in range(euler_phi(order))], dtype=np.int64)
+    powers.flags.writeable = False
+    return q, powers
+
+
+@lru_cache(maxsize=None)
+def _unit_generators(order):
+    """Units generating the group of units mod ``order``: -1 and 5 for a
+    power of 2 from 8 on (Gauss), else greedily the units of largest
+    multiplicative order first."""
+    if order >= 8 and order & (order - 1) == 0:
+        return (order - 1, 5)
+    cycles = {u: {pow(u, k, order) for k in range(order)} for u in range(2, order) if math.gcd(u, order) == 1}
+    gens, reached = [], {1}
+    for u in sorted(cycles, key=lambda u: (-len(cycles[u]), u)):
+        if u not in reached:
+            gens.append(u)
+            reached = {a * b % order for a in reached for b in cycles[u]}
+    return tuple(gens)
+
+
+def _power_classes(group, u):
+    """The class of r_j^u for each class representative r_j, by repeated
+    squaring; for u = -1 modulo the exponent, the inverse classes."""
+    if (u + 1) % group.exponent == 0:
+        return group.inverse_class()
+    power, base = group.class_reps, group.class_reps
+    for bit in bin(u)[3:]:
+        power = group.products(power, power)
+        if bit == "1":
+            power = group.products(power, base)
+    return group.class_of[power]
 
 
 def _rows_hold_modulo_primes(group, order, tensor):
     """True iff the row relation X W Y^T = |G| I of a square table holds, decided
-    on its images at the phi(order) embeddings modulo split primes.
+    at one embedding modulo primes; False also when its columns are not
+    Galois-stable, which no character table fails.
 
-    Every power-basis coefficient of the residual lies below B, ``gram``'s
-    bound plus |G|.  Each prime Q = 1 (mod order) splits completely in
-    Z[zeta], so the evaluation at the embeddings maps Z[zeta] / Q onto
-    GF(Q)^phi isomorphically: a residual whose images all vanish mod Q has
-    every coefficient divisible by Q.  Taken over primes whose product
-    exceeds 2B, every coefficient is then 0.  Per prime: one evaluation of
-    the coefficients, and one product of (n, c) by (c, n) per embedding,
-    each below 2^53 by classes (Q - 1)^2 < 2^53, so a float64 one."""
+    First, exactly on the integer coefficients, sigma_u(X) = X[:, C^u] for
+    each unit u of a generating set of the units mod ``order``: sigma_u maps
+    zeta to zeta^u, and C^u is the power map, the class of r_j^u.  Then
+    every entry R_ab = sum_c w_c x_a(c) x_b(c^-1) - |G| d_ab of the residual
+    is fixed by every sigma_u, as c -> c^u permutes the classes and keeps
+    their sizes, so R_ab lies in Z[zeta] & Q = Z: its power-basis
+    coefficients are (R_ab, 0, ..., 0), and each lies below B, ``gram``'s
+    bound plus |G|.  At zeta -> z modulo a prime Q = 1 (mod order) the image
+    of R_ab is R_ab mod Q, so over primes whose product exceeds 2B every
+    R_ab is 0 when every image vanishes.  Per prime: one evaluation of the
+    coefficients and one product of (n, c) by (c, n), below 2^53 by classes
+    (Q - 1)^2 < 2^53, so a float64 one."""
     classes = group.num_classes
     sizes = group.class_sizes
     inverse = group.inverse_class()
     bound = gram_bound(tensor * sizes[:, None], tensor, order) + group.order
     fits(bound)
+    galois = _reduction_matrix(order, order)
+    t = np.arange(tensor.shape[-1])
+    for u in _unit_generators(order):
+        if not np.array_equal(matmul_exact(tensor, galois[u * t % order]), tensor[:, _power_classes(group, u)]):
+            return False
     modulus, k = 1, 0
     while modulus <= 2 * bound:
-        q, evaluation = _split_prime(order, classes, k)
+        q, powers = _split_prime(order, classes, k)
         if classes * (q - 1) ** 2 >= FLOAT_EXACT:
             raise CharprodError(f"{classes} (Q - 1)^2 reaches 2^53 at Q = {q}")
-        values = matmul_exact(tensor, evaluation) % q
-        xs = (values * (sizes % q)[:, None] % q).transpose(2, 0, 1).astype(np.float64, order="C")
-        ys = values[:, inverse].transpose(2, 1, 0).astype(np.float64, order="C")
-        target = np.eye(len(tensor), dtype=np.int64) * (group.order % q)
-        if any(not np.array_equal(_product(x, y) % q, target) for x, y in zip(xs, ys)):
+        values = matmul_exact(tensor, powers) % q
+        x = (values * (sizes % q) % q).astype(np.float64)
+        y = values[:, inverse].T.astype(np.float64, order="C")
+        if not np.array_equal(_product(x, y) % q, np.eye(len(tensor), dtype=np.int64) * (group.order % q)):
             return False
         modulus, k = modulus * q, k + 1
     return True
@@ -483,10 +564,7 @@ def _build_table(group):
     else:
         q = find_prime(exponent, 2 * math.isqrt(group.order - 1) + 2)
         z = nth_root_of_unity(q, exponent)
-        # zeta -> z, as in the value lift: the other central characters span
-        # the null space of the known characters' conjugate values
-        conj_powers = np.array([pow(z, -t % exponent, q) for t in range(exponent)], dtype=np.int64)
-        vectors = np.stack(_split_eigenspaces(group, q, conj_powers[logs]))
+        vectors = np.stack(_split_eigenspaces(group, q, logs))
         lift = _value_lift(group, q, z)
         if not vectors[:, 0].all():
             raise LiftInconsistent("central character vanishes on the identity class")

@@ -27,6 +27,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -66,12 +67,15 @@ SKIPPED = "skipped"
 
 @dataclass
 class GroupReport:
+    """The checks of one group.  Their statuses are counted once, when the
+    summary is first read, so the checks are all in by then."""
+
     group_id: str
     order: int
     prime: int | None
     checks: list = field(default_factory=list)
 
-    @property
+    @cached_property
     def summary(self):
         counts = Counter(c["status"] for c in self.checks)
         return {"pass": counts[PASS], "fail": counts[FAIL], "hypothesis_not_met": counts[HYPOTHESIS],
@@ -79,7 +83,7 @@ class GroupReport:
 
     @property
     def failures(self):
-        return [c for c in self.checks if c["status"] == FAIL]
+        return [c for c in self.checks if c["status"] == FAIL] if self.summary["fail"] else []
 
     def to_json(self):
         return {
@@ -95,10 +99,11 @@ class SuiteReport:
 
     @property
     def all_pass(self):
-        return not any(r.failures for r in self.reports)
+        return not self.summary["fail"]
 
-    @property
+    @cached_property
     def summary(self):
+        """The sum of the groups' summaries."""
         total = {"pass": 0, "fail": 0, "hypothesis_not_met": 0, "skipped": 0}
         for r in self.reports:
             for k, v in r.summary.items():
@@ -344,13 +349,11 @@ def check_theorem_A(group, group_id="group", session=None):
     order.  Z(chi psi) is Z(chi) & Z(psi), and V(chi psi) is the first
     member with no class of supp chi & supp psi outside it, the least normal
     subgroup holding that support: its count of such classes is one 0/1
-    product against the complements of the members.  For each pair and each
-    theta, |Z(theta)| + |Z(chi psi)| - 2 |Z(theta) & Z(chi psi)| counts the
-    classes in one of the two centres only, and |V(theta) - V(chi psi)| the
-    classes of V(theta) outside V(chi psi): each is one 0/1 product, whose
-    entries are counts of at most m classes, exact in ``matmul_exact``, so
-    zero exactly when the two sets agree or contain.  A pair fails when
-    V(chi psi) escapes V(chi) & V(psi), else at its first failing
+    product against the complements of the members.  The constituent tests
+    run on the occurrences (pair, theta) of positive multiplicity only,
+    gathered once: each compares the masks of Z(theta) and Z(chi psi) class
+    by class, and looks for a class of V(theta) outside V(chi psi).  A pair
+    fails when V(chi psi) escapes V(chi) & V(psi), else at its first failing
     constituent theta, the Z test before the V test; only failing pairs get
     a witness built."""
     session = session or GroupSession(group, group_id)
@@ -371,19 +374,23 @@ def check_theorem_A(group, group_id="group", session=None):
     v_prod = members[contained.argmax(axis=1)]
     z_prod = z[pi] & z[pj]
     escapes = (v_prod & ~(v[pi] & v[pj])).any(axis=1)
-    # z_differs[k, theta], v_escapes[k, theta]: the two tests per constituent
-    occurs = a[pi, pj] > 0
-    z_differs = occurs & (z_prod.sum(axis=1)[:, None] + z.sum(axis=1) != 2 * matmul_exact(z_prod, z.T))
-    v_escapes = occurs & (matmul_exact(~v_prod, v.T) > 0)
-    fails = z_differs | v_escapes
+    # the occurrences (pair k, constituent theta), by k and then by theta, and
+    # the two tests on each
+    ks, thetas = np.nonzero(a[pi, pj] > 0)
+    z_differs = (z_prod[ks] != z[thetas]).any(axis=1)
+    v_escapes = (v[thetas] & ~v_prod[ks]).any(axis=1)
+    fails = np.flatnonzero(z_differs | v_escapes)
+    # the first failing occurrence of each pair
+    failing_pairs, first = np.unique(ks[fails], return_index=True)
+    first_fail = dict(zip(failing_pairs.tolist(), fails[first].tolist()))
     verdicts = {}
-    for k in np.flatnonzero(escapes | fails.any(axis=1)).tolist():
+    for k in np.union1d(np.flatnonzero(escapes), failing_pairs).tolist():
         i, j = int(pi[k]), int(pj[k])
         if escapes[k]:
             bad = {"reason": "V(chi psi) escapes V(chi) & V(psi)"}
         else:
-            t = int(fails[k].argmax())
-            if z_differs[k, t]:
+            t = int(thetas[first_fail[k]])
+            if z_differs[first_fail[k]]:
                 bad = {"theta": t, "reason": "Z(chi psi) != Z(theta)",
                        "z_product_classes": sorted(zsets[i] & zsets[j]),
                        "z_theta_classes": sorted(zsets[t])}

@@ -18,16 +18,18 @@ from charprod.chartab import (
     _lift_values,
     _linear_logs,
     _orthogonality_defect,
+    _power_classes,
     _split_eigenspaces,
     _split_prime,
+    _unit_generators,
     _value_lift,
     class_constants,
     dixon_table,
     quotient_table,
     verify_orthogonality,
 )
-from charprod.cyclotomic import euler_phi
-from charprod.errors import CharprodError, LiftInconsistent, NotAPGroup
+from charprod.cyclotomic import _reduction_matrix, euler_phi, multiply
+from charprod.errors import CharprodError, EigensplitStall, LiftInconsistent, NotAPGroup
 from charprod.modular import find_prime, inv_mod, nth_root_of_unity, nullspace_mod
 from charprod.perm import Permutation, group_closure, parse_generators
 from charprod.structure import QuotientMap, normal_lattice, quotient
@@ -76,6 +78,31 @@ def test_class_constants_weight_identity(group_of):
         for j in range(g.num_classes):
             assert int(cc[i, j] @ sizes) == sizes[i] * sizes[j]
             assert np.array_equal(cc[i, j], cc[j, i])
+
+
+def _assert_rows_are_rows_of_the_full_matrix(group, i, rows):
+    got = class_constants(group, i, rows)
+    assert got.shape == (len(rows), group.num_classes)
+    assert np.array_equal(got, class_constants(group, i)[rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=generator_sets(), data=st.data())
+def test_class_constant_rows_are_rows_of_the_class_matrix(gens, data):
+    """The triple count gives the rows of the full class matrix, for any
+    rows: repeated, unsorted or none."""
+    g = group_closure(gens)
+    i = data.draw(st.integers(0, g.num_classes - 1))
+    rows = data.draw(st.lists(st.integers(0, g.num_classes - 1), max_size=2 * g.num_classes))
+    _assert_rows_are_rows_of_the_full_matrix(g, i, rows)
+
+
+@pytest.mark.parametrize("gid", catalog.builtin_ids())
+def test_catalog_class_constant_rows_are_rows_of_the_class_matrix(gid, group_of):
+    g = group_of(gid)
+    rows = np.arange(g.num_classes)[::-1][::2]
+    for i in range(g.num_classes):
+        _assert_rows_are_rows_of_the_full_matrix(g, i, rows)
 
 
 def test_table_beyond_340_classes():
@@ -218,6 +245,8 @@ def _checked(table, monkeypatch):
 
 
 def _first_prime(table):
+    """(Q, z^t mod Q for t < phi): the first prime of the check and its
+    embedding."""
     order, _ = table.coefficient_tensor()
     return _split_prime(order, table.group.num_classes, 0)
 
@@ -230,23 +259,48 @@ def _bumped(table, cell, delta):
 
 
 def test_clean_square_tables_are_decided_modulo_primes_alone(square_table, monkeypatch):
-    """A clean square table is certified by its images: no exact ``gram``."""
+    """A clean square table is certified by its images: no exact ``gram``,
+    and one product per prime, at one embedding."""
     from charprod import chartab
 
     def refuse(*args):
         raise AssertionError("an exact gram on a clean table")
 
+    products, product = [], chartab._product
+
+    def counted(*args):
+        products.append(args)
+        return product(*args)
+
     monkeypatch.setattr(chartab, "gram", refuse)
+    monkeypatch.setattr(chartab, "_product", counted)
     defect, primes = _checked(square_table, monkeypatch)
     assert defect == {} and primes[0] == _first_prime(square_table)[0]
+    assert len(products) == len(primes)
+
+
+@pytest.mark.parametrize("delta", ["+1", "-1", "+Q", "-Q"])
+def test_a_degree_off_by_one_or_the_first_prime_fails(delta, square_table, monkeypatch):
+    """A degree is rational and sits at the identity class, which every power
+    map fixes, so the table stays Galois-stable and the check takes primes.
+    Off by 1, the first prime sees it.  Off by that prime Q, its image mod Q
+    vanishes, but the bound grows with the coefficient, so the check takes a
+    second prime, which sees it.  Either way the exact residuals are the
+    two-relation reference's."""
+    order, tensor = square_table.coefficient_tensor()
+    q = _first_prime(square_table)[0]
+    step = 1 if delta[1:] == "1" else q
+    perturbed = _bumped(square_table, (len(tensor) - 1, 0, 0), step if delta[0] == "+" else -step)
+    defect, primes = _checked(perturbed, monkeypatch)
+    assert set(defect) == {"rows", "columns"} and defect == orthogonality_defect_reference(perturbed)
+    assert primes[0] == q and len(primes) == (1 if step == 1 else 2)
 
 
 @pytest.mark.parametrize("delta", ["+1", "-1", "+Q", "-Q"])
 def test_a_coefficient_off_by_one_or_the_first_prime_fails(delta, square_table, monkeypatch):
-    """Off by 1, the first prime sees it.  Off by that prime Q, every image
-    mod Q vanishes, but the bound grows with the coefficient, so the check
-    takes a second prime, which sees it.  Either way the exact residuals are
-    the two-relation reference's."""
+    """The last coefficient of a value off a rational class: sigma_u moves
+    it, so the table is not Galois-stable and is refused before any prime
+    is taken, with the two-relation reference's exact residuals."""
     order, tensor = square_table.coefficient_tensor()
     q = _first_prime(square_table)[0]
     step = 1 if delta[1:] == "1" else q
@@ -254,26 +308,86 @@ def test_a_coefficient_off_by_one_or_the_first_prime_fails(delta, square_table, 
     perturbed = _bumped(square_table, cell, step if delta[0] == "+" else -step)
     defect, primes = _checked(perturbed, monkeypatch)
     assert set(defect) == {"rows", "columns"} and defect == orthogonality_defect_reference(perturbed)
-    assert primes[0] == q and len(primes) == (1 if step == 1 else 2)
+    assert primes == []
 
 
 @pytest.mark.parametrize("gid", ["cyclic16", "heisenberg3_x_cyclic9", "order2187"])
 def test_a_value_off_by_an_element_of_one_prime_above_q_fails(gid, table_of, product_2187, monkeypatch):
     """delta, a short element of the prime (Q, zeta - z) over the first prime
     Q, vanishes at the embedding zeta -> z mod Q and at no other.  Every entry
-    of the residual it makes is a multiple of delta, so only the other
-    embeddings can see it; delta is small enough that Q alone covers the
-    bound."""
+    of the residual it makes is a multiple of delta, so the embedding the
+    check takes cannot see it, and delta is small enough that Q alone covers
+    the bound: only the Galois-stability check, which refuses the table
+    before any prime is taken, tells it from a character table."""
     table = product_2187[1] if gid == "order2187" else table_of(gid)
     order, tensor = table.coefficient_tensor()
-    q, evaluation = _first_prime(table)
-    delta = np.array(prime_ideal_short_vector(order, q, int(evaluation[1, 0])))
-    images = delta @ evaluation % q
-    assert images[0] == 0 and images[1:].all()
+    q, powers = _first_prime(table)
+    delta = np.array(prime_ideal_short_vector(order, q, int(powers[1])))
+    units = [u for u in range(1, order) if math.gcd(u, order) == 1]
+    images = [sum(int(a) * pow(int(powers[1]), u * t, q) for t, a in enumerate(delta)) % q for u in units]
+    assert images[0] == 0 and all(images[1:])
     perturbed = _bumped(table, (len(tensor) - 1, len(tensor) // 2), delta)
     defect, primes = _checked(perturbed, monkeypatch)
-    assert primes == [q]
     assert set(defect) == {"rows", "columns"} and defect == orthogonality_defect_reference(perturbed)
+    assert primes == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=generator_sets(), data=st.data())
+def test_power_classes_and_unit_generators(gens, data):
+    """The power map by repeated squaring is the class of r_j^u by u - 1
+    products, and the unit generators generate every unit mod e."""
+    g = group_closure(gens)
+    e = g.exponent
+    units = {u for u in range(1, e + 1) if math.gcd(u, e) == 1}
+    u = data.draw(st.sampled_from(sorted(units)))
+    power = g.class_reps
+    for _ in range(u - 1):
+        power = g.products(power, g.class_reps)
+    assert np.array_equal(_power_classes(g, u), g.class_of[power])
+    reached = {1 % e}
+    for gen in _unit_generators(e):
+        reached = {a * pow(gen, k, e) % e for a in reached for k in range(e)}
+    assert reached == {u % e for u in units}
+
+
+def _galois(values, u, order):
+    """sigma_u: zeta -> zeta^u on power-basis coefficients at ``order``."""
+    t = np.arange(values.shape[-1])
+    return values @ _reduction_matrix(order, order)[u * t % order]
+
+
+@pytest.mark.parametrize("gid", ["modular16", "semidihedral16", "cyclic16"])
+@pytest.mark.parametrize("fixed", ["-1", "5"])
+def test_a_table_stable_under_one_unit_generator_only_fails(fixed, gid, table_of, monkeypatch):
+    """At exponent 8 or 16 the units need two generators, -1 and 5.  delta, the
+    product of sigma_u(1 + zeta) over the u generated by one of them, h, is
+    fixed by sigma_h and not by the other; added to one row over the orbit of
+    a class under the h-th power map, it keeps the table stable under
+    sigma_h alone.  The check must refuse it before any prime is taken, as
+    it does not when it checks h only."""
+    table = table_of(gid)
+    group = table.group
+    order, tensor = table.coefficient_tensor()
+    h, other = (order - 1, 5) if fixed == "-1" else (5, order - 1)
+    assert _unit_generators(order) == (order - 1, 5)
+    subgroup = sorted({pow(h, k, order) for k in range(order)})
+    one_plus_zeta = np.array([1, 1] + [0] * (tensor.shape[-1] - 2))
+    delta = np.eye(1, tensor.shape[-1], dtype=np.int64)[0]
+    for u in subgroup:
+        delta = multiply(delta, _galois(one_plus_zeta, u, order), order)
+    assert np.array_equal(_galois(delta, h, order), delta) and not np.array_equal(_galois(delta, other, order), delta)
+    j = int(np.argmax([group.element_order(r) for r in group.class_reps.tolist()]))
+    orbit = sorted({int(_power_classes(group, u)[j]) for u in subgroup})
+    bumped = tensor.copy()
+    bumped[-1, orbit] += delta
+    perturbed = CharacterTable(group, order, bumped)
+    defect, primes = _checked(perturbed, monkeypatch)
+    assert primes == [] and defect and defect == orthogonality_defect_reference(perturbed)
+    from charprod import chartab
+
+    monkeypatch.setattr(chartab, "_unit_generators", lambda order: (h,))
+    assert _checked(perturbed, monkeypatch)[1]
 
 
 def test_a_doubled_row_fails_only_on_the_diagonal(square_table):
@@ -529,7 +643,7 @@ def test_scalar_actions_leave_their_space_alone(monkeypatch):
     from charprod import catalog, chartab
 
     calls, solves = [], []
-    charpoly, solve = chartab.charpoly_mod, chartab.solve_columns_mod
+    charpoly, solve = chartab.charpoly_mod, oracles.solve_columns_mod
 
     def counted(*args):
         calls.append(args)
@@ -541,13 +655,13 @@ def test_scalar_actions_leave_their_space_alone(monkeypatch):
 
     for module in (chartab, oracles):
         monkeypatch.setattr(module, "charpoly_mod", counted)
-        monkeypatch.setattr(module, "solve_columns_mod", counted_solve)
+    monkeypatch.setattr(oracles, "solve_columns_mod", counted_solve)
     g = catalog.parse_group(catalog.spec_for("heisenberg3").generators)
     reference = unseeded_table(g)
     assert len(calls) == len(solves) == 5
-    del calls[:], solves[:]
+    del calls[:]
     table = dixon_table(g)
-    assert len(calls) == len(solves) == 0
+    assert len(calls) == 0
     assert _json_sha256(table) == "151da976c042a5076024fb32be5bb924402920816419e58f64d3a73b176d7d94"
     assert table.irreducibles == reference.irreducibles
 
@@ -584,33 +698,72 @@ def test_order_2187_table_is_pinned(product_2187):
 
 
 def test_a_class_matrix_that_moves_an_eigenspace_fails_the_build(monkeypatch):
-    """The second class matrix the split reaches, off by one in one entry, no
-    longer keeps the eigenspaces of the first: the solve for its action must
-    refuse them rather than split them.  wreath3's split reaches six classes;
-    the second is read from a clean build."""
+    """The second class matrix the split reaches, off by one in one entry of
+    the first pivot row it reads, no longer keeps the eigenspaces of the
+    first: the split reads a wrong action, and the build must fail, in the
+    split or in the lifts and checks after it.  An entry that meets only
+    zero rows of the open bases changes no action and leaves the table as
+    it is; no corruption may give another table.  wreath3's split reaches
+    six classes; the second is read from a clean build."""
     from charprod import catalog, chartab
 
     real = chartab.class_constants
     reached = []
 
-    def recorded(group, i):
+    def recorded(group, i, rows=None):
         reached.append(i)
-        return real(group, i)
+        return real(group, i, rows)
 
-    def corrupted(group, i):
-        m = real(group, i)
-        if i == reached[1]:
-            m = m.copy()
-            m[0, -1] += 1
-        return m
+    def corrupted(column):
+        def constants(group, i, rows=None):
+            m = real(group, i, rows)
+            if i == reached[1]:
+                m = m.copy()
+                m[0, column] += 1
+            return m
+
+        return constants
 
     spec = catalog.spec_for("wreath3")
     monkeypatch.setattr(chartab, "class_constants", recorded)
-    dixon_table(catalog.parse_group(spec.generators))
+    reference = dixon_table(catalog.parse_group(spec.generators)).coefficient_tensor()[1]
     assert len(reached) >= 2
-    monkeypatch.setattr(chartab, "class_constants", corrupted)
-    with pytest.raises(ArithmeticError, match="target outside the span"):
-        dixon_table(catalog.parse_group(spec.generators))
+    failed = 0
+    for column in range(len(reference)):
+        monkeypatch.setattr(chartab, "class_constants", corrupted(column))
+        try:
+            tensor = dixon_table(catalog.parse_group(spec.generators)).coefficient_tensor()[1]
+        except (LiftInconsistent, EigensplitStall):
+            failed += 1
+        else:
+            assert np.array_equal(tensor, reference)
+    assert failed
+
+
+def test_the_order_2187_build_forms_pivot_rows_only(product_2187, monkeypatch):
+    """The split of the order-2187 product reads every action off the rows of
+    the class matrices at the open spaces' pivots: no solve for an action
+    and no full class matrix, and the same tensor."""
+    from charprod import chartab, modular
+
+    group, table = product_2187
+    solves, rows_taken = [], []
+    real_constants, real_solve = chartab.class_constants, modular.solve_columns_mod
+
+    def recorded_constants(g, i, rows=None):
+        rows_taken.append(None if rows is None else len(rows))
+        return real_constants(g, i, rows)
+
+    def counted_solve(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(chartab, "class_constants", recorded_constants)
+    monkeypatch.setattr(modular, "solve_columns_mod", counted_solve)
+    order, tensor = _build_table(group).coefficient_tensor()
+    assert solves == [] and rows_taken
+    assert all(taken is not None and taken < group.num_classes for taken in rows_taken)
+    assert order == table.coefficient_tensor()[0] and np.array_equal(tensor, table.coefficient_tensor()[1])
 
 
 def test_determinism_generator_order():
@@ -791,9 +944,9 @@ def _recorded_build(group):
     real_constants, real_split = chartab.class_constants, chartab._split_eigenspaces
     reached, started = [], []
 
-    def recorded_constants(g, i):
+    def recorded_constants(g, i, rows=None):
         reached.append(i)
-        return real_constants(g, i)
+        return real_constants(g, i, rows)
 
     def recorded_split(g, q, known):
         started.append((q, known))
@@ -804,6 +957,14 @@ def _recorded_build(group):
         patch.setattr(chartab, "_split_eigenspaces", recorded_split)
         _build_table(group)
     return reached, started
+
+
+def _known_values(group, q, known):
+    """The conjugate values mod q, at zeta -> z as in the build, of the known
+    linear characters given by the logarithms of their values."""
+    e = group.exponent
+    z = nth_root_of_unity(q, e)
+    return np.array([pow(z, -t % e, q) for t in range(e)], dtype=np.int64)[known]
 
 
 def _assert_split_matches_index_order(group):
@@ -822,7 +983,7 @@ def _assert_split_matches_index_order(group):
     def lines(vectors):
         return {tuple((v * inv_mod(int(v[0]), q) % q).tolist()) for v in vectors}
 
-    basis, pivots = nullspace_mod(known, q)
+    basis, pivots = nullspace_mod(_known_values(group, q, known), q)
     ordered = _split_eigenspaces(group, q, known)
     reference = split_in_index_order(group, q, basis, pivots)
     assert len(ordered) == len(reference) == basis.shape[1]
@@ -862,7 +1023,7 @@ def _assert_start_spaces_are_the_central_eigenspaces(group):
     for basis, pivots in spaces:
         assert basis.shape == (m, len(pivots)) and basis.min() >= 0 and basis.max() < q
         assert np.array_equal(basis[pivots], np.eye(len(pivots), dtype=np.int64))
-        assert not (known @ basis % q).any()
+        assert not (_known_values(group, q, known) @ basis % q).any()
         scalars = {}
         for c, matrix in zip(centre.tolist(), matrices):
             image = matrix @ basis % q

@@ -133,6 +133,27 @@ def test_only_the_requested_format_is_built(capsys, monkeypatch):
     assert code == 0 and "sizes" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_counts_each_groups_statuses_once(fmt, capsys, monkeypatch):
+    """Both formats read every group's status counts from one pass over its
+    records, and the totals from those counts."""
+    from charprod import verify
+
+    scans, counter = [], verify.Counter
+
+    def counted(*args):
+        scans.append(1)
+        return counter(*args)
+
+    monkeypatch.setattr(verify, "Counter", counted)
+    code, out, _ = run_cli(["verify", "dihedral8", "--statements", "A,B", "--format", fmt], capsys)
+    assert code == 0 and len(scans) == 1
+    if fmt == "json":
+        assert json.loads(out)["summary"] == {"pass": 28, "fail": 0, "hypothesis_not_met": 2, "skipped": 20}
+    else:
+        assert out.splitlines()[-1] == "total: pass 28, fail 0, hypothesis-not-met 2, skipped 20"
+
+
 def test_witness_command(capsys):
     code, out, _ = run_cli(["witness", "heisenberg3", "--chi", "9"], capsys)
     assert code == 0
