@@ -367,10 +367,9 @@ def _lift_values(omega, degree, q, lift):
 
 @lru_cache(maxsize=None)
 def _split_prime(order, classes, k):
-    """The k-th prime Q = 1 (mod order), from k = 0 down, below the ceiling
-    classes (Q - 1)^2 < 2^53, and the powers z^t mod Q for t < phi(order), z
-    a primitive order-th root of unity mod Q: coefficients times them are the
-    values at the embedding zeta -> z."""
+    """(Q, z): the k-th prime Q = 1 (mod order), from k = 0 down, below the
+    ceiling classes (Q - 1)^2 < 2^53, and z a primitive order-th root of
+    unity mod Q, the embedding zeta -> z."""
     if k:
         top = _split_prime(order, classes, k - 1)[0] - order
     else:
@@ -378,10 +377,18 @@ def _split_prime(order, classes, k):
     q = next((q for q in range(top, 1, -order) if is_prime(q)), None)
     if q is None:
         raise CharprodError(f"no prime Q = 1 (mod {order}) is left with {classes} (Q - 1)^2 below 2^53")
-    z = nth_root_of_unity(q, order)
-    powers = np.array([pow(z, t, q) for t in range(euler_phi(order))], dtype=np.int64)
-    powers.flags.writeable = False
-    return q, powers
+    return q, nth_root_of_unity(q, order)
+
+
+def modular_values(order, tensor, q, z, top):
+    """The residues mod the prime q of the values whose coefficients at
+    ``order`` are ``tensor``, at zeta_top -> z, so zeta_order -> z^(top /
+    order): the one evaluation of a coefficient tensor modulo a prime."""
+    if top % order:
+        raise CharprodError("value order does not divide the imaging order")
+    z_local = pow(z, top // order, q)
+    powers = np.array([pow(z_local, t, q) for t in range(tensor.shape[-1])], dtype=np.int64)
+    return matmul_exact(tensor, powers) % q
 
 
 @lru_cache(maxsize=None)
@@ -442,10 +449,10 @@ def _rows_hold_modulo_primes(group, order, tensor):
             return False
     modulus, k = 1, 0
     while modulus <= 2 * bound:
-        q, powers = _split_prime(order, classes, k)
+        q, z = _split_prime(order, classes, k)
         if classes * (q - 1) ** 2 >= FLOAT_EXACT:
             raise CharprodError(f"{classes} (Q - 1)^2 reaches 2^53 at Q = {q}")
-        values = matmul_exact(tensor, powers) % q
+        values = modular_values(order, tensor, q, z, order)
         x = (values * (sizes % q) % q).astype(np.float64)
         y = values[:, inverse].T.astype(np.float64, order="C")
         if not np.array_equal(_product(x, y) % q, np.eye(len(tensor), dtype=np.int64) * (group.order % q)):

@@ -2,11 +2,10 @@
 square theorem with its constructive monomial witness descent, the counting
 lemma, and the eta lower bound, all producing structured reports.
 
-Bulk enumeration runs on homomorphic images of the exact tables modulo a prime
-Q with Q > 2B for an a-priori bound B on every lifted integer (multiplicities
-of genuine characters), so each residue determines its integer exactly.  The
-per-instance logic then works on those exact integers; subgroup membership is
-handled through class-index sets.
+Bulk enumeration runs on images of the exact tables modulo one prime Q > 2B,
+B = max chi(1)^2 a bound on every multiplicity read off them (``GroupSession``),
+so each residue is its integer.  The per-instance logic then works on those
+exact integers; subgroup membership is handled through class-index sets.
 
 Statements A and B decide all pairs of a table at once: class sets become
 0/1 masks over the classes, and a containment or equality of sets over all
@@ -22,7 +21,6 @@ the rows of all their squares are read off once per table.
 
 from __future__ import annotations
 
-import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
@@ -44,7 +42,7 @@ from .charops import (
     restrict,
     stabilizer_and_orbit,
 )
-from .chartab import dixon_table, quotient_table
+from .chartab import _split_prime, dixon_table, modular_values, quotient_table
 from .cyclotomic import _reduction_matrix, embed, factorize, fits, matmul_exact, value_json
 from .errors import (
     CharprodError,
@@ -54,7 +52,7 @@ from .errors import (
     NotNormal,
     SearchExhausted,
 )
-from .modular import find_prime, inv_mod, nth_root_of_unity
+from .modular import inv_mod
 from .structure import chief_factor_above, normal_lattice, quotient
 
 STATEMENTS = ("A", "B", "C", "lemma", "bound")
@@ -124,35 +122,27 @@ def _group_lattice(group, table):
         return group._normal_lattice
 
 
-class _ModularTable:
-    """Image of an exact table modulo Q under zeta -> z, read off the table's
-    integer coefficient tensor."""
-
-    def __init__(self, table, q, z, top_exponent):
-        group = table.group
-        order, tensor = table.coefficient_tensor()
-        if top_exponent % order:
-            raise CharprodError("value order does not divide the imaging order")
-        z_local = pow(z, top_exponent // order, q)
-        z_powers = np.array([pow(z_local, k, q) for k in range(tensor.shape[2])], dtype=np.int64)
-        self.values = matmul_exact(tensor, z_powers) % q
-        self.conj_values = self.values[:, group.inverse_class()]
-        self.degrees = np.array(table.degrees, dtype=np.int64)
-
-
 class GroupSession:
-    """All per-group precomputation the statement checks share."""
+    """All per-group precomputation the statement checks share, on the images
+    (``modular_values``) of G's table and its lattice members' tables at the
+    row check's first prime Q = 1 (mod e), e the exponent, where m (Q - 1)^2
+    < 2^53 for G's m classes: a member with more classes takes the int64
+    path of ``matmul_exact``.  Each multiplicity read off them is at most
+    B = max chi(1)^2, by the degree identities: [chi psi, theta] <= chi(1)
+    psi(1) / theta(1) and [chi_N, phi] <= chi(1).  So Q > 2B, asserted here,
+    makes each residue its integer."""
 
     def __init__(self, group, group_id):
         self.group = group
         self.group_id = group_id
         self.table = dixon_table(group)
         self.p = group.p_group_prime()
-        n = group.order
-        self.bound = n * (math.isqrt(n) + 1)
-        self.q = find_prime(group.exponent, 2 * self.bound)
-        self.z = nth_root_of_unity(self.q, group.exponent)
-        self.mod = _ModularTable(self.table, self.q, self.z, group.exponent)
+        self.degrees = np.array(self.table.degrees, dtype=np.int64)
+        self.bound = int(self.degrees.max()) ** 2
+        self.q, self.z = _split_prime(group.exponent, group.num_classes, 0)
+        if self.q <= 2 * self.bound:
+            raise CharprodError(f"the image prime {self.q} is not above twice the multiplicity bound {self.bound}")
+        self.values = modular_values(*self.table.coefficient_tensor(), self.q, self.z, group.exponent)
         self._products = None
         self._eta = None
         self._zsets = None
@@ -168,21 +158,21 @@ class GroupSession:
     @property
     def products(self):
         """a[i, j, t] = multiplicity of irreducible t in the product of
-        irreducibles i and j; exact by the bound argument.  As chi psi =
-        psi chi, a[i, j] = a[j, i]: one exact product makes the rows of the
-        pairs i <= j, written at (i, j) and (j, i) of the tensor and eta, and
-        the bound, the degree identity and the principal constituent of
-        chi conj(chi) are checked on those rows, so on every pair."""
+        irreducibles i and j; exact by the class docstring's bound.  As
+        chi psi = psi chi, a[i, j] = a[j, i]: one exact product makes the rows
+        of the pairs i <= j, written at (i, j) and (j, i) of the tensor and
+        eta, and the bound, the degree identity and the principal constituent
+        of chi conj(chi) are checked on those rows, so on every pair."""
         if self._products is None:
-            v, q = self.mod.values, self.q
+            v, q = self.values, self.q
             n_irr, m = v.shape
             fits(m * (q - 1) ** 2)
             pi, pj = np.triu_indices(n_irr)
             pv = v[pi] * v[pj] % q * self.group.class_sizes % q
-            rows = matmul_exact(pv, self.mod.conj_values.T) % q * inv_mod(self.group.order, q) % q
+            rows = matmul_exact(pv, v[:, self.group.inverse_class()].T) % q * inv_mod(self.group.order, q) % q
             if int(rows.max()) > self.bound:
                 raise CharprodError("product multiplicity exceeded its a-priori bound")
-            degs = self.mod.degrees
+            degs = self.degrees
             if not np.array_equal(matmul_exact(rows, degs), degs[pi] * degs[pj]):
                 raise CharprodError("product decompositions fail the degree identity")
             a = np.empty((n_irr, n_irr, n_irr), dtype=np.int64)
@@ -209,7 +199,7 @@ class GroupSession:
         chi(g) = chi(1) zeta^k: an exact division and ``_root_exponents``."""
         if self._zsets is None:
             order, tensor = self.table.coefficient_tensor()
-            degs = self.mod.degrees[:, None, None]
+            degs = self.degrees[:, None, None]
             on_center = (tensor % degs == 0).all(axis=2) & (_root_exponents(tensor // degs, order) >= 0)
             supported = tensor.any(axis=2)
             self._zsets = [frozenset(np.flatnonzero(row).tolist()) for row in on_center]
@@ -253,7 +243,7 @@ class GroupSession:
     def normal_data(self):
         """Per lattice member: context, restriction-multiplicity matrix and
         the derived vectors the checks need.  Twins (``InducedContext.build``)
-        share the first one's modular table; a twin's own table is not read."""
+        share the first one's image; a twin's own table is not read."""
         if self._normal_data is None:
             out = []
             q = self.q
@@ -262,15 +252,16 @@ class GroupSession:
                 ctx = InducedContext.build(self.group, member)
                 fits(ctx.group.num_classes * (q - 1) ** 2)
                 first = ctx.group._twin_of or ctx.group
-                mod_sub = shared.get(first)
-                if mod_sub is None:
-                    mod_sub = shared[first] = _ModularTable(dixon_table(first), q, self.z, self.group.exponent)
-                fused = self.mod.values[:, ctx.fusion]
-                weighted = fused * ctx.group.class_sizes[None, :] % q
-                r = matmul_exact(weighted, mod_sub.conj_values.T) % q * inv_mod(ctx.group.order, q) % q
+                if first not in shared:
+                    sub = dixon_table(first)
+                    values = modular_values(*sub.coefficient_tensor(), q, self.z, self.group.exponent)
+                    shared[first] = values[:, first.inverse_class()].T, np.array(sub.degrees, dtype=np.int64)
+                conj_values, degrees = shared[first]
+                weighted = self.values[:, ctx.fusion] * ctx.group.class_sizes[None, :] % q
+                r = matmul_exact(weighted, conj_values) % q * inv_mod(ctx.group.order, q) % q
                 if int(r.max()) > self.bound:
                     raise CharprodError("restriction multiplicity exceeded its bound")
-                if not np.array_equal(matmul_exact(r, mod_sub.degrees), self.mod.degrees):
+                if not np.array_equal(matmul_exact(r, degrees), self.degrees):
                     raise CharprodError("restriction matrix fails the degree identity")
                 positive = r > 0
                 col_support = positive.sum(axis=0)

@@ -773,17 +773,17 @@ def normal_powerset_oracle(group):
 def products_reference(session):
     """(a, eta) as ``GroupSession.products`` made them from every ordered
     pair: a[i, j, t] the multiplicity of irreducible t in chi_i chi_j, from
-    the session's modular table, with the bound, the degree identity and
+    the session's modular image, with the bound, the degree identity and
     the principal constituent of chi conj(chi) checked on all n^2 rows, in
     that order, raising the engine's CharprodError."""
-    v, q = session.mod.values, session.q
+    v, q = session.values, session.q
     n, m = v.shape
     pv = v[:, None, :] * v[None, :, :] % q * session.group.class_sizes[None, None, :] % q
-    flat = matmul_exact(pv.reshape(n * n, m), session.mod.conj_values.T)
+    flat = matmul_exact(pv.reshape(n * n, m), v[:, session.group.inverse_class()].T)
     a = (flat % q * inv_mod(session.group.order, q) % q).reshape(n, n, n)
     if int(a.max()) > session.bound:
         raise CharprodError("product multiplicity exceeded its a-priori bound")
-    degs = session.mod.degrees
+    degs = session.degrees
     if not np.array_equal(matmul_exact(a, degs), np.outer(degs, degs)):
         raise CharprodError("product decompositions fail the degree identity")
     if any(int(a[i, session.table.conjugate_index(i), 0]) != 1 for i in range(n)):

@@ -245,8 +245,7 @@ def _checked(table, monkeypatch):
 
 
 def _first_prime(table):
-    """(Q, z^t mod Q for t < phi): the first prime of the check and its
-    embedding."""
+    """(Q, z): the first prime of the check and its embedding zeta -> z."""
     order, _ = table.coefficient_tensor()
     return _split_prime(order, table.group.num_classes, 0)
 
@@ -321,10 +320,10 @@ def test_a_value_off_by_an_element_of_one_prime_above_q_fails(gid, table_of, pro
     before any prime is taken, tells it from a character table."""
     table = product_2187[1] if gid == "order2187" else table_of(gid)
     order, tensor = table.coefficient_tensor()
-    q, powers = _first_prime(table)
-    delta = np.array(prime_ideal_short_vector(order, q, int(powers[1])))
+    q, z = _first_prime(table)
+    delta = np.array(prime_ideal_short_vector(order, q, z))
     units = [u for u in range(1, order) if math.gcd(u, order) == 1]
-    images = [sum(int(a) * pow(int(powers[1]), u * t, q) for t, a in enumerate(delta)) % q for u in units]
+    images = [sum(int(a) * pow(z, u * t, q) for t, a in enumerate(delta)) % q for u in units]
     assert images[0] == 0 and all(images[1:])
     perturbed = _bumped(table, (len(tensor) - 1, len(tensor) // 2), delta)
     defect, primes = _checked(perturbed, monkeypatch)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charprod import verify
+from charprod import catalog, verify
 from charprod.charops import decompose, inner_product, restrict
+from charprod.chartab import _split_prime, modular_values
 from charprod.cyclotomic import factorize
 from charprod.errors import CharprodError
 from charprod.modular import (
@@ -21,7 +22,7 @@ from charprod.modular import (
     rref_mod,
     solve_columns_mod,
 )
-from charprod.verify import GroupSession, _ModularTable
+from charprod.verify import GroupSession
 
 from oracles import rref_reference
 
@@ -114,11 +115,18 @@ def test_product_tensor_matches_exact_decomposition(gid, group_of, table_of):
                 assert int(a[i, j, k]) == expected.get(k, 0)
 
 
-@pytest.mark.parametrize("gid", ["dihedral8", "heisenberg3", "modular16"])
-def test_restriction_matrix_matches_exact(gid, group_of, table_of):
+@pytest.mark.parametrize(
+    "gid, larger",
+    [("dihedral8", False), ("heisenberg3", False), ("modular16", False), ("quaternion16", True), ("wreath3", True)],
+)
+def test_restriction_matrix_matches_exact(gid, larger, group_of, table_of):
+    """``larger``: some member has more classes than G, so its restriction
+    product runs past m (Q - 1)^2 < 2^53, on the int64 path."""
     g = group_of(gid)
     t = table_of(gid)
     session = GroupSession(g, gid)
+    members = [data["ctx"].group.num_classes for data in session.normal_data]
+    assert (max(members) * (session.q - 1) ** 2 >= 2**53) == larger
     for data in session.normal_data:
         ctx = data["ctx"]
         r = data["R"]
@@ -139,12 +147,20 @@ def test_eta_matrix_matches_exact(group_of, table_of):
             assert int(session.eta[i, j]) == dec.eta
 
 
-def test_bound_large_enough(group_of):
-    for gid in ("dihedral8", "heisenberg3", "sl23"):
+def test_bound_large_enough(group_of, table_of):
+    for gid in catalog.builtin_ids():
         g = group_of(gid)
         session = GroupSession(g, gid)
-        assert session.q > 2 * session.bound
+        assert session.q == _split_prime(g.exponent, g.num_classes, 0)[0]
+        assert session.q > 2 * max(table_of(gid).degrees) ** 2
         assert session.q % g.exponent == 1
+
+
+def test_a_prime_at_most_twice_the_bound_raises(group_of, monkeypatch):
+    """heisenberg3 has degree 3, so B = 9; Q = 13 = 1 (mod 3) is below 2B."""
+    monkeypatch.setattr(verify, "_split_prime", lambda order, classes, k: (13, nth_root_of_unity(13, order)))
+    with pytest.raises(CharprodError, match="not above twice the multiplicity bound 9"):
+        GroupSession(group_of("heisenberg3"), "heisenberg3")
 
 
 def _image(value, z, top_exponent, q):
@@ -162,13 +178,21 @@ def test_modular_table_images_every_value(gid, group_of):
     tables = [session.table] + [data["ctx"].table for data in session.normal_data]
     assert any(1 < t.group.exponent < e for t in tables)
     for table in tables:
-        mod = _ModularTable(table, q, z, e)
+        values = modular_values(*table.coefficient_tensor(), q, z, e)
         expected = [[_image(v, z, e, q) for v in chi.values] for chi in table.irreducibles]
-        assert mod.values.tolist() == expected
+        assert values.tolist() == expected
+    assert session.values.tolist() == [[_image(v, z, e, q) for v in chi.values] for chi in session.table.irreducibles]
+
+
+def test_an_order_not_dividing_the_imaging_order_raises(table_of):
+    order, tensor = table_of("cyclic9").coefficient_tensor()
+    with pytest.raises(CharprodError, match="does not divide the imaging order"):
+        modular_values(order, tensor, 19, nth_root_of_unity(19, 3), 3)
 
 
 def test_forced_large_prime_raises_instead_of_wrapping(group_of, monkeypatch):
-    monkeypatch.setattr(verify, "find_prime", lambda multiple_of, floor: 2**61 - 1)
+    big = 2**61 - 1
+    monkeypatch.setattr(verify, "_split_prime", lambda order, classes, k: (big, nth_root_of_unity(big, order)))
     # linear characters only: the value image fits, the sums over classes do not
     session = GroupSession(group_of("elemab_3_2"), "elemab_3_2")
     with pytest.raises(CharprodError, match="64 bits"):

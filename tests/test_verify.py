@@ -339,10 +339,10 @@ def test_products_and_centers_match_the_references_on_random_groups(gens):
 @st.composite
 def product_sessions(draw):
     """A stand-in session with what ``GroupSession.products`` reads: a drawn
-    modular table (values, conjugate values and degrees below a small prime
-    q), class sizes, a group order prime to q, a bound and a conjugation
-    map.  Most draws fail a check, so each check's refusal is exercised,
-    on single irreducibles and on pairs."""
+    modular image (values and degrees below a small prime q), class sizes,
+    an inverse-class map, a group order prime to q, a bound and a
+    conjugation map.  Most draws fail a check, so each check's refusal is
+    exercised, on single irreducibles and on pairs."""
     q = draw(st.sampled_from([5, 7, 11]))
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     below_q = st.integers(0, q - 1)
@@ -352,10 +352,11 @@ def product_sessions(draw):
         return np.array(draw(st.lists(below_q, min_size=size, max_size=size)), dtype=np.int64).reshape(shape)
 
     conj = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    inverse = np.array(draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)), dtype=np.intp)
     return SimpleNamespace(
         q=q, bound=draw(st.one_of(st.just(q), st.integers(0, q))), _products=None, _eta=None,
-        mod=SimpleNamespace(values=array(n, m), conj_values=array(n, m), degrees=array(n)),
-        group=SimpleNamespace(class_sizes=array(m), order=draw(st.integers(1, q - 1))),
+        values=array(n, m), degrees=array(n),
+        group=SimpleNamespace(class_sizes=array(m), order=draw(st.integers(1, q - 1)), inverse_class=lambda: inverse),
         table=SimpleNamespace(conjugate_index=conj.__getitem__),
     )
 
