@@ -24,40 +24,13 @@ class NormalLattice:
     """All normal subgroups, sorted by order then element set: ``masks`` is
     the read-only members x classes boolean array and ``orders`` the
     read-only member orders.  ``members`` makes each member's Subgroup when
-    it is first read; ``class_sets`` (frozensets of class indices) is made
-    from the masks on first read."""
+    it is first read."""
 
     def __init__(self, group, masks, orders):
         self.group = group
         self.masks = masks
         self.orders = orders
         self.members = _Members(group, masks)
-        self._class_sets = None
-
-    @property
-    def class_sets(self):
-        if self._class_sets is None:
-            self._class_sets = tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.masks)
-        return self._class_sets
-
-    def to_json(self):
-        out = []
-        for i, member in enumerate(self.members):
-            gens = [self.group.element(g).to_text() for g in member.generators()]
-            parents = [
-                j
-                for j, cs in enumerate(self.class_sets)
-                if j != i and self.class_sets[i] < cs
-            ]
-            out.append(
-                {
-                    "order": member.order,
-                    "index": self.group.order // member.order,
-                    "generator_cycles": gens,
-                    "is_in": parents,
-                }
-            )
-        return out
 
 
 class _Members(Sequence):

@@ -5,18 +5,19 @@ lemma, and the eta lower bound, all producing structured reports.
 Bulk enumeration runs on images of the exact tables modulo one prime Q > 2B,
 B = max chi(1)^2 a bound on every multiplicity read off them (``GroupSession``),
 so each residue is its integer.  The per-instance logic then works on those
-exact integers; subgroup membership is handled through class-index sets.
+exact integers; a set of classes (Z(chi), supp chi, V(chi), a normal
+subgroup) is one boolean row over the classes.
 
-Statements A and B decide all pairs of a table at once: class sets become
-0/1 masks over the classes, and a containment or equality of sets over all
-pairs is one exact integer product of masks, whose entries count the classes
-where the sets differ, so they are zero exactly when the sets contain or
-agree.  The product tensor is formed for the pairs chi <= psi only, as
-chi psi = psi chi, and each pair's record is made once, as the dict the
-report writes.  Statement C searches a witness only for a nonlinear chi: a
-linear chi is its own witness on G, since induction from G to G is the
-identity and the square of a linear irreducible is a linear irreducible, so
-the rows of all their squares are read off once per table.
+Statements A and B decide all pairs of a table at once.  The products are
+kept as the rows of the pairs chi <= psi only, as chi psi = psi chi, and
+each pair's record is made once, as the dict the report writes.  V(chi)
+and V(chi psi) are both the first lattice member holding a set of classes,
+found for all the sets at once by one exact 0/1 product against the
+members' complements, whose entries count the classes outside each member.
+Statement C searches a witness only for a nonlinear chi: a linear chi is
+its own witness on G, since induction from G to G is the identity and the
+square of a linear irreducible is a linear irreducible, so the rows of all
+their squares are read off once per table.
 """
 
 from __future__ import annotations
@@ -130,7 +131,11 @@ class GroupSession:
     path of ``matmul_exact``.  Each multiplicity read off them is at most
     B = max chi(1)^2, by the degree identities: [chi psi, theta] <= chi(1)
     psi(1) / theta(1) and [chi_N, phi] <= chi(1).  So Q > 2B, asserted here,
-    makes each residue its integer."""
+    makes each residue its integer.
+
+    Each input is kept once: the products as the rows of the pairs i <= j,
+    with ``pair_index`` and ``eta`` as n x n arrays, and Z(chi), supp chi and
+    V(chi) as boolean irreducibles x classes masks, like the lattice's."""
 
     def __init__(self, group, group_id):
         self.group = group
@@ -145,24 +150,25 @@ class GroupSession:
         self.values = modular_values(*self.table.coefficient_tensor(), self.q, self.z, group.exponent)
         self._products = None
         self._eta = None
-        self._zsets = None
+        self._pair_index = None
+        self._zmasks = None
         self._supports = None
-        self._vsets = None
+        self._vmasks = None
         self._normal_data = None
-        self._vclosure_memo = {}
         # kernel -> (quotient map, quotient table), shared by the witness searches
         self._quotients = {}
 
-    # product decomposition tensor ------------------------------------
+    # product decompositions --------------------------------------------
 
     @property
     def products(self):
-        """a[i, j, t] = multiplicity of irreducible t in the product of
-        irreducibles i and j; exact by the class docstring's bound.  As
-        chi psi = psi chi, a[i, j] = a[j, i]: one exact product makes the rows
-        of the pairs i <= j, written at (i, j) and (j, i) of the tensor and
-        eta, and the bound, the degree identity and the principal constituent
-        of chi conj(chi) are checked on those rows, so on every pair."""
+        """The pair rows: row k holds the multiplicity of each irreducible t
+        in chi_i chi_j for the k-th pair i <= j of ``np.triu_indices(n)``,
+        from one exact product, exact by the class docstring's bound.  As
+        chi psi = psi chi, ``pair_index[i, j]`` is the row of (i, j) and of
+        (j, i), and eta[i, j] is that row's number of constituents.  The
+        bound, the degree identity and the principal constituent of
+        chi conj(chi) are checked on the rows, so on every pair."""
         if self._products is None:
             v, q = self.values, self.q
             n_irr, m = v.shape
@@ -175,14 +181,11 @@ class GroupSession:
             degs = self.degrees
             if not np.array_equal(matmul_exact(rows, degs), degs[pi] * degs[pj]):
                 raise CharprodError("product decompositions fail the degree identity")
-            a = np.empty((n_irr, n_irr, n_irr), dtype=np.int64)
-            a[pi, pj] = a[pj, pi] = rows
+            index = _pair_index(n_irr)
             conj = [self.table.conjugate_index(i) for i in range(n_irr)]
-            if (a[np.arange(n_irr), conj, 0] != 1).any():
+            if (rows[index[np.arange(n_irr), conj], 0] != 1).any():
                 raise CharprodError("principal character missing from chi * conj(chi)")
-            eta = np.empty((n_irr, n_irr), dtype=np.int64)
-            eta[pi, pj] = eta[pj, pi] = (rows > 0).sum(axis=1)
-            self._products, self._eta = a, eta
+            self._products, self._eta, self._pair_index = rows, (rows > 0).sum(axis=1)[index], index
         return self._products
 
     @property
@@ -190,52 +193,47 @@ class GroupSession:
         self.products
         return self._eta
 
-    # class-set data ----------------------------------------------------
+    @property
+    def pair_index(self):
+        self.products
+        return self._pair_index
 
-    def _value_sets(self):
+    # class masks -------------------------------------------------------
+
+    def _value_masks(self):
         """Per irreducible: the classes where |chi| = chi(1), and the classes
         where chi does not vanish.  |chi(g)| = chi(1) exactly when the chi(1)
         eigenvalues of g, powers of zeta as g^e = 1, all agree, so when
         chi(g) = chi(1) zeta^k: an exact division and ``_root_exponents``."""
-        if self._zsets is None:
+        if self._zmasks is None:
             order, tensor = self.table.coefficient_tensor()
             degs = self.degrees[:, None, None]
-            on_center = (tensor % degs == 0).all(axis=2) & (_root_exponents(tensor // degs, order) >= 0)
-            supported = tensor.any(axis=2)
-            self._zsets = [frozenset(np.flatnonzero(row).tolist()) for row in on_center]
-            self._supports = [frozenset(np.flatnonzero(row).tolist()) for row in supported]
-        return self._zsets, self._supports
+            self._zmasks = (tensor % degs == 0).all(axis=2) & (_root_exponents(tensor // degs, order) >= 0)
+            self._supports = tensor.any(axis=2)
+        return self._zmasks, self._supports
 
     @property
-    def zsets(self):
-        return self._value_sets()[0]
+    def zmasks(self):
+        """Z(chi) per irreducible, as a boolean irreducibles x classes mask."""
+        return self._value_masks()[0]
 
     @property
     def supports(self):
-        return self._value_sets()[1]
+        """supp chi per irreducible, as a boolean irreducibles x classes mask."""
+        return self._value_masks()[1]
 
     @property
     def lattice(self):
         return _group_lattice(self.group, self.table)
 
-    def vclosure(self, class_set):
-        """Class set of the subgroup generated by a union of classes: that of
-        the smallest lattice member containing them, their normal closure."""
-        key = frozenset(class_set)
-        cached = self._vclosure_memo.get(key)
-        if cached is None:
-            cached = next((cs for cs in self.lattice.class_sets if key <= cs), None)
-            if cached is None:
-                raise NotNormal("no lattice member contains the classes (engine bug)")
-            self._vclosure_memo[key] = cached
-        return cached
-
     @property
-    def vsets(self):
-        """Class set of V(chi) per irreducible."""
-        if self._vsets is None:
-            self._vsets = [self.vclosure(s) for s in self.supports]
-        return self._vsets
+    def vmasks(self):
+        """V(chi) per irreducible, the normal closure of supp chi, as a
+        boolean irreducibles x classes mask: its lattice member's row."""
+        if self._vmasks is None:
+            members = self.lattice.masks
+            self._vmasks = members[_normal_closures(self.supports, members)]
+        return self._vmasks
 
     # normal subgroup data -----------------------------------------------
 
@@ -321,12 +319,25 @@ def _pair_checks(statement, session, verdicts):
     return checks
 
 
-def _class_mask(class_sets, m):
-    """One boolean row of length m per class set."""
-    mask = np.zeros((len(class_sets), m), dtype=bool)
-    for row, classes in zip(mask, class_sets):
-        row[list(classes)] = True
-    return mask
+def _pair_index(n):
+    """The n x n array whose (i, j) and (j, i) entries are the position of
+    the pair (min(i, j), max(i, j)) in ``np.triu_indices(n)``."""
+    pi, pj = np.triu_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[pi, pj] = index[pj, pi] = np.arange(len(pi))
+    return index
+
+
+def _normal_closures(classes, members):
+    """Per row of ``classes`` (a boolean mask over the classes), the index of
+    the first of the lattice ``members`` (boolean rows, in lattice order)
+    that holds it: the smallest normal subgroup holding those classes, their
+    normal closure.  A member holds them when it leaves none of them out,
+    which one 0/1 product against the members' complements counts."""
+    contained = matmul_exact(classes, ~members.T) == 0
+    if not contained.any(axis=1).all():
+        raise NotNormal("no lattice member contains the classes (engine bug)")
+    return contained.argmax(axis=1)
 
 
 def check_theorem_A(group, group_id="group", session=None):
@@ -335,39 +346,31 @@ def check_theorem_A(group, group_id="group", session=None):
     constituents.
 
     One array pass decides every pair chi <= psi in the hypothesis at once,
-    on 0/1 masks over the classes of Z(chi), supp chi and V(chi), read from
-    the session when the check runs, and of the lattice members in lattice
-    order.  Z(chi psi) is Z(chi) & Z(psi), and V(chi psi) is the first
-    member with no class of supp chi & supp psi outside it, the least normal
-    subgroup holding that support: its count of such classes is one 0/1
-    product against the complements of the members.  The constituent tests
-    run on the occurrences (pair, theta) of positive multiplicity only,
-    gathered once: each compares the masks of Z(theta) and Z(chi psi) class
-    by class, and looks for a class of V(theta) outside V(chi psi).  A pair
-    fails when V(chi psi) escapes V(chi) & V(psi), else at its first failing
+    on the session's masks of Z(chi), supp chi and V(chi) and the lattice
+    members' masks, read when the check runs.  Z(chi psi) is Z(chi) & Z(psi),
+    and V(chi psi) is the normal closure of supp chi & supp psi, found by
+    ``_normal_closures`` as V(chi) is.  The constituent tests run on the
+    occurrences (pair, theta) of positive multiplicity only, gathered once:
+    each compares the masks of Z(theta) and Z(chi psi) class by class, and
+    looks for a class of V(theta) outside V(chi psi).  A pair fails when
+    V(chi psi) escapes V(chi) & V(psi), else at its first failing
     constituent theta, the Z test before the V test; only failing pairs get
     a witness built."""
     session = session or GroupSession(group, group_id)
     _require_p_group(session, "A")
     a, eta = session.products, session.eta
-    m = session.group.num_classes
-    zsets = session.zsets
-    z, support, v = (_class_mask(sets, m) for sets in (zsets, session.supports, session.vsets))
-    members = _class_mask(session.lattice.class_sets, m)
+    z, support, v = session.zmasks, session.supports, session.vmasks
+    members = session.lattice.masks
 
     pi, pj = np.triu_indices(len(eta))
     keep = eta[pi, pj] < session.p
     pi, pj = pi[keep], pj[keep]
-    # contained[k, N]: no class of supp chi & supp psi lies outside N
-    contained = matmul_exact(support[pi] & support[pj], ~members.T) == 0
-    if not contained.any(axis=1).all():
-        raise NotNormal("no lattice member contains the classes (engine bug)")
-    v_prod = members[contained.argmax(axis=1)]
+    v_prod = members[_normal_closures(support[pi] & support[pj], members)]
     z_prod = z[pi] & z[pj]
     escapes = (v_prod & ~(v[pi] & v[pj])).any(axis=1)
     # the occurrences (pair k, constituent theta), by k and then by theta, and
     # the two tests on each
-    ks, thetas = np.nonzero(a[pi, pj] > 0)
+    ks, thetas = np.nonzero((a > 0)[keep])
     z_differs = (z_prod[ks] != z[thetas]).any(axis=1)
     v_escapes = (v[thetas] & ~v_prod[ks]).any(axis=1)
     fails = np.flatnonzero(z_differs | v_escapes)
@@ -383,8 +386,8 @@ def check_theorem_A(group, group_id="group", session=None):
             t = int(thetas[first_fail[k]])
             if z_differs[first_fail[k]]:
                 bad = {"theta": t, "reason": "Z(chi psi) != Z(theta)",
-                       "z_product_classes": sorted(zsets[i] & zsets[j]),
-                       "z_theta_classes": sorted(zsets[t])}
+                       "z_product_classes": np.flatnonzero(z_prod[k]).tolist(),
+                       "z_theta_classes": np.flatnonzero(z[t]).tolist()}
             else:
                 bad = {"theta": t, "reason": "V(theta) escapes V(chi psi)"}
         bad["eta"] = int(eta[i, j])
@@ -417,7 +420,7 @@ def check_theorem_B(group, group_id="group", session=None):
     keep = eta[pi, pj] < p
     pi, pj = pi[keep], pj[keep]
     # which irreducibles occur in each product chi psi
-    occurs = a[pi, pj] > 0
+    occurs = (a > 0)[keep]
     bad_cols = [(d["col_support"] != 1) | ((d["normal_index"] == p) & (d["single_mult"] != 1))
                 for d in normals]
     # bad[xi, N]: xi lies over a bad column of N; inducer[xi, N]: some member
@@ -447,8 +450,7 @@ def check_theorem_C(group, group_id="group", session=None):
     session = session or GroupSession(group, group_id)
     checks = []
     p = session.p
-    a = session.products
-    eta = session.eta
+    a, eta, index = session.products, session.eta, session.pair_index
     table = session.table
     linear = list(table.linear_indices())
     fixture = p is None
@@ -457,11 +459,12 @@ def check_theorem_C(group, group_id="group", session=None):
         checks.append(_record("C", {"part": part, "chi": i}, status, witness))
 
     for i in range(table.size):
-        self_mult = int(a[i, i, i])
-        lin_vals = {int(l): int(a[i, i, l]) for l in linear}
+        square = a[index[i, i]]
+        self_mult = int(square[i])
+        lin_vals = {int(l): int(square[l]) for l in linear}
         eta_sq = int(eta[i, i])
         deg = table.degrees[i]
-        has_deg = any(table.degrees[int(t)] == deg for t in np.nonzero(a[i, i])[0])
+        has_deg = any(table.degrees[int(t)] == deg for t in np.nonzero(square)[0])
 
         if fixture:
             record("i", i, HYPOTHESIS, {"fixture": True, "inner_chi2_chi": self_mult})
@@ -517,8 +520,7 @@ def check_eta_bound(group, group_id="group", session=None):
     _require_p_group(session, "bound")
     checks = []
     p = session.p
-    a = session.products
-    eta = session.eta
+    a, eta, index = session.products, session.eta, session.pair_index
     table = session.table
     for i, deg in enumerate(table.degrees):
         instance = {"chi": i}
@@ -532,7 +534,7 @@ def check_eta_bound(group, group_id="group", session=None):
             continue
         jbar = table.conjugate_index(i)
         value = int(eta[i, jbar])
-        principal_mult = int(a[i, jbar, 0])
+        principal_mult = int(a[index[i, jbar], 0])
         required = 2 * n_exp * (p - 1) + 1
         witness = {"eta": value, "required": required, "principal_multiplicity": principal_mult}
         holds = principal_mult == 1 and value >= required

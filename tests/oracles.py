@@ -22,7 +22,10 @@ the promotion from the parent's indices is checked.  ``products_reference``
 forms the product of every ordered pair of irreducibles, against which the
 product over the pairs chi <= psi is checked, ``center_sets_reference``
 takes Z(chi) from exact norms, against which the reading of chi(g) as
-chi(1) times a root of unity is checked, and ``pair_records_reference``
+chi(1) times a root of unity is checked,
+``normal_closure_sets_reference`` takes V(chi) as the first lattice member
+holding the classes where chi's exact value is not zero, against which the
+one mask product for every V(chi) is checked, and ``pair_records_reference``
 writes statement A's and B's records one ordered pair at a time, as
 record objects were once made and then written as dicts.
 """
@@ -746,6 +749,22 @@ def subgroup_sorted_lattice(group, table):
     return [m for m, _ in members], [cs for _, cs in members]
 
 
+def class_sets(masks):
+    """The class set (a frozenset of class indices) of each boolean row."""
+    return [frozenset(np.flatnonzero(row).tolist()) for row in masks]
+
+
+def normal_closure_sets_reference(table, members):
+    """V(chi) per irreducible of ``table``: the first of ``members`` (class
+    sets in lattice order) holding supp chi, the classes where the exact
+    value of chi is not zero."""
+    out = []
+    for chi in table.irreducibles:
+        support = frozenset(k for k, v in enumerate(exact_values(chi)) if v)
+        out.append(next(cs for cs in members if support <= cs))
+    return out
+
+
 def chief_factor_scan(members, z, p):
     """The members Y with Z < Y and |Y : Z| = p, by element sets, in order."""
     return [y for y in members if y.order == z.order * p and z.element_set < y.element_set]
@@ -768,6 +787,14 @@ def normal_powerset_oracle(group):
 
 
 # -- the product tensor and the pair records, one ordered pair at a time ------------
+
+
+def pair_rows(session):
+    """{(chi, psi): row of chi psi} over every ordered pair, read off the
+    session's pair rows at the position of (min, max) in ``np.triu_indices``."""
+    n = len(session.eta)
+    rows = dict(zip(zip(*(x.tolist() for x in np.triu_indices(n))), session.products))
+    return {(i, j): rows[min(i, j), max(i, j)] for i in range(n) for j in range(n)}
 
 
 def products_reference(session):
@@ -827,13 +854,13 @@ def pair_records_reference(statement, session, verdicts):
 def theorem_A_reference(session):
     """Statement A's verdicts as the engine decided them one pair at a time:
     {(chi, psi): witness} over the pairs chi <= psi in the hypothesis, with
-    frozenset class sets, V(chi psi) the first lattice member containing
-    supp chi & supp psi, and the constituents taken ascending, the Z test
-    before the V test."""
-    a = session.products
+    frozenset class sets read off the session's masks, V(chi psi) the first
+    lattice member containing supp chi & supp psi, and the constituents
+    taken ascending, the Z test before the V test."""
+    rows = pair_rows(session)
     eta = session.eta
-    zsets, supports, vsets = session.zsets, session.supports, session.vsets
-    members = session.lattice.class_sets
+    zsets, supports, vsets = (class_sets(masks) for masks in (session.zmasks, session.supports, session.vmasks))
+    members = class_sets(session.lattice.masks)
     verdicts = {}
     for i in range(len(eta)):
         for j in range(i, len(eta)):
@@ -845,7 +872,7 @@ def theorem_A_reference(session):
             if not v_prod <= vsets[i] & vsets[j]:
                 bad = {"reason": "V(chi psi) escapes V(chi) & V(psi)"}
             else:
-                for t in np.nonzero(a[i, j])[0].tolist():
+                for t in np.nonzero(rows[i, j])[0].tolist():
                     if zsets[t] != z_prod:
                         bad = {"theta": t, "reason": "Z(chi psi) != Z(theta)",
                                "z_product_classes": sorted(z_prod),
@@ -870,7 +897,7 @@ def theorem_B_reference(session):
     branches are kept, including the one the engine proves unreachable
     ("gamma^G has constituents outside chi psi")."""
     p = session.p
-    a = session.products
+    rows = pair_rows(session)
     eta = session.eta
     n = len(session.table.irreducibles)
     normals = session.normal_data
@@ -880,7 +907,7 @@ def theorem_B_reference(session):
     pi, pj = pi[keep], pj[keep]
     pairs = list(zip(pi.tolist(), pj.tolist()))
     # which irreducibles occur in each product chi psi
-    occurs = a[pi, pj] > 0
+    occurs = np.array([rows[pair] > 0 for pair in pairs], dtype=bool).reshape(len(pairs), n)
     verdicts = {}
     for data in normals:
         if not pairs:

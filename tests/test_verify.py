@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     center_sets_reference,
+    class_sets,
     generator_sets,
+    normal_closure_sets_reference,
     pair_records_reference,
     products_reference,
     theorem_A_reference,
@@ -114,8 +116,7 @@ def test_theorem_A_reports_a_corrupted_center(group_of):
     gid = "heisenberg3"
     g = group_of(gid)
     session = GroupSession(g, gid)
-    session._value_sets()
-    session._zsets[9] = frozenset({0})
+    _corrupt_class_sets(session, zsets=[(9, {0})])
     checks = check_theorem_A(g, gid, session=session)
     assert len(checks) == 121
     assert [c for c in checks if c["status"] == "fail"] == [
@@ -135,13 +136,13 @@ def _theorem_A_matches_the_reference(session):
 
 
 def _corrupt_class_sets(session, zsets=(), vsets=()):
-    """Replace the given (index, class set) entries of Z(chi) and V(chi)."""
-    session._value_sets()
-    session._zsets, session._vsets = list(session.zsets), list(session.vsets)
-    for index, classes in zsets:
-        session._zsets[index] = frozenset(classes)
-    for index, classes in vsets:
-        session._vsets[index] = frozenset(classes)
+    """Replace the given (index, class set) entries of Z(chi) and V(chi) in
+    copies of the session's masks."""
+    session._zmasks, session._vmasks = session.zmasks.copy(), session.vmasks.copy()
+    for masks, entries in ((session._zmasks, zsets), (session._vmasks, vsets)):
+        for index, classes in entries:
+            masks[index] = False
+            masks[index, sorted(classes)] = True
 
 
 def test_theorem_A_matches_the_pair_loop_on_the_catalog(group_of):
@@ -186,20 +187,28 @@ def test_theorem_A_matches_the_pair_loop_on_random_groups(gens, data):
     _theorem_A_matches_the_reference(session)
 
 
+def _pair_rows(draw, n):
+    """Drawn pair rows of n irreducibles, one per pair i <= j, with their
+    n x n eta."""
+    a = _zero_biased(draw, (n * (n + 1) // 2, n), 2)
+    return a, (a > 0).sum(axis=1)[verify._pair_index(n)]
+
+
 @st.composite
 def statement_A_sessions(draw):
-    """A stand-in session with what check_theorem_A reads: a drawn product
-    tensor, drawn class sets Z(chi), supp chi and V(chi), and a drawn list
-    of lattice members ending in all classes, in drawn order."""
+    """A stand-in session with what check_theorem_A reads: drawn pair rows,
+    drawn masks of Z(chi), supp chi and V(chi), and drawn lattice member
+    masks ending in all classes, in drawn order."""
     p = draw(st.sampled_from([2, 3, 5]))
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    a = _zero_biased(draw, (n, n, n), 2)
-    classes = st.frozensets(st.integers(0, m - 1))
-    zsets, supports, vsets = (draw(st.lists(classes, min_size=n, max_size=n)) for _ in range(3))
-    members = draw(st.lists(classes, max_size=6)) + [frozenset(range(m))]
-    return SimpleNamespace(p=p, products=a, eta=(a > 0).sum(axis=2), zsets=zsets, supports=supports,
-                           vsets=vsets, lattice=SimpleNamespace(class_sets=members),
-                           group=SimpleNamespace(num_classes=m))
+    a, eta = _pair_rows(draw, n)
+
+    def masks(rows):
+        return _zero_biased(draw, (rows, m), 1).astype(bool)
+
+    members = np.vstack([masks(draw(st.integers(0, 6))), np.ones((1, m), dtype=bool)])
+    return SimpleNamespace(p=p, products=a, eta=eta, zmasks=masks(n), supports=masks(n), vmasks=masks(n),
+                           lattice=SimpleNamespace(masks=members))
 
 
 @settings(max_examples=300, deadline=None)
@@ -237,14 +246,14 @@ def _zero_biased(draw, shape, top):
 
 @st.composite
 def statement_B_sessions(draw):
-    """A stand-in session with what check_theorem_B reads: a drawn product
-    tensor, and per normal subgroup a drawn restriction matrix R with
+    """A stand-in session with what check_theorem_B reads: drawn pair rows,
+    and per normal subgroup a drawn restriction matrix R with
     col_support, single_mult, inducer_exists and the index drawn apart from
     it.  col_support reads 1 only on a column with at most one positive
     entry, as in every session, where it is R's column support."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 6))
-    a = _zero_biased(draw, (n, n, n), 2)
+    a, eta = _pair_rows(draw, n)
     normals = []
     for idx in range(draw(st.integers(1, 4))):
         m = draw(st.integers(1, 5))
@@ -261,7 +270,7 @@ def statement_B_sessions(draw):
             "inducer_exists": np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
             "normal_index": draw(st.sampled_from([p, p * p])),
         })
-    return SimpleNamespace(p=p, products=a, eta=(a > 0).sum(axis=2),
+    return SimpleNamespace(p=p, products=a, eta=eta,
                            table=SimpleNamespace(irreducibles=[None] * n), normal_data=normals)
 
 
@@ -317,12 +326,14 @@ def test_pair_records_match_the_per_pair_loop(statement, data):
 
 
 def _session_matches_the_references(session):
-    """The products and eta of the ordered-pair formula, and Z(chi) by
-    exact norms."""
+    """The pair rows and eta of the ordered-pair formula, Z(chi) by exact
+    norms, and V(chi) as the first lattice member holding supp chi."""
     a, eta = products_reference(session)
-    assert np.array_equal(session.products, a) and np.array_equal(session.eta, eta)
+    assert np.array_equal(session.products, a[np.triu_indices(len(a))]) and np.array_equal(session.eta, eta)
     assert session.products.dtype == session.eta.dtype == np.int64
-    assert session.zsets == center_sets_reference(session.table)
+    assert class_sets(session.zmasks) == center_sets_reference(session.table)
+    members = class_sets(session.lattice.masks)
+    assert class_sets(session.vmasks) == normal_closure_sets_reference(session.table, members)
 
 
 def test_products_and_centers_match_the_references_on_the_catalog(group_of):
@@ -364,17 +375,31 @@ def product_sessions(draw):
 @settings(max_examples=400, deadline=None)
 @given(session=product_sessions())
 def test_products_decide_as_the_ordered_pair_formula(session):
-    """Any modular table gives the formula's tensor and eta, or the same
-    refusal: the checks on the rows chi <= psi refuse what the checks on
-    every ordered pair refuse."""
+    """Any modular table gives the formula's rows of the pairs chi <= psi
+    and its eta, or the same refusal: the checks on the rows chi <= psi
+    refuse what the checks on every ordered pair refuse."""
     try:
         expected = products_reference(session)
     except CharprodError as exc:
         with pytest.raises(CharprodError, match=re.escape(str(exc))):
             GroupSession.products.fget(session)
         return
-    a = GroupSession.products.fget(session)
-    assert np.array_equal(a, expected[0]) and np.array_equal(session._eta, expected[1])
+    a, eta = expected
+    assert np.array_equal(GroupSession.products.fget(session), a[np.triu_indices(len(a))])
+    assert np.array_equal(session._eta, eta)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_the_pair_index_is_the_position_in_triu_indices(n):
+    """(i, j) and (j, i) both name the row of (min, max), the order in which
+    ``products`` forms the pairs."""
+    position = {pair: k for k, pair in enumerate(zip(*(x.tolist() for x in np.triu_indices(n))))}
+    index = verify._pair_index(n)
+    assert index.shape == (n, n)
+    for i in range(n):
+        for j in range(n):
+            assert index[i, j] == index[j, i] == position[min(i, j), max(i, j)]
+
 
 
 def test_theorem_C_counterexample_fixtures(group_of):
