@@ -24,6 +24,7 @@ from .cyclotomic import (
     int64_array,
     matmul_exact,
     multiply,
+    root_exponents,
     value_json,
     value_text,
 )
@@ -259,12 +260,21 @@ def _class_union_subgroup(group, class_indices):
     return sub
 
 
+def center_masks(order, tensor):
+    """Z(chi) of each character chi in ``tensor`` (..., classes, phi(order)),
+    its positive degree in class 0: the boolean mask over the classes where
+    chi(g) = chi(1) zeta^k, which are those where |chi(g)| = chi(1), as the
+    chi(1) eigenvalues of g, powers of zeta since g^e = 1, then all agree.
+    An exact division by the degree and ``root_exponents`` decide it."""
+    degree = tensor[..., :1, :1]
+    return (tensor % degree == 0).all(axis=-1) & (root_exponents(tensor // degree, order) >= 0)
+
+
 def center_of(f):
-    """Z(f): the classes where |f(g)| equals f(1), as a subgroup."""
-    if f.is_zero():
-        raise ValueError("center of the zero class function is undefined")
-    norms = multiply(f.num, conjugate(f.num, f.order), f.order)
-    return _class_union_subgroup(f.group, np.flatnonzero((norms == norms[0]).all(axis=1)).tolist())
+    """Z(f) of a character f (``center_masks``), as a subgroup."""
+    if f.num[0, 1:].any() or f.num[0, 0] <= 0:
+        raise ValueError("the center needs f(1) to be a positive rational")
+    return _class_union_subgroup(f.group, np.flatnonzero(center_masks(f.order, f.num)).tolist())
 
 
 def kernel_classes(f):

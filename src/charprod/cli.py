@@ -2,7 +2,7 @@
 
 Subcommands: ``table``, ``product``, ``verify``, ``witness``, ``catalog``.
 Group sources are catalog ids or generator files; output is text or JSON.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or memory errors.
 """
 
 from __future__ import annotations
@@ -210,11 +210,9 @@ def main(argv=None):
                 shutil.copyfileobj(staged, out)
             return code
         return _COMMANDS[args.command](args, sys.stdout)
-    except CharprodError as exc:
-        print(f"charprod: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"charprod: {exc}", file=sys.stderr)
+    except (CharprodError, OSError, MemoryError) as exc:
+        # a MemoryError from Python's own allocator carries no message
+        print(f"charprod: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -201,6 +201,16 @@ def _reduction_matrix(order, width):
     return out
 
 
+def root_exponents(values, order):
+    """Per value (last axis: its coefficients at ``order``), the k with
+    value = zeta^k, or -1 when it is no power of zeta: its coefficient bytes
+    looked up among the rows of ``_reduction_matrix(order, order)``."""
+    exponent_of = {row.tobytes(): k for k, row in enumerate(_reduction_matrix(order, order))}
+    flat = np.ascontiguousarray(values, dtype=np.int64).reshape(-1, values.shape[-1])
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
+    return np.array([exponent_of.get(key, -1) for key in keys], dtype=np.int64).reshape(values.shape[:-1])
+
+
 @lru_cache(maxsize=None)
 def _product_matrix(order):
     """Row a * phi + b is x^(a+b) mod Phi_order: the flattened outer product of

@@ -34,6 +34,7 @@ from . import catalog
 from .charops import (
     ClassFunction,
     InducedContext,
+    center_masks,
     center_of,
     clifford_correspondent,
     decompose,
@@ -44,7 +45,7 @@ from .charops import (
     stabilizer_and_orbit,
 )
 from .chartab import _split_prime, dixon_table, modular_values, quotient_table
-from .cyclotomic import _reduction_matrix, embed, factorize, fits, matmul_exact, value_json
+from .cyclotomic import _reduction_matrix, embed, factorize, fits, matmul_exact, root_exponents, value_json
 from .errors import (
     CharprodError,
     GroupMismatch,
@@ -200,27 +201,19 @@ class GroupSession:
 
     # class masks -------------------------------------------------------
 
-    def _value_masks(self):
-        """Per irreducible: the classes where |chi| = chi(1), and the classes
-        where chi does not vanish.  |chi(g)| = chi(1) exactly when the chi(1)
-        eigenvalues of g, powers of zeta as g^e = 1, all agree, so when
-        chi(g) = chi(1) zeta^k: an exact division and ``_root_exponents``."""
-        if self._zmasks is None:
-            order, tensor = self.table.coefficient_tensor()
-            degs = self.degrees[:, None, None]
-            self._zmasks = (tensor % degs == 0).all(axis=2) & (_root_exponents(tensor // degs, order) >= 0)
-            self._supports = tensor.any(axis=2)
-        return self._zmasks, self._supports
-
     @property
     def zmasks(self):
-        """Z(chi) per irreducible, as a boolean irreducibles x classes mask."""
-        return self._value_masks()[0]
+        """Z(chi) per irreducible (``center_masks``), a boolean irreducibles x classes mask."""
+        if self._zmasks is None:
+            self._zmasks = center_masks(*self.table.coefficient_tensor())
+        return self._zmasks
 
     @property
     def supports(self):
         """supp chi per irreducible, as a boolean irreducibles x classes mask."""
-        return self._value_masks()[1]
+        if self._supports is None:
+            self._supports = self.table.coefficient_tensor()[1].any(axis=2)
+        return self._supports
 
     @property
     def lattice(self):
@@ -452,6 +445,7 @@ def check_theorem_C(group, group_id="group", session=None):
     p = session.p
     a, eta, index = session.products, session.eta, session.pair_index
     table = session.table
+    order, tensor = table.coefficient_tensor()
     linear = list(table.linear_indices())
     fixture = p is None
 
@@ -489,8 +483,9 @@ def check_theorem_C(group, group_id="group", session=None):
         if p == 2 and eta_sq >= p:
             record("iii", i, HYPOTHESIS, {"reason": "p = 2 and eta(chi^2) >= 2", "eta_chi2": eta_sq})
             continue
+        chi_cf = ClassFunction.from_coefficients(group, order, tensor[i])
         try:
-            witness = monomial_witness_search(group, i, table=table, _eta_sq=eta_sq, _quotients=session._quotients)
+            witness = _witness(group, table, i, chi_cf, session._quotients)
         except SearchExhausted as exc:
             record("iii", i, FAIL, {"reason": "monomial witness search exhausted", "trail": exc.trail})
             continue
@@ -673,21 +668,10 @@ def _descend(group, table, chi_cf, trail, quotients):
     raise SearchExhausted("every descent branch died", trail)
 
 
-def monomial_witness_search(group, chi, table=None, _eta_sq=None, _quotients=None):
+def monomial_witness_search(group, chi, table=None):
     """Monomial witness for chi: H <= G and linear alpha with alpha^G = chi and
-    (alpha^2)^G irreducible, found by the Clifford descent with backtracking.
-
-    A linear chi is its own witness (G, chi) with an empty chain, and the one
-    thing to find is the row of its square: induction from G to G is the
-    identity, so alpha^G = chi, and on a finished table (one row per class,
-    exact orthogonality) the square of a linear irreducible is linear, so
-    irreducible, and a row.  A table on which it is not a row ends the
-    search as a failed check would.  The squares of all linear chi, G's
-    generator texts and the table's value texts are made once per table
-    (``_whole_group_witnesses``).
-    ``_quotients`` is a memo of quotients by kernel that a caller keeps across
-    its searches (``check_theorem_C`` keeps one per session); without it the
-    search keeps its own, which ends with it."""
+    (alpha^2)^G irreducible, found by the Clifford descent with backtracking;
+    at p = 2 only when eta(chi^2) < 2, read off one ``decompose`` of chi^2."""
     p = group.p_group_prime()
     if p is None:
         raise NotAPGroup("monomial witness search runs on p-groups")
@@ -706,12 +690,20 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None, _quotients=Non
         chi_index = table.index_of(chi_cf)
         if chi_index is None:
             raise CharprodError("expected an irreducible of the table")
-    if p == 2:
-        if _eta_sq is None:
-            _eta_sq = decompose(chi_cf * chi_cf, table).eta
-        if _eta_sq >= 2:
-            raise HypothesisNotMet(f"p = 2 and eta(chi^2) = {_eta_sq} >= 2")
+    if p == 2 and (eta_sq := decompose(chi_cf * chi_cf, table).eta) >= 2:
+        raise HypothesisNotMet(f"p = 2 and eta(chi^2) = {eta_sq} >= 2")
+    return _witness(group, table, chi_index, chi_cf, {})
 
+
+def _witness(group, table, chi_index, chi_cf, quotients):
+    """The witness of ``chi_cf``, row ``chi_index`` of ``table``; its descent
+    keeps its quotients by kernel in ``quotients``.  A linear chi is its own
+    witness (G, chi) with an empty chain and the row of its square to find:
+    induction from G to G is the identity, and on a finished table (one row
+    per class, exact orthogonality) the square of a linear irreducible is
+    linear, so a row.  A table on which it is not a row ends the search as a
+    failed check would.  The squares, G's generator texts and the table's
+    value texts are made once per table (``_whole_group_witnesses``)."""
     if table.degrees[chi_index] == 1:
         generators, values, squares = _whole_group_witnesses(group, table)
         square_idx = squares[chi_index]
@@ -726,7 +718,6 @@ def monomial_witness_search(group, chi, table=None, _eta_sq=None, _quotients=Non
             chain=[],
             square_induced_index=square_idx,
         )
-    quotients = {} if _quotients is None else _quotients
     h_ctx, alpha, chain, square_idx = _descend(group, table, chi_cf, [], quotients)
     sub = h_ctx.subgroup
     return MonomialWitness(
@@ -768,23 +759,12 @@ def _linear_squares(table):
     order, tensor = table.coefficient_tensor()
     linear = list(table.linear_indices())
     rows = tensor[linear]
-    k = _root_exponents(rows, order)
+    k = root_exponents(rows, order)
     keys = table._keys(_reduction_matrix(order, order)[2 * k % order])
     for r in np.flatnonzero((k < 0).any(axis=1)).tolist():
         chi = ClassFunction.from_coefficients(table.group, order, rows[r])
         keys[r] = (chi * chi).value_key()
     return {chi: table._lookup().get(key) for chi, key in zip(linear, keys)}
-
-
-def _root_exponents(values, order):
-    """Per value (last axis: its coefficients at ``order``), the k with
-    value = zeta^k, or -1 when it is no power of zeta: an exact match of its
-    coefficient bytes against those of the rows of
-    ``_reduction_matrix(order, order)``, one dict lookup per value."""
-    exponent_of = {row.tobytes(): k for k, row in enumerate(_reduction_matrix(order, order))}
-    flat = np.ascontiguousarray(values, dtype=np.int64).reshape(-1, values.shape[-1])
-    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
-    return np.array([exponent_of.get(key, -1) for key in keys], dtype=np.int64).reshape(values.shape[:-1])
 
 
 # -- suite orchestration ---------------------------------------------------------

@@ -21,8 +21,8 @@ level per array call, against which the queue closure is checked, and
 the promotion from the parent's indices is checked.  ``products_reference``
 forms the product of every ordered pair of irreducibles, against which the
 product over the pairs chi <= psi is checked, ``center_sets_reference``
-takes Z(chi) from exact norms, against which the reading of chi(g) as
-chi(1) times a root of unity is checked,
+takes Z(chi) from exact norms, against which ``charops.center_masks``, the
+reading of chi(g) as chi(1) times a root of unity, is checked,
 ``normal_closure_sets_reference`` takes V(chi) as the first lattice member
 holding the classes where chi's exact value is not zero, against which the
 one mask product for every V(chi) is checked, and ``pair_records_reference``
@@ -818,12 +818,13 @@ def products_reference(session):
     return a, (a > 0).sum(axis=2)
 
 
-def center_sets_reference(table):
-    """Per irreducible, the classes where |chi(g)|^2 = chi(1)^2, by the
-    exact norm chi(g) conj(chi(g)) of every value."""
-    order, tensor = table.coefficient_tensor()
+def center_sets_reference(order, tensor):
+    """Per row of ``tensor`` (rows, classes, phi(order)), the coefficients of
+    a character at ``order`` (over any one denominator), the classes where
+    |chi(g)|^2 = chi(1)^2, by the exact norm chi(g) conj(chi(g)) of every
+    value against the square of the class-0 coefficient."""
     norms = multiply(tensor, conjugate(tensor, order), order)
-    on_center = (norms[:, :, 0] == (np.array(table.degrees) ** 2)[:, None]) & ~norms[:, :, 1:].any(axis=2)
+    on_center = (norms[:, :, 0] == tensor[:, :1, 0] ** 2) & ~norms[:, :, 1:].any(axis=2)
     return [frozenset(np.flatnonzero(row).tolist()) for row in on_center]
 
 

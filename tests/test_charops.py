@@ -38,6 +38,7 @@ from charprod.structure import normal_lattice
 from charprod.verify import STATEMENTS, GroupSession, run_suite
 
 from oracles import (
+    center_sets_reference,
     class_sets,
     exact_values,
     generator_sets,
@@ -159,6 +160,28 @@ def test_center_kernel_normal_and_nested(table_of):
             k = kernel_of(chi)
             assert z.is_normal and k.is_normal
             assert k.element_set <= z.element_set
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=generator_sets())
+def test_center_of_matches_the_norm_rule_on_random_groups(gens):
+    """Z(chi) of every irreducible of a random permutation group, read as
+    the classes where chi(g) is chi(1) times a power of zeta, holds the
+    elements of the classes where |chi(g)|^2 = chi(1)^2 by exact norms."""
+    g = group_closure(gens)
+    table = dixon_table(g)
+    for chi, classes in zip(table.irreducibles, center_sets_reference(*table.coefficient_tensor()), strict=True):
+        assert center_of(chi).element_set == frozenset(g.class_members(sorted(classes)).tolist())
+
+
+def test_center_of_needs_a_positive_rational_degree(table_of):
+    """The zero function, -chi and chi - psi with chi(1) = psi(1) have no
+    center: their value at 1 is not a positive rational."""
+    t = table_of("heisenberg3")
+    chi, psi = [c for c, d in zip(t.irreducibles, t.degrees) if d == 3]
+    for f in (chi - chi, chi * -1, chi - psi):
+        with pytest.raises(ValueError, match="positive rational"):
+            center_of(f)
 
 
 def test_vanishing_off_extraspecial(table_of):

@@ -404,3 +404,22 @@ def test_python_dash_m_prints_the_same_bytes(capsys):
     code, out, _ = run_cli(argv, capsys)
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize("text", ["(1 200000000)\n", "degree=400000000\n"])
+def test_a_group_too_large_for_memory_fails_with_a_message(text, tmp_path):
+    """A generator file whose degree needs more memory than the process may
+    take ends with a ``charprod:`` line and exit code 2, not a traceback.
+    The child process alone runs under a 2 GB address-space limit."""
+    resource = pytest.importorskip("resource")
+    limit = 2 * 1024**3
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    src = str(Path(charprod.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "charprod", "table", str(path)], env=env, capture_output=True,
+                          timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith("charprod: ") and "Traceback" not in err

@@ -331,7 +331,7 @@ def _session_matches_the_references(session):
     a, eta = products_reference(session)
     assert np.array_equal(session.products, a[np.triu_indices(len(a))]) and np.array_equal(session.eta, eta)
     assert session.products.dtype == session.eta.dtype == np.int64
-    assert class_sets(session.zmasks) == center_sets_reference(session.table)
+    assert class_sets(session.zmasks) == center_sets_reference(*session.table.coefficient_tensor())
     members = class_sets(session.lattice.masks)
     assert class_sets(session.vmasks) == normal_closure_sets_reference(session.table, members)
 
@@ -611,6 +611,55 @@ def test_only_a_search_at_p_2_decomposes_the_square(group_of, monkeypatch):
     assert decompose(t.irreducibles[chi2] * t.irreducibles[chi2], t).eta >= 2
     with pytest.raises(HypothesisNotMet, match="eta"):
         monomial_witness_search(g, t.irreducibles[chi2], table=t)
+
+
+def test_statement_C_records_the_p_2_hypothesis_without_a_search(group_of, monkeypatch):
+    """quaternion8's degree-2 chi has eta(chi^2) >= 2 at p = 2: the public
+    search refuses it, and statement C records it as hypothesis-not-met
+    without calling the search body for it (it does for the linear chi)."""
+    g = group_of("quaternion8")
+    t = dixon_table(g)
+    chi2 = t.degrees.index(2)
+    with pytest.raises(HypothesisNotMet, match="eta"):
+        monomial_witness_search(g, chi2, table=t)
+    searched = []
+    body = verify._witness
+
+    def recording(group, table, i, *rest):
+        searched.append(i)
+        return body(group, table, i, *rest)
+
+    monkeypatch.setattr(verify, "_witness", recording)
+    checks = check_theorem_C(g, "quaternion8")
+    (record,) = [c for c in checks if c["instance"] == {"part": "iii", "chi": chi2}]
+    assert record["status"] == "hypothesis-not-met" and record["witness"]["eta_chi2"] >= 2
+    assert chi2 not in searched and searched == [i for i, d in enumerate(t.degrees) if d == 1]
+
+
+def test_every_center_the_descent_takes_matches_the_norm_rule(group_of, monkeypatch):
+    """Statement C on every catalog p-group: each character whose Z(chi) the
+    witness descent takes gets the classes where |chi(g)|^2 = chi(1)^2 by
+    exact norms.  On the catalog those are characters of G and of its
+    quotients; no stabilizer's correspondent reaches a Z step."""
+    taken = []
+    made = verify.center_of
+
+    def recording(f):
+        taken.append((f, made(f)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(verify, "center_of", recording)
+    groups = []
+    for gid in catalog.builtin_ids():
+        g = group_of(gid)
+        if g.p_group_prime() is not None:
+            groups.append(g)
+            check_theorem_C(g, gid)
+    for f, z in taken:
+        (classes,) = center_sets_reference(f.order, f.num[None])
+        assert z.element_set == frozenset(f.group.class_members(sorted(classes)).tolist())
+    on_g = [any(f.group is g for g in groups) for f, _ in taken]
+    assert any(on_g) and not all(on_g)
 
 
 def test_witness_rejects_a_class_function_off_the_table(group_of):
