@@ -20,10 +20,10 @@ sum over the power map.  The finished table must have one row per class and
 pass exact row orthogonality, which for a square table implies the column
 relation; each distinct value is formatted once.  The row relation is
 decided, once the table's columns are checked Galois-stable, at one
-embedding modulo primes Q = 1 (mod e) with m (Q - 1)^2 < 2^53, as many as
-make their product exceed twice a bound on the residual's coefficients, so
-the decision is exact; a table that fails there gets its residuals from the
-exact products in the power basis.
+embedding modulo one prime Q = 1 (mod e) with m (Q - 1)^2 < 2^53, exact
+when Q exceeds twice an l1 bound on the residual; a table that fails there,
+or whose bound does not lie under Q / 2, gets its residuals from the exact
+products in the power basis.
 
 The table of a quotient G/N of a p-group needs no split: it is the rows of
 G's table with N in their kernel, read at one class of G over each class of
@@ -48,8 +48,8 @@ from .cyclotomic import (
     fits,
     format_distinct,
     gram,
-    gram_bound,
     matmul_exact,
+    max_abs,
     value_json,
     value_text,
 )
@@ -366,14 +366,11 @@ def _lift_values(omega, degree, q, lift):
 
 
 @lru_cache(maxsize=None)
-def _split_prime(order, classes, k):
-    """(Q, z): the k-th prime Q = 1 (mod order), from k = 0 down, below the
-    ceiling classes (Q - 1)^2 < 2^53, and z a primitive order-th root of
-    unity mod Q, the embedding zeta -> z."""
-    if k:
-        top = _split_prime(order, classes, k - 1)[0] - order
-    else:
-        top = 1 + math.isqrt((FLOAT_EXACT - 1) // classes) // order * order
+def _split_prime(order, classes):
+    """(Q, z): the largest prime Q = 1 (mod order) with classes (Q - 1)^2 <
+    2^53, and z a primitive order-th root of unity mod Q, the embedding
+    zeta -> z."""
+    top = 1 + math.isqrt((FLOAT_EXACT - 1) // classes) // order * order
     q = next((q for q in range(top, 1, -order) if is_prime(q)), None)
     if q is None:
         raise CharprodError(f"no prime Q = 1 (mod {order}) is left with {classes} (Q - 1)^2 below 2^53")
@@ -420,45 +417,49 @@ def _power_classes(group, u):
     return group.class_of[power]
 
 
-def _rows_hold_modulo_primes(group, order, tensor):
-    """True iff the row relation X W Y^T = |G| I of a square table holds, decided
-    at one embedding modulo primes; False also when its columns are not
-    Galois-stable, which no character table fails.
+def _row_bound(group, tensor):
+    """B = |G| + max_a S_a, the bound of ``_rows_hold_modulo_prime``."""
+    l1 = np.abs(tensor).sum(axis=2)
+    fits(group.order * max_abs(l1) ** 2)
+    return int((group.class_sizes * l1 * l1).sum(axis=1).max()) + group.order
+
+
+def _rows_hold_modulo_prime(group, order, tensor):
+    """True iff the row relation X W Y^T = |G| I of a square table holds,
+    decided at one embedding modulo one prime; False also when its columns
+    are not Galois-stable, which no character table fails, or when the bound
+    below does not lie under half the prime.
 
     First, exactly on the integer coefficients, sigma_u(X) = X[:, C^u] for
     each unit u of a generating set of the units mod ``order``: sigma_u maps
     zeta to zeta^u, and C^u is the power map, the class of r_j^u.  Then
     every entry R_ab = sum_c w_c x_a(c) x_b(c^-1) - |G| d_ab of the residual
     is fixed by every sigma_u, as c -> c^u permutes the classes and keeps
-    their sizes, so R_ab lies in Z[zeta] & Q = Z: its power-basis
-    coefficients are (R_ab, 0, ..., 0), and each lies below B, ``gram``'s
-    bound plus |G|.  At zeta -> z modulo a prime Q = 1 (mod order) the image
-    of R_ab is R_ab mod Q, so over primes whose product exceeds 2B every
-    R_ab is 0 when every image vanishes.  Per prime: one evaluation of the
-    coefficients and one product of (n, c) by (c, n), below 2^53 by classes
-    (Q - 1)^2 < 2^53, so a float64 one."""
-    classes = group.num_classes
-    sizes = group.class_sizes
-    inverse = group.inverse_class()
-    bound = gram_bound(tensor * sizes[:, None], tensor, order) + group.order
-    fits(bound)
+    their sizes, so R_ab lies in Z[zeta] & Q = Z.  Its size needs no property
+    of a character table: with L_a(c) the l1 norm of the coefficients of
+    x_a(c), |x_a(c)| <= L_a(c) as |zeta^t| = 1, and by Cauchy-Schwarz, as
+    c -> c^-1 also permutes the classes and keeps their sizes,
+    |R_ab| <= |G| + sqrt(S_a S_b) <= B = |G| + max_a S_a, for
+    S_a = sum_c w_c L_a(c)^2 (``_row_bound``).  At zeta -> z modulo the prime
+    Q = 1 (mod order) of ``_split_prime`` the image of R_ab is R_ab mod Q, so
+    when 2B < Q every R_ab is 0 iff every image vanishes: one evaluation of
+    the coefficients and one product of (n, c) by (c, n), below 2^53 by
+    classes (Q - 1)^2 < 2^53, so a float64 one.  When 2B >= Q it returns
+    False, and the exact products decide."""
     galois = _reduction_matrix(order, order)
     t = np.arange(tensor.shape[-1])
     for u in _unit_generators(order):
         if not np.array_equal(matmul_exact(tensor, galois[u * t % order]), tensor[:, _power_classes(group, u)]):
             return False
-    modulus, k = 1, 0
-    while modulus <= 2 * bound:
-        q, z = _split_prime(order, classes, k)
-        if classes * (q - 1) ** 2 >= FLOAT_EXACT:
-            raise CharprodError(f"{classes} (Q - 1)^2 reaches 2^53 at Q = {q}")
-        values = modular_values(order, tensor, q, z, order)
-        x = (values * (sizes % q) % q).astype(np.float64)
-        y = values[:, inverse].T.astype(np.float64, order="C")
-        if not np.array_equal(_product(x, y) % q, np.eye(len(tensor), dtype=np.int64) * (group.order % q)):
-            return False
-        modulus, k = modulus * q, k + 1
-    return True
+    q, z = _split_prime(order, group.num_classes)
+    if group.num_classes * (q - 1) ** 2 >= FLOAT_EXACT:
+        raise CharprodError(f"{group.num_classes} (Q - 1)^2 reaches 2^53 at Q = {q}")
+    if 2 * _row_bound(group, tensor) >= q:
+        return False
+    values = modular_values(order, tensor, q, z, order)
+    x = (values * (group.class_sizes % q) % q).astype(np.float64)
+    y = values[:, group.inverse_class()].T.astype(np.float64, order="C")
+    return np.array_equal(_product(x, y) % q, np.eye(len(tensor), dtype=np.int64) * (group.order % q))
 
 
 def _orthogonality_defect(table):
@@ -467,13 +468,13 @@ def _orthogonality_defect(table):
     class sizes, the rows say X W Y^T = |G| I; a square X is then invertible,
     so the columns Y^T X = |G| W^-1 hold and are not computed (Isaacs, ch. 2).
 
-    A square table is first decided modulo split primes
-    (``_rows_hold_modulo_primes``), exact by a bound asserted at run time;
+    A square table is first decided modulo one split prime
+    (``_rows_hold_modulo_prime``), exact by a bound checked at run time;
     clean, it is done.  A table that fails there, or is not square, is
     checked by exact ``gram`` products, which give the residuals."""
     group = table.group
     order, tensor = table.coefficient_tensor()
-    if len(tensor) == group.num_classes and _rows_hold_modulo_primes(group, order, tensor):
+    if len(tensor) == group.num_classes and _rows_hold_modulo_prime(group, order, tensor):
         return {}
     conj = tensor[:, group.inverse_class()]
     defects = {}
@@ -491,7 +492,7 @@ def _orthogonality_defect(table):
 
 def verify_orthogonality(table):
     """True iff both orthogonality relations hold exactly; rows alone if
-    square, decided modulo split primes (``_orthogonality_defect``)."""
+    square, decided modulo one split prime (``_orthogonality_defect``)."""
     return not _orthogonality_defect(table)
 
 

@@ -234,31 +234,23 @@ def gram(x, y, order):
     """Coefficients (i, j, phi) at ``order`` of sum over c of x[i, c] y[j, c]
     for values x (i, c, phi) and y (j, c, phi): the one exact sum over
     classes of the engine, in phi^2 slice products.  The orthogonality check
-    of a square table decides its row relation modulo primes instead, in phi
-    products per prime, and calls this only for the residuals of a table
-    that fails.  Degree s sums slice a of x times slice b of y over a + b = s:
-    one exact product per slice b against all slices a stacked, reduced
-    modulo Phi_order once; exact by the checked bound on every partial sum."""
+    of a square table decides its row relation at one prime instead, and
+    calls this only for the residuals of a table that fails there.  Degree s
+    sums slice a of x times slice b of y over a + b = s: one exact product
+    per slice b against all slices a stacked, reduced modulo Phi_order once;
+    exact by the checked bound on every partial sum and every coefficient:
+    each degree sums at most phi c products, and each coefficient sums
+    2 phi - 1 degrees times an entry of the reduction matrix."""
     ni, c, phi = x.shape
     nj = y.shape[0]
     red = _reduction_matrix(order, 2 * phi - 1)
-    fits(gram_bound(x, y, order))
+    fits(len(red) * phi * c * max_abs(x) * max_abs(y) * max_abs(red))
     prod = np.zeros((2 * phi - 1, ni, nj), dtype=np.int64)
     xs, ys = _operands(x.transpose(2, 0, 1), y.transpose(2, 1, 0))
     for b in range(phi):
         prod[b:b + phi] += _product(xs, ys[b])
     del xs, ys  # frees the cast operands before the reduction
     return matmul_exact(prod.reshape(2 * phi - 1, ni * nj).T, red).reshape(ni, nj, phi)
-
-
-def gram_bound(x, y, order):
-    """The bound ``gram`` checks for x (i, c, phi) and y (j, c, phi), on every
-    partial sum and every coefficient of its result: each degree sums at most
-    phi c products, and each coefficient sums 2 phi - 1 degrees times an
-    entry of the reduction matrix."""
-    _, c, phi = x.shape
-    red = _reduction_matrix(order, 2 * phi - 1)
-    return len(red) * phi * c * max_abs(x) * max_abs(y) * max_abs(red)
 
 
 @lru_cache(maxsize=None)

@@ -127,9 +127,8 @@ def _group_lattice(group, table):
 class GroupSession:
     """All per-group precomputation the statement checks share, on the images
     (``modular_values``) of G's table and its lattice members' tables at the
-    row check's first prime Q = 1 (mod e), e the exponent, where m (Q - 1)^2
-    < 2^53 for G's m classes: a member with more classes takes the int64
-    path of ``matmul_exact``.  Each multiplicity read off them is at most
+    row check's prime Q = 1 (mod e), e the exponent, where m (Q - 1)^2 <
+    2^53 for G's m classes.  Each multiplicity read off them is at most
     B = max chi(1)^2, by the degree identities: [chi psi, theta] <= chi(1)
     psi(1) / theta(1) and [chi_N, phi] <= chi(1).  So Q > 2B, asserted here,
     makes each residue its integer.
@@ -145,7 +144,7 @@ class GroupSession:
         self.p = group.p_group_prime()
         self.degrees = np.array(self.table.degrees, dtype=np.int64)
         self.bound = int(self.degrees.max()) ** 2
-        self.q, self.z = _split_prime(group.exponent, group.num_classes, 0)
+        self.q, self.z = _split_prime(group.exponent, group.num_classes)
         if self.q <= 2 * self.bound:
             raise CharprodError(f"the image prime {self.q} is not above twice the multiplicity bound {self.bound}")
         self.values = modular_values(*self.table.coefficient_tensor(), self.q, self.z, group.exponent)
@@ -234,22 +233,30 @@ class GroupSession:
     def normal_data(self):
         """Per lattice member: context, restriction-multiplicity matrix and
         the derived vectors the checks need.  Twins (``InducedContext.build``)
-        share the first one's image; a twin's own table is not read."""
+        share the first one's image; a twin's own table is not read.  The
+        size-weighted conjugate values of H are summed over the H-classes in
+        each G-class first, so the product's inner dimension is at most G's m."""
         if self._normal_data is None:
             out = []
             q = self.q
+            # the weighted values lie below (Q - 1)^2, each product sums at most m
+            fits(self.group.num_classes * (q - 1) ** 2)
             shared = {}
             for idx, member in enumerate(self.lattice.members):
                 ctx = InducedContext.build(self.group, member)
-                fits(ctx.group.num_classes * (q - 1) ** 2)
                 first = ctx.group._twin_of or ctx.group
                 if first not in shared:
                     sub = dixon_table(first)
                     values = modular_values(*sub.coefficient_tensor(), q, self.z, self.group.exponent)
-                    shared[first] = values[:, first.inverse_class()].T, np.array(sub.degrees, dtype=np.int64)
-                conj_values, degrees = shared[first]
-                weighted = self.values[:, ctx.fusion] * ctx.group.class_sizes[None, :] % q
-                r = matmul_exact(weighted, conj_values) % q * inv_mod(ctx.group.order, q) % q
+                    weighted = values[:, first.inverse_class()].T * (first.class_sizes[:, None] % q) % q
+                    shared[first] = weighted, np.array(sub.degrees, dtype=np.int64)
+                weighted, degrees = shared[first]
+                # each G-class sums the residues of at most m_H classes of H
+                fits(ctx.group.num_classes * (q - 1))
+                by_class = np.argsort(ctx.fusion, kind="stable")
+                cols, starts = np.unique(ctx.fusion[by_class], return_index=True)
+                fused = np.add.reduceat(weighted[by_class], starts, axis=0) % q
+                r = matmul_exact(self.values[:, cols], fused) % q * inv_mod(ctx.group.order, q) % q
                 if int(r.max()) > self.bound:
                     raise CharprodError("restriction multiplicity exceeded its bound")
                 if not np.array_equal(matmul_exact(r, degrees), self.degrees):

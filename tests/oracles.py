@@ -40,6 +40,7 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
+from charprod import catalog
 from charprod.charops import ClassFunction, kernel_classes
 from charprod.chartab import (
     CharacterTable,
@@ -71,7 +72,7 @@ from charprod.modular import (
     poly_roots_mod,
     solve_columns_mod,
 )
-from charprod.perm import Permutation, Subgroup, group_closure
+from charprod.perm import Permutation, Subgroup, direct_product, group_closure, parse_generators
 
 
 # -- exact cyclotomic arithmetic, one value at a time -----------------------------
@@ -1547,3 +1548,32 @@ def generator_sets(draw, max_degree=6):
     n = draw(st.integers(1, max_degree))
     perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
     return [Permutation(p) for p in perms]
+
+
+WREATH_C9_C3 = "(1 2 3 4 5 6 7 8 9)\n" + "".join(f"({i} {i + 9} {i + 18})" for i in range(1, 10))
+SYLOW_2_S8 = "(1 2)\n(1 3)(2 4)\n(1 5)(2 6)(3 7)(4 8)"
+
+
+@lru_cache(maxsize=None)
+def p_group_ambients():
+    """The ambients of ``small_p_groups``: wreath3 x heisenberg3 (order 2187),
+    C9 wr C3 (order 2187, not a direct product) and the Sylow 2-subgroup of
+    S8 (order 128)."""
+    wreath3, heisenberg3 = (catalog.parse_group(catalog.spec_for(gid).generators) for gid in ("wreath3", "heisenberg3"))
+    product = direct_product(wreath3, heisenberg3)
+    return (product,) + tuple(group_closure(parse_generators(text)[0]) for text in (WREATH_C9_C3, SYLOW_2_S8))
+
+
+@st.composite
+def small_p_groups(draw, cap=729):
+    """A random p-group of order at most ``cap``: the closure of a 1-3
+    element seed drawn in one of ``p_group_ambients``, each element kept only
+    when the closure with it stays within the cap (the first, a cyclic
+    group, always does)."""
+    ambient = draw(st.sampled_from(p_group_ambients()))
+    gens, group = [], None
+    for i in draw(st.lists(st.integers(0, ambient.order - 1), min_size=1, max_size=3)):
+        closure = group_closure(gens + [ambient.element(i)])
+        if closure.order <= cap:
+            gens, group = gens + [ambient.element(i)], closure
+    return group

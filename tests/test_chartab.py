@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from charprod.chartab import (
     _linear_logs,
     _orthogonality_defect,
     _power_classes,
+    _row_bound,
     _split_eigenspaces,
     _split_prime,
     _unit_generators,
@@ -31,10 +33,12 @@ from charprod.chartab import (
 from charprod.cyclotomic import _reduction_matrix, euler_phi, multiply
 from charprod.errors import CharprodError, EigensplitStall, LiftInconsistent, NotAPGroup
 from charprod.modular import find_prime, inv_mod, nth_root_of_unity, nullspace_mod
-from charprod.perm import Permutation, group_closure, parse_generators
+from charprod.perm import Permutation, direct_product, group_closure, parse_generators
 from charprod.structure import QuotientMap, normal_lattice, quotient
+from charprod.verify import STATEMENTS, run_suite
 
 from oracles import (
+    WREATH_C9_C3,
     brute_force_table,
     canonical_key,
     generator_sets,
@@ -42,6 +46,7 @@ from oracles import (
     prime_ideal_short_vector,
     root_of_unity,
     row_sort_key,
+    small_p_groups,
     split_in_index_order,
     unseeded_table,
     value_json_reference,
@@ -216,7 +221,7 @@ def test_finish_table_needs_one_row_per_class(rows, table_of):
         _finish_table(t.group, tensor)
 
 
-# -- the row relation decided modulo split primes ----------------------------------
+# -- the row relation decided modulo one split prime ----------------------------------
 
 MODULAR_IDS = ["dihedral8", "heisenberg3", "cyclic16", "heisenberg3_x_cyclic9", "order2187"]
 
@@ -226,28 +231,56 @@ def square_table(request, table_of, product_2187):
     return product_2187[1] if request.param == "order2187" else table_of(request.param)
 
 
-def _checked(table, monkeypatch):
-    """The orthogonality defect of ``table`` and the primes its modular check
-    took, in the order it took them."""
+@contextmanager
+def _primes_taken():
+    """The primes the row checks take inside the block, in the order taken."""
     from charprod import chartab
 
-    real, taken = chartab._split_prime, {}
+    real, taken = chartab._split_prime, []
 
-    def recording(order, classes, k):
-        prime = real(order, classes, k)
-        taken[k] = prime[0]
+    def recording(order, classes):
+        prime = real(order, classes)
+        taken.append(prime[0])
         return prime
 
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chartab, "_split_prime", recording)
+        yield taken
+
+
+@contextmanager
+def _decided_at_one_prime():
+    """Inside the block no row check may reach an exact ``gram``; yields the
+    results of the row checks and the primes they took."""
+    from charprod import chartab
+
+    def refuse(*args):
+        raise AssertionError("an exact gram in a row check")
+
+    results, check = [], chartab._rows_hold_modulo_prime
+
+    def recording(*args):
+        results.append(check(*args))
+        return results[-1]
+
+    with _primes_taken() as primes, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chartab, "gram", refuse)
+        patch.setattr(chartab, "_rows_hold_modulo_prime", recording)
+        yield results, primes
+
+
+def _checked(table):
+    """The orthogonality defect of ``table`` and the primes its modular check
+    took, in the order it took them."""
+    with _primes_taken() as primes:
         defect = _orthogonality_defect(table)
-    return defect, [taken[k] for k in sorted(taken)]
+    return defect, primes
 
 
-def _first_prime(table):
-    """(Q, z): the first prime of the check and its embedding zeta -> z."""
+def _prime(table):
+    """(Q, z): the prime of the check and its embedding zeta -> z."""
     order, _ = table.coefficient_tensor()
-    return _split_prime(order, table.group.num_classes, 0)
+    return _split_prime(order, table.group.num_classes)
 
 
 def _bumped(table, cell, delta):
@@ -258,12 +291,9 @@ def _bumped(table, cell, delta):
 
 
 def test_clean_square_tables_are_decided_modulo_primes_alone(square_table, monkeypatch):
-    """A clean square table is certified by its images: no exact ``gram``,
-    and one product per prime, at one embedding."""
+    """A clean square table is certified by its image at one prime: no exact
+    ``gram``, and one product, at one embedding."""
     from charprod import chartab
-
-    def refuse(*args):
-        raise AssertionError("an exact gram on a clean table")
 
     products, product = [], chartab._product
 
@@ -271,64 +301,124 @@ def test_clean_square_tables_are_decided_modulo_primes_alone(square_table, monke
         products.append(args)
         return product(*args)
 
-    monkeypatch.setattr(chartab, "gram", refuse)
     monkeypatch.setattr(chartab, "_product", counted)
-    defect, primes = _checked(square_table, monkeypatch)
-    assert defect == {} and primes[0] == _first_prime(square_table)[0]
-    assert len(products) == len(primes)
+    with _decided_at_one_prime() as (results, primes):
+        defect = _orthogonality_defect(square_table)
+    assert defect == {} and results == [True] and primes == [_prime(square_table)[0]]
+    assert len(products) == 1
 
 
 @pytest.mark.parametrize("delta", ["+1", "-1", "+Q", "-Q"])
-def test_a_degree_off_by_one_or_the_first_prime_fails(delta, square_table, monkeypatch):
+def test_a_degree_off_by_one_or_the_first_prime_fails(delta, square_table):
     """A degree is rational and sits at the identity class, which every power
-    map fixes, so the table stays Galois-stable and the check takes primes.
-    Off by 1, the first prime sees it.  Off by that prime Q, its image mod Q
-    vanishes, but the bound grows with the coefficient, so the check takes a
-    second prime, which sees it.  Either way the exact residuals are the
+    map fixes, so the table stays Galois-stable and the check takes its
+    prime.  Off by 1, the prime sees it.  Off by that prime Q, its image mod Q
+    vanishes, but the bound grows with the coefficient past Q / 2, so the
+    exact products decide.  Either way the exact residuals are the
     two-relation reference's."""
     order, tensor = square_table.coefficient_tensor()
-    q = _first_prime(square_table)[0]
+    q = _prime(square_table)[0]
     step = 1 if delta[1:] == "1" else q
     perturbed = _bumped(square_table, (len(tensor) - 1, 0, 0), step if delta[0] == "+" else -step)
-    defect, primes = _checked(perturbed, monkeypatch)
+    assert (2 * _row_bound(square_table.group, perturbed.coefficient_tensor()[1]) < q) == (step == 1)
+    defect, primes = _checked(perturbed)
     assert set(defect) == {"rows", "columns"} and defect == orthogonality_defect_reference(perturbed)
-    assert primes[0] == q and len(primes) == (1 if step == 1 else 2)
+    assert primes == [q]
 
 
 @pytest.mark.parametrize("delta", ["+1", "-1", "+Q", "-Q"])
-def test_a_coefficient_off_by_one_or_the_first_prime_fails(delta, square_table, monkeypatch):
+def test_a_coefficient_off_by_one_or_the_first_prime_fails(delta, square_table):
     """The last coefficient of a value off a rational class: sigma_u moves
     it, so the table is not Galois-stable and is refused before any prime
     is taken, with the two-relation reference's exact residuals."""
     order, tensor = square_table.coefficient_tensor()
-    q = _first_prime(square_table)[0]
+    q = _prime(square_table)[0]
     step = 1 if delta[1:] == "1" else q
     cell = (len(tensor) - 1, len(tensor) // 2, tensor.shape[-1] - 1)
     perturbed = _bumped(square_table, cell, step if delta[0] == "+" else -step)
-    defect, primes = _checked(perturbed, monkeypatch)
+    defect, primes = _checked(perturbed)
     assert set(defect) == {"rows", "columns"} and defect == orthogonality_defect_reference(perturbed)
     assert primes == []
 
 
 @pytest.mark.parametrize("gid", ["cyclic16", "heisenberg3_x_cyclic9", "order2187"])
-def test_a_value_off_by_an_element_of_one_prime_above_q_fails(gid, table_of, product_2187, monkeypatch):
-    """delta, a short element of the prime (Q, zeta - z) over the first prime
-    Q, vanishes at the embedding zeta -> z mod Q and at no other.  Every entry
-    of the residual it makes is a multiple of delta, so the embedding the
-    check takes cannot see it, and delta is small enough that Q alone covers
-    the bound: only the Galois-stability check, which refuses the table
-    before any prime is taken, tells it from a character table."""
+def test_a_value_off_by_an_element_of_one_prime_above_q_fails(gid, table_of, product_2187):
+    """delta, a short element of the prime (Q, zeta - z) over the check's
+    prime Q, vanishes at the embedding zeta -> z mod Q and at no other.
+    Every entry of the residual it makes is a multiple of delta, so the
+    embedding the check takes cannot see it, and delta is small enough that
+    the bound stays under Q / 2: only the Galois-stability check, which
+    refuses the table before any prime is taken, tells it from a character
+    table."""
     table = product_2187[1] if gid == "order2187" else table_of(gid)
     order, tensor = table.coefficient_tensor()
-    q, z = _first_prime(table)
+    q, z = _prime(table)
     delta = np.array(prime_ideal_short_vector(order, q, z))
     units = [u for u in range(1, order) if math.gcd(u, order) == 1]
     images = [sum(int(a) * pow(z, u * t, q) for t, a in enumerate(delta)) % q for u in units]
     assert images[0] == 0 and all(images[1:])
     perturbed = _bumped(table, (len(tensor) - 1, len(tensor) // 2), delta)
-    defect, primes = _checked(perturbed, monkeypatch)
+    assert 2 * _row_bound(table.group, perturbed.coefficient_tensor()[1]) < q
+    defect, primes = _checked(perturbed)
     assert set(defect) == {"rows", "columns"} and defect == orthogonality_defect_reference(perturbed)
     assert primes == []
+
+
+@pytest.mark.parametrize(
+    "change", ["degree+1", "degree-1", "degree+Q", "degree-Q", "doubled", "zeroed", "negated", "all zeroed"]
+)
+def test_the_row_bound_covers_every_exact_residual(change, square_table):
+    """B = |G| + max_a sum_c |C_c| L_a(c)^2 needs no property of a character
+    table: on Galois-stable perturbations it is at least every entry of the
+    exact row residual.  A zero table has residual -|G| I, which only the |G|
+    term covers; a degree off by Q has residuals near Q^2, which only the
+    square covers; a doubled linear row of cyclic16 has 3|G| on the diagonal,
+    which only the sum over the classes covers."""
+    group = square_table.group
+    order, tensor = square_table.coefficient_tensor()
+    q = _prime(square_table)[0]
+    x = tensor.copy()
+    if change.startswith("degree"):
+        x[-1, 0, 0] += {"+1": 1, "-1": -1, "+Q": q, "-Q": -q}[change[6:]]
+    elif change == "doubled":
+        x[-1] *= 2
+    elif change == "zeroed":
+        x[-1] = 0
+    elif change == "negated":
+        x[-1] *= -1
+    else:
+        x[:] = 0
+    residual = orthogonality_defect_reference(CharacterTable(group, order, x)).get("rows", 0)
+    assert _row_bound(group, x) >= residual
+
+
+def test_a_bound_past_half_the_prime_falls_back_to_the_exact_products(square_table, monkeypatch):
+    """At the least prime Q = 1 (mod e), 2B >= Q: the check takes that one
+    prime, images nothing, and the exact products decide, one ``gram`` for a
+    clean table and two, with the reference's residuals, for a degree off
+    by one."""
+    from charprod import chartab
+
+    group = square_table.group
+    order, tensor = square_table.coefficient_tensor()
+    q = find_prime(order, 2)
+    assert 2 * _row_bound(group, tensor) >= q
+    monkeypatch.setattr(chartab, "_split_prime", lambda order, classes: (q, nth_root_of_unity(q, order)))
+    grams, gram = [], chartab.gram
+
+    def refuse(*args):
+        raise AssertionError("an image at a prime the bound does not lie under")
+
+    def counted(*args):
+        grams.append(args)
+        return gram(*args)
+
+    monkeypatch.setattr(chartab, "modular_values", refuse)
+    monkeypatch.setattr(chartab, "gram", counted)
+    assert _orthogonality_defect(square_table) == {} and len(grams) == 1
+    perturbed = _bumped(square_table, (len(tensor) - 1, 0, 0), 1)
+    defect = _orthogonality_defect(perturbed)
+    assert defect and defect == orthogonality_defect_reference(perturbed) and len(grams) == 3
 
 
 @settings(max_examples=40, deadline=None)
@@ -381,12 +471,12 @@ def test_a_table_stable_under_one_unit_generator_only_fails(fixed, gid, table_of
     bumped = tensor.copy()
     bumped[-1, orbit] += delta
     perturbed = CharacterTable(group, order, bumped)
-    defect, primes = _checked(perturbed, monkeypatch)
+    defect, primes = _checked(perturbed)
     assert primes == [] and defect and defect == orthogonality_defect_reference(perturbed)
     from charprod import chartab
 
     monkeypatch.setattr(chartab, "_unit_generators", lambda order: (h,))
-    assert _checked(perturbed, monkeypatch)[1]
+    assert _checked(perturbed)[1] == [_prime(table)[0]]
 
 
 def test_a_doubled_row_fails_only_on_the_diagonal(square_table):
@@ -404,14 +494,14 @@ def test_a_doubled_row_fails_only_on_the_diagonal(square_table):
 @given(gens=generator_sets(), data=st.data())
 def test_random_tables_pass_and_perturbed_ones_fail_as_the_reference(gens, data):
     """Tables of random permutation groups are clean; off by +-1 or by +- the
-    first prime of their check in one coefficient, they fail with the
+    prime of their check in one coefficient, they fail with the
     reference's residuals, or, where the reference's exact products could
     pass 64 bits (a prime near 2^25 at exponent 60), with its error."""
     t = dixon_table(group_closure(gens))
     assert _orthogonality_defect(t) == {} == orthogonality_defect_reference(t)
     order, tensor = t.coefficient_tensor()
     cell = tuple(data.draw(st.integers(0, n - 1)) for n in tensor.shape)
-    q = _first_prime(t)[0]
+    q = _prime(t)[0]
     perturbed = _bumped(t, cell, data.draw(st.sampled_from([1, -1, q, -q])))
     try:
         reference = orthogonality_defect_reference(perturbed)
@@ -435,12 +525,12 @@ def test_a_ceiling_below_every_prime_raises(table_of, monkeypatch):
 
 
 def test_a_prime_at_the_ceiling_raises(table_of, monkeypatch):
-    """The ceiling is asserted for every prime the check takes, also for one
+    """The ceiling is asserted for the prime the check takes, also for one
     found earlier under a higher ceiling."""
     from charprod import chartab
 
     t = table_of("heisenberg3")
-    q = _first_prime(t)[0]
+    q = _prime(t)[0]
     monkeypatch.setattr(chartab, "FLOAT_EXACT", 11 * (q - 1) ** 2)
     with pytest.raises(CharprodError, match=r"reaches 2\^53"):
         _orthogonality_defect(t)
@@ -672,8 +762,7 @@ def _json_sha256(table):
 @pytest.fixture(scope="module")
 def wreath_c9_c3():
     """C9 wr C3, transitive on 27 points and not a direct product."""
-    gens = "(1 2 3 4 5 6 7 8 9)\n" + "".join(f"({i} {i + 9} {i + 18})" for i in range(1, 10))
-    return group_closure(_gens(gens))
+    return group_closure(_gens(WREATH_C9_C3))
 
 
 def test_wreath_c9_c3_table_is_pinned(wreath_c9_c3):
@@ -685,11 +774,36 @@ def test_wreath_c9_c3_table_is_pinned(wreath_c9_c3):
     assert _json_sha256(table) == "9da76922cc16fed96b95934556349814bc1036c85a9492caee0ab9dcb3cf3d3a"
 
 
-def test_the_wreath_c9_c3_check_takes_two_primes(wreath_c9_c3, monkeypatch):
-    """Its bound, about 2^25.3, exceeds half of any prime below the ceiling
-    for 267 classes, so tier-1 runs the check over more than one prime."""
-    defect, primes = _checked(dixon_table(wreath_c9_c3), monkeypatch)
-    assert defect == {} and len(primes) >= 2
+def test_the_wreath_c9_c3_check_takes_one_prime(wreath_c9_c3):
+    """Its l1 bound, about 2^13.5, lies far under half of the prime for 267
+    classes, about 2^22.5, so one image decides the table, with no exact
+    ``gram``."""
+    table = dixon_table(wreath_c9_c3)
+    with _decided_at_one_prime() as (results, primes):
+        defect = _orthogonality_defect(table)
+    assert defect == {} and results == [True] and primes == [_prime(table)[0]]
+
+
+def test_every_row_check_of_the_catalog_and_order_2187_suites_takes_one_prime():
+    """Every table the suites check, each group's own, its lattice members',
+    the descent's subgroups' and quotients', built afresh: one prime each,
+    and no exact ``gram``."""
+    fresh = {gid: catalog.parse_group(catalog.spec_for(gid).generators) for gid in catalog.builtin_ids()}
+    groups = list(fresh.items()) + [("order2187", direct_product(fresh["wreath3"], fresh["heisenberg3"]))]
+    with _decided_at_one_prime() as (results, primes):
+        run_suite(groups, STATEMENTS)
+    assert len(results) > 300 and all(results) and len(primes) == len(results)
+
+
+@settings(max_examples=30, deadline=None)
+@given(group=small_p_groups())
+def test_random_p_group_tables_equal_the_unseeded_build_at_one_prime(group):
+    with _decided_at_one_prime() as (results, primes):
+        table = dixon_table(group)
+    assert results == [True] and len(primes) == 1
+    order, tensor = table.coefficient_tensor()
+    reference = unseeded_table(group).coefficient_tensor()
+    assert order == reference[0] and np.array_equal(tensor, reference[1])
 
 
 def test_order_2187_table_is_pinned(product_2187):

@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charprod
 from charprod.cli import main
@@ -181,6 +185,45 @@ def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
     code, out, err = run_cli(["table", str(path)], capsys)
     assert code == 2 and out == ""
     assert "line 1, column 4" in err and "Traceback" not in err
+
+
+# the decimal digits, then superscript 2, circled 1, Arabic-Indic 3 and full-width 1
+_FUZZ_DIGITS = "0123456789\u00b2\u2460\u0663\uff11"
+
+
+def _group_files():
+    """Group files line by line: cycles of points, ``degree=`` headers,
+    ``#`` comments, or runs of the separators (parentheses, spaces, ``#``,
+    ``degree=``), with digit runs of at most 2 characters throughout."""
+    point = st.text(_FUZZ_DIGITS, min_size=1, max_size=2)
+    cycle = st.lists(point, max_size=4).map(lambda points: "(" + " ".join(points) + ")")
+    noise = st.lists(st.tuples(st.text(_FUZZ_DIGITS, max_size=2), st.sampled_from(["(", ")", " ", "#", "degree="])))
+    line = st.one_of(
+        st.lists(cycle, max_size=3).map("".join),
+        point.map(lambda p: "degree=" + p),
+        point.map(lambda p: "# " + p),
+        noise.map(lambda pieces: "".join(digits + separator for digits, separator in pieces)),
+    )
+    return st.lists(line, max_size=4).map("\n".join)
+
+
+def test_random_group_files_exit_with_0_or_2(tmp_path, monkeypatch):
+    """``charprod table`` on drawn group files, under a small closure cap:
+    a table or a ``charprod:`` line, never an exception."""
+    monkeypatch.setenv("CHARPROD_CLOSURE_CAP", "48")
+    path = tmp_path / "drawn.gens"
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_group_files())
+    def run(text):
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["table", str(path)])
+        assert (code, bool(out.getvalue())) in ((0, True), (2, False))
+        assert code == 0 or err.getvalue().startswith("charprod: ")
+
+    run()
 
 
 def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):

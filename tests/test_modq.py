@@ -1,6 +1,8 @@
 """The bulk verification engine images exact tables modulo a prime with an
 a-priori bound; these tests pin that fast path to the exact cyclotomic one."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from charprod import catalog, verify
 from charprod.charops import decompose, inner_product, restrict
 from charprod.chartab import _split_prime, modular_values
-from charprod.cyclotomic import factorize
+from charprod.cyclotomic import FLOAT_EXACT, factorize, max_abs
 from charprod.errors import CharprodError
 from charprod.modular import (
     charpoly_mod,
@@ -24,7 +26,7 @@ from charprod.modular import (
 )
 from charprod.verify import GroupSession
 
-from oracles import rref_reference
+from oracles import WREATH_C9_C3, rref_reference
 
 
 def test_prime_search():
@@ -152,14 +154,14 @@ def test_bound_large_enough(group_of, table_of):
     for gid in catalog.builtin_ids():
         g = group_of(gid)
         session = GroupSession(g, gid)
-        assert session.q == _split_prime(g.exponent, g.num_classes, 0)[0]
+        assert session.q == _split_prime(g.exponent, g.num_classes)[0]
         assert session.q > 2 * max(table_of(gid).degrees) ** 2
         assert session.q % g.exponent == 1
 
 
 def test_a_prime_at_most_twice_the_bound_raises(group_of, monkeypatch):
     """heisenberg3 has degree 3, so B = 9; Q = 13 = 1 (mod 3) is below 2B."""
-    monkeypatch.setattr(verify, "_split_prime", lambda order, classes, k: (13, nth_root_of_unity(13, order)))
+    monkeypatch.setattr(verify, "_split_prime", lambda order, classes: (13, nth_root_of_unity(13, order)))
     with pytest.raises(CharprodError, match="not above twice the multiplicity bound 9"):
         GroupSession(group_of("heisenberg3"), "heisenberg3")
 
@@ -193,7 +195,7 @@ def test_an_order_not_dividing_the_imaging_order_raises(table_of):
 
 def test_forced_large_prime_raises_instead_of_wrapping(group_of, monkeypatch):
     big = 2**61 - 1
-    monkeypatch.setattr(verify, "_split_prime", lambda order, classes, k: (big, nth_root_of_unity(big, order)))
+    monkeypatch.setattr(verify, "_split_prime", lambda order, classes: (big, nth_root_of_unity(big, order)))
     # linear characters only: the value image fits, the sums over classes do not
     session = GroupSession(group_of("elemab_3_2"), "elemab_3_2")
     with pytest.raises(CharprodError, match="64 bits"):
@@ -203,3 +205,29 @@ def test_forced_large_prime_raises_instead_of_wrapping(group_of, monkeypatch):
     # values up to 3 times Q - 1 already overflow the value image
     with pytest.raises(CharprodError, match="64 bits"):
         GroupSession(group_of("heisenberg3"), "heisenberg3")
+
+
+def test_wreath_c9_c3_restriction_matrices_are_pinned_and_take_float_products(monkeypatch):
+    """C9 wr C3's 23 lattice members, one with 729 classes against G's 267:
+    summed over G's classes first, every restriction product has inner
+    dimension at most 267, so it runs in float64, and the R matrices hash as
+    when the products ran over the members' classes."""
+    session = GroupSession(catalog.parse_group(WREATH_C9_C3), "c9wrc3")
+    session.lattice
+    inner, product = [], verify.matmul_exact
+
+    def recording(x, y):
+        inner.append(x.shape[-1])
+        assert x.shape[-1] * max_abs(x) * max_abs(y) < FLOAT_EXACT
+        return product(x, y)
+
+    monkeypatch.setattr(verify, "matmul_exact", recording)
+    digest = hashlib.sha256()
+    for data in session.normal_data:
+        r = np.ascontiguousarray(data["R"], dtype=np.int64)
+        digest.update(np.array(r.shape, dtype=np.int64).tobytes())
+        digest.update(r.tobytes())
+    assert max(data["ctx"].group.num_classes for data in session.normal_data) == 729
+    # the restriction product and the degree identity's, per member
+    assert len(inner) == 2 * 23 and max(inner[::2]) <= 267
+    assert digest.hexdigest() == "c6ffcdf61a4fc0631dd0fcdeb79ab604640112243fbd9419a411d344a0d067b5"
